@@ -1,9 +1,13 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for a small transformer: broadcasting arithmetic,
-batched matmul, reductions, elementwise transcendentals, gather, and
-composite softmax / layernorm built from those primitives. Gradients are
-exact; the finite-difference harness in the test suite is the contract.
+batched matmul, reductions, elementwise transcendentals, gather, softmax,
+GELU and layer-norm primitives, and an L2-normalize composite. Gradients
+are exact; the finite-difference harness in the test suite is the contract.
+
+A node requires a gradient iff an input does (leaves are marked by the
+caller, see ``train.gradients``); other nodes are constants with no parents
+and no backward closure, so ``backward`` never visits them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Backpropagate from this (typically scalar) node."""
+        """Backpropagate from this (typically scalar) node into every node that
+        requires a gradient."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack = [(self, False)]
@@ -72,7 +77,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
@@ -139,38 +144,45 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _result(value, parents: tuple, backward) -> Tensor:
+    """Output node of a primitive: it requires a gradient iff an input does."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(value, parents, backward, requires_grad=True)
+    return Tensor(value)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad over axes that were broadcast to produce it."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and grad.shape[i] != 1:
-            grad = grad.sum(axis=i, keepdims=True)
-    return grad
+    """Sum grad, in one reduction, over the axes that were broadcast to produce it."""
+    if grad.shape == shape:
+        return grad
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, s in enumerate(shape) if s == 1 and grad.shape[lead + i] != 1)
+    return grad.sum(axis=axes).reshape(shape)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value + b.value, parents=(a, b))
 
     def _bw(g):
-        a.accumulate(_unbroadcast(g, a.value.shape))
-        b.accumulate(_unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return _result(a.value + b.value, (a, b), _bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value * b.value, parents=(a, b))
 
     def _bw(g):
-        a.accumulate(_unbroadcast(g * b.value, a.value.shape))
-        b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return _result(a.value * b.value, (a, b), _bw)
 
 
 def _fast_pow(x: np.ndarray, e: float) -> np.ndarray:
@@ -192,36 +204,30 @@ def _fast_pow(x: np.ndarray, e: float) -> np.ndarray:
 
 def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(_fast_pow(a.value, exponent), parents=(a,))
 
     def _bw(g):
         a.accumulate(g * exponent * _fast_pow(a.value, exponent - 1.0))
 
-    out._backward = _bw
-    return out
+    return _result(_fast_pow(a.value, exponent), (a,), _bw)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     v = np.exp(a.value)
-    out = Tensor(v, parents=(a,))
 
     def _bw(g):
         a.accumulate(g * v)
 
-    out._backward = _bw
-    return out
+    return _result(v, (a,), _bw)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.value), parents=(a,))
 
     def _bw(g):
         a.accumulate(g / a.value)
 
-    out._backward = _bw
-    return out
+    return _result(np.log(a.value), (a,), _bw)
 
 
 def sqrt(a) -> Tensor:
@@ -231,133 +237,119 @@ def sqrt(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     v = np.tanh(a.value)
-    out = Tensor(v, parents=(a,))
 
     def _bw(g):
         a.accumulate(g * (1.0 - v * v))
 
-    out._backward = _bw
-    return out
+    return _result(v, (a,), _bw)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp with zero gradient outside [lo, hi]."""
     a = as_tensor(a)
     inside = (a.value >= lo) & (a.value <= hi)
-    out = Tensor(np.clip(a.value, lo, hi), parents=(a,))
 
     def _bw(g):
         a.accumulate(g * inside)
 
-    out._backward = _bw
-    return out
+    return _result(np.clip(a.value, lo, hi), (a,), _bw)
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product. With a 2-D right operand (a dense layer) the forward pass
+    and both gradients are single flattened (rows, k) GEMMs."""
     a, b = as_tensor(a), as_tensor(b)
-    v = a.value @ b.value
+    av, bv = a.value, b.value
+    if bv.ndim == 2:
+        a2 = av.reshape(-1, av.shape[-1])
+        v = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+
+        def _bw(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a.accumulate((g2 @ bv.T).reshape(av.shape))
+            if b.requires_grad:
+                b.accumulate(a2.T @ g2)
+    else:
+        v = av @ bv
+
+        def _bw(g):
+            if a.requires_grad:
+                a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+            if b.requires_grad:
+                b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+
     if _MAC_COUNTER is not None:
         batch = int(np.prod(v.shape[:-2], dtype=np.int64)) if v.ndim > 2 else 1
-        _MAC_COUNTER[0] += batch * v.shape[-2] * a.value.shape[-1] * v.shape[-1]
-    out = Tensor(v, parents=(a, b))
-
-    def _bw(g):
-        ga = g @ np.swapaxes(b.value, -1, -2)
-        gb = np.swapaxes(a.value, -1, -2) @ g
-        # collapse broadcast batch dims back to the operand shapes
-        while ga.ndim > a.value.ndim:
-            ga = ga.sum(axis=0)
-        for i in range(ga.ndim - 2):
-            if a.value.shape[i] == 1 and ga.shape[i] != 1:
-                ga = ga.sum(axis=i, keepdims=True)
-        while gb.ndim > b.value.ndim:
-            gb = gb.sum(axis=0)
-        for i in range(gb.ndim - 2):
-            if b.value.shape[i] == 1 and gb.shape[i] != 1:
-                gb = gb.sum(axis=i, keepdims=True)
-        a.accumulate(ga)
-        b.accumulate(gb)
-
-    out._backward = _bw
-    return out
+        _MAC_COUNTER[0] += batch * v.shape[-2] * av.shape[-1] * v.shape[-1]
+    return _result(v, (a, b), _bw)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.value.sum(axis=axis, keepdims=keepdims), parents=(a,))
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.value.shape).copy())
+        a.accumulate(np.broadcast_to(g, a.value.shape))
 
-    out._backward = _bw
-    return out
+    return _result(a.value.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.value.reshape(shape), parents=(a,))
 
     def _bw(g):
         a.accumulate(g.reshape(a.value.shape))
 
-    out._backward = _bw
-    return out
+    return _result(a.value.reshape(shape), (a,), _bw)
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.value.transpose(axes), parents=(a,))
     inv = np.argsort(axes)
 
     def _bw(g):
         a.accumulate(g.transpose(inv))
 
-    out._backward = _bw
-    return out
+    return _result(a.value.transpose(axes), (a,), _bw)
 
 
 def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.value[idx], parents=(a,))
 
     def _bw(g):
         full = np.zeros_like(a.value)
         np.add.at(full, idx, g)
         a.accumulate(full)
 
-    out._backward = _bw
-    return out
+    return _result(a.value[idx], (a,), _bw)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of `table` by integer index array."""
-    out = Tensor(table.value[ids], parents=(table,))
 
     def _bw(g):
         full = np.zeros_like(table.value)
         np.add.at(full, ids, g)
         table.accumulate(full)
 
-    out._backward = _bw
-    return out
+    return _result(table.value[ids], (table,), _bw)
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.value for t in tensors], axis=axis), parents=tuple(tensors))
     sizes = [t.value.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
     def _bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            t.accumulate(g[tuple(sl)])
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                t.accumulate(g[tuple(sl)])
 
-    out._backward = _bw
-    return out
+    return _result(np.concatenate([t.value for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
 def softmax(x, axis=-1) -> Tensor:
@@ -366,44 +358,73 @@ def softmax(x, axis=-1) -> Tensor:
     m = np.max(x.value, axis=axis, keepdims=True)
     e = np.exp(x.value - m)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(x,))
 
     def _bw(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
         x.accumulate(p * (g - dot))
 
-    out._backward = _bw
-    return out
+    return _result(p, (x,), _bw)
 
 
-def logsumexp(x, axis=-1) -> Tensor:
-    x = as_tensor(x)
-    m = np.max(x.value, axis=axis, keepdims=True)
-    return log(exp(x - m).sum(axis=axis, keepdims=False)) + np.squeeze(m, axis=axis)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x) -> Tensor:
-    """tanh-approximation GELU primitive (smooth, finite-difference friendly)."""
+    """tanh-approximation GELU primitive (smooth, finite-difference friendly):
+    0.5 v (1 + tanh(c (v + 0.044715 v^3))), evaluated with in-place temporaries."""
     x = as_tensor(x)
-    c = math.sqrt(2.0 / math.pi)
     v = x.value
-    u = c * (v + 0.044715 * v * v * v)
-    t = np.tanh(u)
-    out = Tensor(0.5 * v * (1.0 + t), parents=(x,))
+    t = 0.044715 * v
+    t *= v
+    t *= v
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half_v = 0.5 * v
+    y = 1.0 + t
+    y *= half_v
 
     def _bw(g):
-        du = c * (1.0 + 3.0 * 0.044715 * v * v)
-        x.accumulate(g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du))
+        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 * 0.044715 v^2)
+        du = (3.0 * 0.044715) * v
+        du *= v
+        du += 1.0
+        du *= _GELU_C
+        d = 1.0 - t * t
+        d *= half_v
+        d *= du
+        d += 0.5 * (1.0 + t)
+        d *= g
+        x.accumulate(d)
 
-    out._backward = _bw
-    return out
+    return _result(y, (x,), _bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / sqrt(var + eps) * gain + bias
+    """Layer norm over the last axis as one node; its backward reuses the
+    normalized input xhat and the reciprocal std rstd saved by the forward."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    inv_n = 1.0 / x.value.shape[-1]
+    xhat = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
+    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat *= rstd
+    y = xhat * gain.value
+    y += bias.value
+
+    def _bw(g):
+        if gain.requires_grad:
+            gain.accumulate(_unbroadcast(g * xhat, gain.value.shape))
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(g, bias.value.shape))
+        if x.requires_grad:
+            dxhat = g * gain.value
+            proj = (dxhat * xhat).sum(axis=-1, keepdims=True) * inv_n
+            dx = dxhat - dxhat.sum(axis=-1, keepdims=True) * inv_n
+            dx -= xhat * proj
+            dx *= rstd
+            x.accumulate(dx)
+
+    return _result(y, (x, gain, bias), _bw)
 
 
 def l2_normalize(x, axis=-1) -> Tensor:

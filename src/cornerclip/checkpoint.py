@@ -96,7 +96,7 @@ def load_checkpoint(path):
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v."):]] = a
         else:
-            params[name] = Tensor(a, requires_grad=True, name=name)
+            params[name] = Tensor(a, name=name)
     opt = (adam_m, adam_v, header["opt_step"]) if header["has_opt_state"] else None
     return params, opt, header["step"], header["meta"]
 

@@ -223,9 +223,13 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _corpus_vocab(records):
+def _training_corpus(path):
+    """Manifest records and their vocabulary; a manifest with no usable record fails."""
+    records = corpus.load_manifest(path)
+    if not records:
+        raise ValueError(f"manifest {path} has no usable records")
     texts = [r.short_text for r in records] + [t for r in records for t in r.long_texts]
-    return Vocabulary.build(texts)
+    return records, Vocabulary.build(texts)
 
 
 def _cmd_train(args) -> int:
@@ -234,8 +238,7 @@ def _cmd_train(args) -> int:
         _emit(args, dataclasses.asdict(cfg),
               "\n".join(f"{k} = {v}" for k, v in dataclasses.asdict(cfg).items()))
         return 0
-    records = corpus.load_manifest(args.corpus)
-    vocab = _corpus_vocab(records)
+    records, vocab = _training_corpus(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
     last = result.metrics[-1] if result.metrics else {}
     _emit(args, {"steps": len(result.metrics), "final": last, "out_dir": args.out_dir},
@@ -278,8 +281,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --values: {exc}")
     cfg = resolve_train_config(args)
-    records = corpus.load_manifest(args.corpus)
-    vocab = _corpus_vocab(records)
+    records, vocab = _training_corpus(args.corpus)
     spec = sweep_mod.SweepSpec(axis=args.axis, values=values, base=cfg,
                                seeds=list(range(args.seeds)))
     rows = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)

@@ -15,59 +15,62 @@ from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT
 MASK_NEG = -1e9
 
 
+# _NEXT_OK[prev, cur]: role `cur` may directly follow role `prev`; rows and
+# columns in role order CLS, CORNER, TEXT, SEP, PAD
+_NEXT_OK = np.array([[0, 1, 1, 1, 1],
+                     [0, 1, 1, 1, 1],
+                     [0, 0, 1, 1, 1],
+                     [0, 0, 1, 1, 1],
+                     [0, 0, 0, 0, 1]], dtype=bool)
+
+
 def validate_role_layout(roles: np.ndarray) -> None:
-    """Check the CLS CORNER* (TEXT|SEP)* PAD* layout; raise on violation."""
+    """Check the CLS CORNER* (TEXT|SEP)* PAD* layout of a (L,) role array or of
+    every row of a (B, L) batch; raise on violation."""
     roles = np.asarray(roles)
-    if roles.ndim != 1 or roles.size == 0:
-        raise ValueError("roles must be a nonempty 1-D array")
-    if roles[0] != ROLE_CLS:
+    if roles.ndim not in (1, 2) or roles.size == 0:
+        raise ValueError("roles must be a nonempty 1-D array or a (B, L) batch of them")
+    if np.any(roles[..., 0] != ROLE_CLS):
         raise ValueError("position 0 must be CLS")
-    allowed = {
-        ROLE_CLS: {ROLE_CORNER, ROLE_TEXT, ROLE_SEP, ROLE_PAD},
-        ROLE_CORNER: {ROLE_CORNER, ROLE_TEXT, ROLE_SEP, ROLE_PAD},
-        ROLE_TEXT: {ROLE_TEXT, ROLE_SEP, ROLE_PAD},
-        ROLE_SEP: {ROLE_TEXT, ROLE_SEP, ROLE_PAD},
-        ROLE_PAD: {ROLE_PAD},
-    }
-    for prev, cur in zip(roles[:-1], roles[1:]):
-        if int(cur) not in allowed[int(prev)]:
-            raise ValueError("malformed role layout")
-    if np.any(roles[1:] == ROLE_CLS):
-        raise ValueError("CLS may only appear at position 0")
+    # CLS never follows anything, so this also keeps CLS out of positions 1..L-1
+    if (roles.min() < 0 or roles.max() >= len(_NEXT_OK)
+            or not np.all(_NEXT_OK[roles[..., :-1], roles[..., 1:]])):
+        raise ValueError("malformed role layout")
 
 
 def build_corner_mask(roles: np.ndarray, enabled: bool = True) -> np.ndarray:
-    """L x L binary mask for the corner rule; padding is ignored here.
+    """L x L binary mask for the corner rule (B x L x L for a batch of role
+    rows); padding is ignored here.
 
     With enabled=False (register-token ablation) the mask is all ones.
     """
     validate_role_layout(roles)
     roles = np.asarray(roles)
-    L = roles.size
+    L = roles.shape[-1]
     if not enabled:
-        return np.ones((L, L), dtype=np.int8)
+        return np.ones(roles.shape + (L,), dtype=np.int8)
     is_corner = roles == ROLE_CORNER
     in_group = is_corner | (roles == ROLE_CLS)
-    blocked = is_corner[None, :] | (in_group[:, None] & in_group[None, :])
-    np.fill_diagonal(blocked, False)
+    blocked = is_corner[..., None, :] | (in_group[..., :, None] & in_group[..., None, :])
+    blocked &= ~np.eye(L, dtype=bool)
     return (~blocked).astype(np.int8)
 
 
 def apply_padding(mask: np.ndarray, roles: np.ndarray) -> np.ndarray:
     """Zero every PAD-key column except its own diagonal entry."""
     roles = np.asarray(roles)
-    if mask.shape != (roles.size, roles.size):
+    L = roles.shape[-1]
+    if mask.shape != roles.shape + (L,):
         raise ValueError("mask/roles length mismatch")
-    out = mask.copy()
-    pad = roles == ROLE_PAD
-    out[:, pad] = 0
-    idx = np.where(pad)[0]
-    out[idx, idx] = 1
-    return out
+    pad_key = (roles == ROLE_PAD)[..., None, :]
+    return np.where(pad_key, np.eye(L, dtype=mask.dtype), mask)
 
 
 def full_mask(roles: np.ndarray, mask_mode: str = "corner") -> np.ndarray:
-    """Corner (or all-ones) mask with padding applied; mask_mode in {corner, full}."""
+    """Corner (or all-ones) mask with padding applied; mask_mode in {corner, full}.
+
+    `roles` is one (L,) layout or a (B, L) batch; the mask is (L, L) or (B, L, L).
+    """
     if mask_mode not in ("corner", "full"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     return apply_padding(build_corner_mask(roles, enabled=mask_mode == "corner"), roles)

@@ -29,7 +29,7 @@ class ObjectiveParams:
 
     @classmethod
     def create(cls, tau_init: float = 0.07) -> "ObjectiveParams":
-        return cls(s=Tensor(np.float64(-math.log(tau_init)), requires_grad=True, name="obj.s"))
+        return cls(s=Tensor(np.float64(-math.log(tau_init)), name="obj.s"))
 
     def tau(self) -> Tensor:
         return clip(exp(-self.s), TAU_MIN, TAU_MAX)

@@ -60,17 +60,15 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
     # distinct per-corner offsets so corner rows start apart from one another
     for i in range(config.m):
         tok[CORNER_ID_BASE + i] += 0.25 * (i + 1)
-    params[f"{prefix}tok_emb"] = Tensor(tok, requires_grad=True, name=f"{prefix}tok_emb")
+    params[f"{prefix}tok_emb"] = Tensor(tok, name=f"{prefix}tok_emb")
     params[f"{prefix}pos_emb"] = Tensor(
-        rng.normal(0.0, 0.02, size=(config.limit, d)), requires_grad=True,
-        name=f"{prefix}pos_emb")
+        rng.normal(0.0, 0.02, size=(config.limit, d)), name=f"{prefix}pos_emb")
     for layer in range(config.depth):
         transformer.init_block_params(rng, d, config.mlp_ratio, f"{prefix}L{layer}.", params)
-    params[f"{prefix}lnf.g"] = Tensor(np.ones(d), requires_grad=True, name=f"{prefix}lnf.g")
-    params[f"{prefix}lnf.b"] = Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}lnf.b")
+    params[f"{prefix}lnf.g"] = Tensor(np.ones(d), name=f"{prefix}lnf.g")
+    params[f"{prefix}lnf.b"] = Tensor(np.zeros(d), name=f"{prefix}lnf.b")
     params[f"{prefix}proj"] = Tensor(
-        rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)),
-        requires_grad=True, name=f"{prefix}proj")
+        rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)), name=f"{prefix}proj")
     return params
 
 
@@ -87,8 +85,8 @@ def param_count(config: TextEncoderConfig) -> int:
 
 
 def _batch_bias(roles: np.ndarray, mask_mode: str) -> np.ndarray:
-    per_seq = np.stack([masks.mask_bias(masks.full_mask(r, mask_mode)) for r in roles])
-    return per_seq[:, None, :, :]
+    """(B, 1, L, L) additive attention bias, built for the whole batch at once."""
+    return masks.mask_bias(masks.full_mask(roles, mask_mode))[:, None, :, :]
 
 
 def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,

@@ -181,16 +181,23 @@ def trainable_names(params: dict, cfg: TrainConfig) -> list[str]:
 
 def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
               image_cfg: ImageEncoderConfig, cfg: TrainConfig):
-    """Exact gradients of the total loss for every trainable parameter."""
-    for t in params.values():
+    """Exact gradients of the total loss for every trainable parameter.
+
+    This is where parameters are marked: exactly the trainable ones require a
+    gradient, so backward never enters a frozen tower.
+    """
+    names = trainable_names(params, cfg)
+    trainable = set(names)
+    for name, t in params.items():
         t.grad = None
+        t.requires_grad = name in trainable
     breakdown, tau = compute_loss(params, batch, text_cfg, image_cfg, cfg)
     for label, term in (("loss_short", breakdown.short), ("loss_long", breakdown.long)):
         if term is not None and not np.isfinite(term.value):
             raise FloatingPointError(f"non-finite loss term: {label}")
     breakdown.total.backward()
     grads = {}
-    for name in trainable_names(params, cfg):
+    for name in names:
         g = params[name].grad
         grads[name] = np.zeros_like(params[name].value) if g is None else g.copy()
     return grads, breakdown, float(np.asarray(tau.value).reshape(-1)[0])
@@ -300,6 +307,22 @@ def vocab_from_meta(meta: dict) -> Vocabulary:
     return Vocabulary(m_max=v["m_max"], token_to_id=dict(v["token_to_id"]))
 
 
+def _open_metrics(path: str, start_step: int):
+    """Metrics stream for a run starting after `start_step`. On resume it keeps
+    the lines up to that step and drops later ones (a torn last line too),
+    since the resumed run logs those steps again."""
+    kept = []
+    if start_step and os.path.exists(path):
+        with open(path) as f:
+            for line in f:
+                if not line.endswith("\n") or json.loads(line)["step"] > start_step:
+                    break
+                kept.append(line)
+    f = open(path, "w")
+    f.writelines(kept)
+    return f
+
+
 def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainConfig,
                  out_dir: str | None = None, resume_from: str | None = None,
                  stop_after: int | None = None) -> TrainResult:
@@ -308,6 +331,8 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     With `resume_from`, continues from the checkpointed step and reproduces
     the uninterrupted run's remaining metrics exactly.
     """
+    if not records:
+        raise ValueError("manifest has no usable records")
     if cfg.image_mode == "precomputed":
         feature_dim = int(records[0].image_feature.shape[0])
     else:
@@ -332,8 +357,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     metrics_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        mode = "a" if resume_from is not None else "w"
-        metrics_file = open(os.path.join(out_dir, "metrics.jsonl"), mode)
+        metrics_file = _open_metrics(os.path.join(out_dir, "metrics.jsonl"), start_step)
 
     end_step = cfg.steps if stop_after is None else min(stop_after, cfg.steps)
     metrics: list[dict] = []

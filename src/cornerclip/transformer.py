@@ -19,7 +19,7 @@ def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
     scale = d ** -0.5
 
     def p(name, value):
-        params[f"{prefix}{name}"] = Tensor(value, requires_grad=True, name=f"{prefix}{name}")
+        params[f"{prefix}{name}"] = Tensor(value, name=f"{prefix}{name}")
 
     p("ln1.g", np.ones(d))
     p("ln1.b", np.zeros(d))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from cornerclip import autodiff as ad
+from cornerclip import train
 from cornerclip.autodiff import Tensor
+from cornerclip.corpus import generate_synthetic_corpus
+from cornerclip.tokenizer import Vocabulary
 
 
 def fd_grad(f, x, h=1e-6):
@@ -121,3 +124,101 @@ def test_mac_counter_counts_matmuls():
         out = (a @ b).sum()
         out.backward()
     assert c[0] == 2 * 3 * 4 * 5
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 4)])
+def test_matmul_dense_weight_gradients(shape):
+    """A 2-D right operand takes the flattened-GEMM path on 3-D and 4-D inputs."""
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    coef = rng.normal(size=shape[:-1] + (5,))
+    (a @ w * coef).sum().backward()
+    fd_a = fd_grad(lambda v: float((Tensor(v) @ w.detach() * coef).sum().value), a.value)
+    fd_w = fd_grad(lambda v: float((a.detach() @ Tensor(v) * coef).sum().value), w.value)
+    np.testing.assert_allclose(a.grad, fd_a, atol=1e-6)
+    np.testing.assert_allclose(w.grad, fd_w, atol=1e-6)
+    np.testing.assert_allclose((a @ w).value, np.einsum("...k,kn->...n", a.value, w.value),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_layer_norm_gain_and_bias_gradients():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    g = Tensor(rng.normal(size=6), requires_grad=True)
+    b = Tensor(rng.normal(size=6), requires_grad=True)
+    coef = rng.normal(size=(2, 3, 6))
+    (ad.layer_norm(x, g, b) * coef).sum().backward()
+
+    def loss(xv, gv, bv):
+        return float((ad.layer_norm(Tensor(xv), Tensor(gv), Tensor(bv)) * coef).sum().value)
+
+    np.testing.assert_allclose(x.grad, fd_grad(lambda v: loss(v, g.value, b.value), x.value),
+                               atol=1e-5)
+    np.testing.assert_allclose(g.grad, fd_grad(lambda v: loss(x.value, v, b.value), g.value),
+                               atol=1e-6)
+    np.testing.assert_allclose(b.grad, fd_grad(lambda v: loss(x.value, g.value, v), b.value),
+                               atol=1e-6)
+
+
+def test_gelu_batched_gradient():
+    rng = np.random.default_rng(8)
+    coef = rng.normal(size=(2, 3, 8))
+    check_unary(lambda t: ad.gelu(t) * coef, rng.normal(size=(2, 3, 8)) * 2.0)
+
+
+def test_unbroadcast_multi_axis():
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(2, 3, 4, 5))
+    np.testing.assert_allclose(ad._unbroadcast(g, (3, 1, 5)),
+                               g.sum(axis=0).sum(axis=1, keepdims=True), atol=1e-12)
+    np.testing.assert_allclose(ad._unbroadcast(g, ()), g.sum(), atol=1e-12)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
+    coef = rng.normal(size=(2, 3, 4, 5))
+    ((a * b + b) * coef).sum().backward()
+    fd_b = fd_grad(lambda v: float(((a.detach() * Tensor(v) + Tensor(v)) * coef).sum().value),
+                   b.value)
+    np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
+
+
+def test_leaf_without_requires_grad_gets_no_gradient():
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)))
+    const = w * 2.0
+    assert not const.requires_grad and const._parents == () and const._backward is None
+    out = ad.layer_norm(a @ w, np.ones(2), np.zeros(2)).sum()
+    assert out.requires_grad
+    out.backward()
+    assert a.grad is not None
+    assert w.grad is None
+
+
+def _vit_setup(tmp_path, freeze_image):
+    recs = generate_synthetic_corpus(0, 8, 2, 8)
+    rng = np.random.default_rng(11)
+    for r in recs:
+        r.image_path = str(tmp_path / f"{r.id}.npy")
+        np.save(r.image_path, rng.normal(size=(32, 32, 3)))
+        r.image_feature = None
+    vocab = Vocabulary.build([r.short_text for r in recs]
+                             + [t for r in recs for t in r.long_texts])
+    cfg = train.TrainConfig(batch_size=4, steps=1, warmup_steps=1, seed=0, limit=16,
+                            text_depth=1, text_width=16, text_heads=2, projection_dim=8,
+                            k_subcaptions=2, image_mode="vit", freeze_image=freeze_image)
+    text_cfg, image_cfg = train.make_configs(vocab, cfg, 0)
+    params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+    batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(0, 1), image_cfg)
+    return train.gradients(params, batch, text_cfg, image_cfg, cfg), params
+
+
+def test_frozen_image_tower_gets_no_backward(tmp_path):
+    (frozen, _, _), params = _vit_setup(tmp_path, freeze_image=True)
+    (full, _, _), _ = _vit_setup(tmp_path, freeze_image=False)
+    img = [n for n in params if n.startswith("img.")]
+    assert len(img) > 10
+    assert all(params[n].grad is None for n in img)
+    assert set(frozen) == set(full) - set(img)
+    for name, g in frozen.items():
+        np.testing.assert_array_equal(g, full[name], err_msg=name)

@@ -130,6 +130,14 @@ class TestTrainEvalCommands:
                          "--out-dir", str(tmp_path / "x"), "--steps", "1")
         assert code == 2
 
+    def test_train_all_lines_skipped_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "unreadable.jsonl"
+        path.write_text('not json\n{"id": "r0"}\n')
+        code, _, err = run(capsys, "train", "--corpus", str(path),
+                           "--out-dir", str(tmp_path / "x"), "--steps", "1")
+        assert code == 2
+        assert str(path) in err and "no usable records" in err
+
 
 class TestConfigPrecedence:
     def test_print_config_defaults(self, capsys):

@@ -1,7 +1,11 @@
 """Corner mask tests, including the brute-force oracle equivalence."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cornerclip import masks
 from cornerclip.tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT
@@ -149,3 +153,60 @@ def test_mask_bias_values():
 def test_format_mask_grid():
     mask = np.array([[1, 0], [0, 1]])
     assert masks.format_mask(mask) == "1 0\n0 1"
+
+
+LAYOUT_RE = re.compile(r"C K* [TS]* P*".replace(" ", ""))
+ROLE_LETTERS = {ROLE_CLS: "C", ROLE_CORNER: "K", ROLE_TEXT: "T", ROLE_SEP: "S", ROLE_PAD: "P"}
+
+
+def oracle_full_mask(roles, mode):
+    """Per-position rule plus padding, written out independently of masks.py."""
+    out = oracle_mask(roles) if mode == "corner" else np.ones((len(roles),) * 2, np.int8)
+    for q in range(len(roles)):
+        for k in range(len(roles)):
+            if roles[k] == ROLE_PAD and q != k:
+                out[q, k] = 0
+    return out
+
+
+@st.composite
+def role_batches(draw):
+    """A (B, L) batch of valid layouts: CLS, m corners, a TEXT/SEP mix, then PADs."""
+    B = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(B):
+        m = draw(st.integers(0, L - 1))
+        content = draw(st.integers(0, L - 1 - m))
+        body = draw(st.lists(st.sampled_from([ROLE_TEXT, ROLE_SEP]),
+                             min_size=content, max_size=content))
+        rows.append([ROLE_CLS] + [ROLE_CORNER] * m + body + [ROLE_PAD] * (L - 1 - m - content))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(roles=role_batches(), mode=st.sampled_from(["corner", "full"]))
+def test_batched_bias_equals_per_sequence(roles, mode):
+    batched = masks.mask_bias(masks.full_mask(roles, mode))
+    per_seq = np.stack([masks.mask_bias(masks.full_mask(r, mode)) for r in roles])
+    np.testing.assert_array_equal(batched, per_seq)
+    for r, got in zip(roles, masks.full_mask(roles, mode)):
+        np.testing.assert_array_equal(got, oracle_full_mask(r, mode))
+
+
+@settings(max_examples=150, deadline=None)
+@given(roles=role_batches(), mode=st.sampled_from(["corner", "full"]), data=st.data())
+def test_batch_with_one_malformed_layout_raises_like_the_sequence(roles, mode, data):
+    B, L = roles.shape
+    row = data.draw(st.integers(0, B - 1))
+    pos = data.draw(st.integers(0, L - 1))
+    roles = roles.copy()
+    roles[row, pos] = data.draw(st.sampled_from(sorted(ROLE_LETTERS)))
+    assume(not LAYOUT_RE.fullmatch("".join(ROLE_LETTERS[int(v)] for v in roles[row])))
+    expected = "position 0 must be CLS" if roles[row, 0] != ROLE_CLS else "malformed role layout"
+    with pytest.raises(ValueError) as single:
+        masks.full_mask(roles[row], mode)
+    assert str(single.value) == expected
+    with pytest.raises(ValueError) as batch:
+        masks.full_mask(roles, mode)
+    assert str(batch.value) == expected

@@ -1,5 +1,7 @@
 """Training engine tests: batching, gradients, AdamW, resume equivalence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,11 @@ class TestAssembleBatch:
         b = train.assemble_batch(recs, vocab, text_cfg, cfg,
                                  train.step_rng(1, 1), image_cfg)
         assert len(set(b.indices.tolist())) == 16
+
+    def test_empty_manifest_rejected(self, corpus16):
+        _, vocab = corpus16
+        with pytest.raises(ValueError, match="no usable records"):
+            train.run_training([], vocab, tiny_cfg())
 
     def test_too_small_manifest(self, corpus16):
         recs, vocab = corpus16
@@ -284,6 +291,32 @@ class TestResume:
             np.testing.assert_array_equal(resumed.params[k].value,
                                           full.params[k].value)
         lines = (tmp_path / "part" / "metrics.jsonl").read_text().splitlines()
+        assert lines == [train.metrics_line(m) for m in full.metrics]
+
+    def test_resume_from_periodic_checkpoint_logs_each_step_once(self, corpus16, tmp_path):
+        recs, vocab = corpus16
+        cfg = tiny_cfg(steps=8, warmup_steps=2, checkpoint_every=4)
+        full = train.run_training(recs, vocab, cfg)
+        run_dir = tmp_path / "run"
+        # a run that stops after step 5 leaves ckpt_000004.bin and five metrics lines
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir), stop_after=5)
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir),
+                           resume_from=str(run_dir / "ckpt_000004.bin"))
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == list(range(1, 9))
+        assert lines == [train.metrics_line(m) for m in full.metrics]
+
+    def test_resume_drops_a_torn_metrics_line(self, corpus16, tmp_path):
+        recs, vocab = corpus16
+        cfg = tiny_cfg(steps=4, warmup_steps=2)
+        full = train.run_training(recs, vocab, cfg)
+        run_dir = tmp_path / "run"
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir), stop_after=2)
+        with open(run_dir / "metrics.jsonl", "a") as f:
+            f.write('{"step": 3, "loss')
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir),
+                           resume_from=str(run_dir / "ckpt_final.bin"))
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
         assert lines == [train.metrics_line(m) for m in full.metrics]
 
     def test_resume_rejects_mismatched_m(self, corpus16, tmp_path):

@@ -37,11 +37,13 @@ def count_macs():
 class Tensor:
     """A node in the computation graph wrapping an ndarray value."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "requires_grad", "name")
+    __slots__ = ("value", "grad", "_own_grad", "_parents", "_backward", "requires_grad",
+                 "name")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False, name=""):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self._own_grad = None   # the grad array this node allocated, if any
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad
@@ -56,10 +58,15 @@ class Tensor:
         return self.value.ndim
 
     def accumulate(self, g):
+        # The first gradient is kept as given, uncopied: it may be shared with
+        # another node (add fans one g out) or read-only (tsum's broadcast_to).
+        # So only an array this node allocated itself is ever added into in place.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
+            self.grad = g
+        elif self.grad is self._own_grad:
             self.grad += g
+        else:
+            self.grad = self._own_grad = self.grad + g
 
     def backward(self):
         """Backpropagate from this (typically scalar) node into every node that

@@ -286,8 +286,14 @@ def _cmd_sweep(args) -> int:
                                seeds=list(range(args.seeds)))
     rows = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)
     sweep_mod.emit_plot_data(rows, os.path.join(args.out_dir, "plot_data.csv"))
-    _emit(args, {"cells": len(rows), "out_dir": args.out_dir},
-          f"{len(rows)} cells complete; tables in {args.out_dir}")
+    failed = len(sweep_mod.read_failures(args.out_dir))
+    _emit(args, {"cells": len(rows), "failed": failed, "out_dir": args.out_dir},
+          f"{len(rows)} cells complete, {failed} failed; tables in {args.out_dir}")
+    if failed:
+        path = os.path.join(args.out_dir, sweep_mod.FAILURES_FILE)
+        print(f"error: {failed} of {len(rows) + failed} sweep cells failed; "
+              f"errors in {path}", file=sys.stderr)
+        return 2
     return 0
 
 

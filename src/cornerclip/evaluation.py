@@ -63,35 +63,60 @@ class EvalReport:
                    for v in self.metrics.values())
 
 
-def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort on negated scores: ties resolve to the lower index
-    return np.argsort(-scores, kind="stable")[:k]
+_RANK_BLOCK = 1 << 21    # score entries compared per block of queries
+
+
+def _match_ranks(S: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Per row q of S, the rank of entry match[q] among the row's entries:
+    #(higher) + #(equal at a lower index), which is the position a stable sort
+    on descending score gives it. Rows are taken in blocks of views of S, so
+    the temporaries stay small; a non-finite score raises."""
+    n_rows, n_cols = S.shape
+    match = np.asarray(match, dtype=np.int64)
+    ranks = np.empty(n_rows, dtype=np.int64)
+    cols = np.arange(n_cols)
+    step = max(1, _RANK_BLOCK // n_cols)
+    for lo in range(0, n_rows, step):
+        block = S[lo:lo + step]
+        target = match[lo:lo + step]
+        if not np.isfinite(block).all():
+            raise ValueError("similarity matrix has non-finite entries")
+        score = block[np.arange(block.shape[0]), target][:, None]
+        ranks[lo:lo + step] = np.count_nonzero(block > score, axis=1)
+        equal = block == score
+        if np.count_nonzero(equal) > len(block):   # a tie beyond the matches themselves
+            ranks[lo:lo + step] += np.count_nonzero(equal & (cols < target[:, None]), axis=1)
+    return ranks
+
+
+def _best_paired(S: np.ndarray, image_to_texts: list[list[int]]) -> np.ndarray:
+    """Per image, the paired text that ranks first among its pairs: the highest
+    score, the lowest index among equal scores. An image's best rank over its
+    paired texts is this text's rank, so any-hit reduces to one match per row."""
+    sizes = [len(texts) for texts in image_to_texts]
+    img = np.repeat(np.arange(len(image_to_texts)), sizes)
+    txt = np.fromiter((t for texts in image_to_texts for t in texts), np.int64, len(img))
+    order = np.lexsort((txt, -S[img, txt], img))
+    starts = np.cumsum([0] + sizes[:-1])
+    return txt[order][starts]
 
 
 def recall_at_k(S: np.ndarray, gt: RetrievalGroundTruth, k: int, direction: str) -> float:
-    """Fraction of queries whose match ranks in the top k (any-hit for i2t)."""
+    """Fraction of queries whose match ranks in the top k (any-hit for i2t).
+
+    O(N^2) by rank counting, with ties ranked toward the lower index."""
     S = np.asarray(S, dtype=np.float64)
-    if not np.all(np.isfinite(S)):
-        raise ValueError("similarity matrix has non-finite entries")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not gt.image_to_texts or not gt.text_to_image:
         raise ValueError("empty ground truth")
     if direction == "i2t":
-        hits = 0
-        for img, paired in enumerate(gt.image_to_texts):
-            top = _top_indices(S[img], k)
-            if any(t in paired for t in top):
-                hits += 1
-        return hits / len(gt.image_to_texts)
-    if direction == "t2i":
-        hits = 0
-        for t, img in enumerate(gt.text_to_image):
-            top = _top_indices(S[:, t], k)
-            if img in top:
-                hits += 1
-        return hits / len(gt.text_to_image)
-    raise ValueError(f"unknown direction {direction!r}")
+        ranks = _match_ranks(S, _best_paired(S, gt.image_to_texts))
+    elif direction == "t2i":
+        ranks = _match_ranks(S.T, gt.text_to_image)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
 def embed_eval_set(records: list[ManifestRecord], params: dict,
@@ -148,14 +173,11 @@ def class_prototypes(class_names: list[str], templates: list[str], params: dict,
         raise ValueError("empty class list")
     if not templates:
         raise ValueError("need at least one template")
-    protos = []
-    for name in class_names:
-        seqs = [tokenize(t.format(name), text_cfg.limit, text_cfg.m, vocab)
-                for t in templates]
-        embs = text_encoder.encode_text_batch(seqs, params, text_cfg)
-        mean = embs.mean(axis=0)
-        protos.append(mean / np.linalg.norm(mean))
-    return np.stack(protos)
+    seqs = [tokenize(t.format(name), text_cfg.limit, text_cfg.m, vocab)
+            for name in class_names for t in templates]
+    embs = text_encoder.encode_text_batch(seqs, params, text_cfg)
+    means = embs.reshape(len(class_names), len(templates), -1).mean(axis=1)
+    return means / np.linalg.norm(means, axis=1, keepdims=True)
 
 
 def zero_shot_classify(image_feats: np.ndarray, labels: np.ndarray,
@@ -213,9 +235,8 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
     _, image_feats, _ = embed_eval_set(records, params, text_cfg, image_cfg, vocab,
                                        text_kind="short")
     S = image_feats @ text_feats.T
-    hits = sum(int(_top_indices(S[i], 1)[0] in paired)
-               for i, paired in enumerate(image_to_texts))
-    return hits / len(records)
+    ranks = _match_ranks(S, _best_paired(S, image_to_texts))
+    return int(np.count_nonzero(ranks == 0)) / len(records)
 
 
 def flops_estimate(config: TextEncoderConfig, L_effective: int) -> int:

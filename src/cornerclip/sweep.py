@@ -2,7 +2,9 @@
 
 Each cell (axis value x seed) trains a fresh model and evaluates it; rows
 are appended to a CSV as cells complete, so an interrupted sweep resumes
-from the finished cells. Aggregates report mean and stddev over seeds.
+from the finished cells. A cell that raises is recorded with its error in
+failures.jsonl and retried by the next run. Aggregates report mean and
+stddev over seeds.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import json
 import logging
 import os
 import time
@@ -24,6 +27,7 @@ from .train import TrainConfig, run_training
 log = logging.getLogger(__name__)
 
 AXES = ("k_subcaptions", "token_limit", "m_corners")
+FAILURES_FILE = "failures.jsonl"
 
 ROW_FIELDS = [
     "axis", "value", "seed", "long_i2t_r@1", "long_i2t_r@5",
@@ -100,12 +104,15 @@ def _load_done(path) -> set[tuple]:
 
 def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
               out_dir: str) -> list[dict]:
-    """All cells of the sweep; completed cells in rows.csv are skipped."""
+    """All cells of the sweep; completed cells in rows.csv are skipped.
+
+    Cells that raise are left out of the rows and written, with their error,
+    to failures.jsonl, which each run rewrites (see `read_failures`)."""
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "rows.csv")
     done = _load_done(rows_path)
     write_header = not os.path.exists(rows_path)
-    rows = []
+    failures = []
     with open(rows_path, "a", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=ROW_FIELDS)
         if write_header:
@@ -118,15 +125,26 @@ def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
                     continue
                 try:
                     row = run_cell(spec, value, seed, records, vocab)
-                except Exception:
+                except Exception as exc:
                     log.exception("cell %s failed; continuing", key)
+                    failures.append({"axis": spec.axis, "value": value, "seed": seed,
+                                     "error": f"{type(exc).__name__}: {exc}"})
                     continue
                 writer.writerow(row)
                 f.flush()
-                rows.append(row)
+    with open(os.path.join(out_dir, FAILURES_FILE), "w") as f:
+        f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in failures)
     with open(rows_path) as f:
-        all_rows = list(csv.DictReader(f))
-    return all_rows
+        return list(csv.DictReader(f))
+
+
+def read_failures(out_dir) -> list[dict]:
+    """The cells that failed in the last `run_sweep` into `out_dir`."""
+    path = os.path.join(out_dir, FAILURES_FILE)
+    if not os.path.exists(path):
+        return []
+    with open(path) as f:
+        return [json.loads(line) for line in f]
 
 
 def emit_plot_data(rows: list[dict], path) -> None:

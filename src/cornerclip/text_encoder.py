@@ -15,7 +15,7 @@ import numpy as np
 
 from . import masks, transformer
 from .autodiff import Tensor, l2_normalize, layer_norm, matmul, take_rows
-from .tokenizer import ROLE_SEP, ROLE_TEXT, TokenSequence, Vocabulary
+from .tokenizer import ROLE_SEP, ROLE_TEXT, TokenSequence
 
 CORNER_ID_BASE = 4  # reserved corner token ids start here (see Vocabulary)
 
@@ -127,11 +127,18 @@ def encode_text(seq: TokenSequence, params: dict, config: TextEncoderConfig,
     )
 
 
+def stack_trimmed(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, roles) of a text batch, cut after its longest true length: the
+    trailing all-PAD columns attract exactly zero attention, so cutting them
+    leaves every feature unchanged while the attention cost drops."""
+    L = max(s.true_length for s in seqs)
+    return (np.stack([s.ids[:L] for s in seqs]), np.stack([s.roles[:L] for s in seqs]))
+
+
 def encode_text_batch(seqs: list[TokenSequence], params: dict,
                       config: TextEncoderConfig, prefix: str = "text.") -> np.ndarray:
     """Global features for a list of sequences, shape (B, p)."""
-    ids = np.stack([s.ids for s in seqs])
-    roles = np.stack([s.roles for s in seqs])
+    ids, roles = stack_trimmed(seqs)
     feats, _ = encode_text_graph(ids, roles, params, config, prefix)
     return feats.value[:, 0, :]
 
@@ -146,21 +153,7 @@ def dump_attention(seq: TokenSequence, params: dict, config: TextEncoderConfig,
     return collect[layer][0].mean(axis=0)
 
 
-def text_hidden_states(seq: TokenSequence, params: dict, config: TextEncoderConfig,
-                       prefix: str = "text.") -> np.ndarray:
-    """Final-norm pre-projection hidden states (L, d) for one sequence."""
-    _, hidden = encode_text_graph(seq.ids, seq.roles, params, config, prefix)
-    return hidden.value[0]
-
-
 def content_positions(seq: TokenSequence) -> np.ndarray:
     """Indices of TEXT and SEP positions."""
     return np.where((seq.roles == ROLE_TEXT) | (seq.roles == ROLE_SEP))[0]
 
-
-def default_toy_config(vocab: Vocabulary, m: int = 2, limit: int = 32,
-                       mask_mode: str = "corner", projection_dim: int = 32,
-                       depth: int = 2, width: int = 64, heads: int = 4) -> TextEncoderConfig:
-    return TextEncoderConfig(
-        vocab_size=len(vocab), limit=limit, m=m, depth=depth, width=width,
-        heads=heads, projection_dim=projection_dim, mask_mode=mask_mode)

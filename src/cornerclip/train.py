@@ -22,7 +22,8 @@ from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
 from .objective import ObjectiveParams
 from .text_encoder import TextEncoderConfig
-from .tokenizer import Vocabulary, sample_consecutive_rng, split_subcaptions, tokenize
+from .tokenizer import (TokenSequence, Vocabulary, sample_consecutive_rng, split_subcaptions,
+                        tokenize)
 
 log = logging.getLogger(__name__)
 
@@ -113,43 +114,51 @@ def _image_input(rec: ManifestRecord, image_cfg: ImageEncoderConfig) -> np.ndarr
     return np.load(rec.image_path)
 
 
-def _trim(stacked: np.ndarray, seqs) -> np.ndarray:
-    """Cut trailing all-PAD columns; pads attract exactly zero attention, so
-    the batch's loss is unchanged while attention cost drops sharply."""
-    return stacked[:, :max(s.true_length for s in seqs)]
+@dataclass
+class RecordTexts:
+    """A record's texts in the form every step reads them."""
+    short: TokenSequence                  # the short caption, tokenized
+    long_subcaptions: list[list[str]]     # each long caption, split into sub-captions
+
+
+def prepare_texts(records: list[ManifestRecord], vocab: Vocabulary,
+                  text_cfg: TextEncoderConfig) -> list[RecordTexts]:
+    """Per record, the step-invariant text work, done once per run."""
+    return [RecordTexts(tokenize(r.short_text, text_cfg.limit, text_cfg.m, vocab),
+                        [split_subcaptions(t) for t in r.long_texts])
+            for r in records]
 
 
 def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
                    text_cfg: TextEncoderConfig, cfg: TrainConfig,
                    rng: np.random.Generator,
-                   image_cfg: ImageEncoderConfig) -> Batch:
+                   image_cfg: ImageEncoderConfig,
+                   texts: list[RecordTexts] | None = None) -> Batch:
+    """One training batch. `texts` is `prepare_texts(records, ...)`; without it
+    the chosen records' texts are prepared here."""
     if len(records) < cfg.batch_size:
         raise ValueError(f"manifest has {len(records)} records < batch_size {cfg.batch_size}")
     idx = rng.choice(len(records), size=cfg.batch_size, replace=False)
     chosen = [records[int(i)] for i in idx]
+    chosen_texts = ([texts[int(i)] for i in idx] if texts is not None
+                    else prepare_texts(chosen, vocab, text_cfg))
 
     images = np.stack([_image_input(r, image_cfg) for r in chosen])
-    short_seqs = [tokenize(r.short_text, text_cfg.limit, text_cfg.m, vocab) for r in chosen]
-    batch = Batch(
-        indices=idx,
-        image_inputs=images,
-        short_ids=_trim(np.stack([s.ids for s in short_seqs]), short_seqs),
-        short_roles=_trim(np.stack([s.roles for s in short_seqs]), short_seqs),
-    )
+    short_ids, short_roles = text_encoder.stack_trimmed([t.short for t in chosen_texts])
+    batch = Batch(indices=idx, image_inputs=images, short_ids=short_ids,
+                  short_roles=short_roles)
     if not cfg.long_branch_active:
         return batch
     long_seqs = []
-    for r in chosen:
-        if r.long_texts:
-            pick = int(rng.integers(0, len(r.long_texts)))
-            subs = split_subcaptions(r.long_texts[pick])
-            text = sample_consecutive_rng(subs, cfg.k_subcaptions, rng)
+    for t in chosen_texts:
+        if t.long_subcaptions:
+            pick = int(rng.integers(0, len(t.long_subcaptions)))
+            text = sample_consecutive_rng(t.long_subcaptions[pick], cfg.k_subcaptions, rng)
+            long_seqs.append(tokenize(text, text_cfg.limit, text_cfg.m, vocab))
         else:
-            text = r.short_text
+            long_seqs.append(t.short)
             batch.n_long_fallback += 1
-        long_seqs.append(tokenize(text, text_cfg.limit, text_cfg.m, vocab))
-    batch.long_ids = _trim(np.stack([s.ids for s in long_seqs]), long_seqs)
-    batch.long_roles = _trim(np.stack([s.roles for s in long_seqs]), long_seqs)
+    batch.long_ids, batch.long_roles = text_encoder.stack_trimmed(long_seqs)
     return batch
 
 
@@ -354,6 +363,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
         params = build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
         opt = AdamState.create(params, trainable_names(params, cfg))
 
+    texts = prepare_texts(records, vocab, text_cfg)
     metrics_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -364,7 +374,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     try:
         for step in range(start_step + 1, end_step + 1):
             rng = step_rng(cfg.seed, step)
-            batch = assemble_batch(records, vocab, text_cfg, cfg, rng, image_cfg)
+            batch = assemble_batch(records, vocab, text_cfg, cfg, rng, image_cfg, texts)
             rec = train_step(params, opt, batch, text_cfg, image_cfg, cfg, step)
             metrics.append(rec)
             if metrics_file is not None:

@@ -195,6 +195,24 @@ def test_leaf_without_requires_grad_gets_no_gradient():
     assert w.grad is None
 
 
+def test_fan_out_gradient_is_not_aliased():
+    # add hands one gradient array to both parents; x then receives more
+    # gradients, which must not leak into y's (shared) first gradient
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    coef = rng.normal(size=(3, 4))
+    (((x + y) + x + x) * coef).sum().backward()
+    np.testing.assert_array_equal(y.grad, coef)
+    np.testing.assert_allclose(x.grad, 3.0 * coef, atol=1e-12)
+
+    # tsum's gradient is a read-only broadcast view; accumulating onto it works
+    x.grad = y.grad = None
+    ((x + y) + x).sum().backward()
+    np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+
+
 def _vit_setup(tmp_path, freeze_image):
     recs = generate_synthetic_corpus(0, 8, 2, 8)
     rng = np.random.default_rng(11)

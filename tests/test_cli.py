@@ -200,6 +200,24 @@ class TestSweepCommand:
         assert (tmp_path / "sweep" / "plot_data.csv").exists()
         assert (tmp_path / "sweep" / "plot_data_agg.csv").exists()
 
+    def test_failed_cell_exits_2(self, manifest, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code, out, err = run(capsys, "sweep", "--axis", "token_limit",
+                             "--values", "3,16", "--seeds", "1",
+                             "--corpus", manifest, "--out", str(out_dir),
+                             "--steps", "2", "--batch-size", "4",
+                             "--warmup-steps", "1", "--text-depth", "1",
+                             "--text-width", "16", "--text-heads", "2",
+                             "--projection-dim", "8", "--json")
+        assert code == 2
+        assert json.loads(out) == {"cells": 1, "failed": 1, "out_dir": str(out_dir)}
+        assert "1 of 2 sweep cells failed" in err
+        lines = (out_dir / "failures.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        failure = json.loads(lines[0])
+        assert (failure["axis"], failure["value"], failure["seed"]) == ("token_limit", 3, 0)
+        assert "limit too small" in failure["error"]
+
     def test_bad_values_is_usage_error(self, manifest, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "m_corners",
                            "--values", "two", "--corpus", manifest,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerclip import evaluation as ev
 from cornerclip import text_encoder as te
@@ -96,6 +98,36 @@ class TestRecallAtK:
                 base = ev.recall_at_k(S, gt, k, d)
                 assert ev.recall_at_k(3.7 * S, gt, k, d) == base
                 assert ev.recall_at_k(S + 10.0, gt, k, d) == base
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_sorted_oracle(self, data):
+        """Non-square S, grouped ground truth in shuffled order, forced ties,
+        k up to past N, both directions, and row blocks down to one row."""
+        n_img = data.draw(st.integers(1, 6))
+        owner = data.draw(st.lists(st.integers(0, n_img - 1), min_size=0, max_size=10))
+        text_to_image = list(range(n_img)) + owner
+        order = data.draw(st.permutations(range(len(text_to_image))))
+        text_to_image = [text_to_image[i] for i in order]
+        image_to_texts = [[t for t, img in enumerate(text_to_image) if img == i]
+                          for i in range(n_img)]
+        for texts in image_to_texts:
+            data.draw(st.randoms()).shuffle(texts)
+        gt = RetrievalGroundTruth(image_to_texts, text_to_image)
+        levels = data.draw(st.sampled_from([2, 3, 1000]))   # few levels force ties
+        cells = st.integers(0, levels - 1)
+        S = np.array(data.draw(st.lists(st.lists(cells, min_size=len(text_to_image),
+                                                  max_size=len(text_to_image)),
+                                         min_size=n_img, max_size=n_img)), dtype=float)
+        S = S / levels - 0.3
+        k = data.draw(st.integers(1, max(n_img, len(text_to_image)) + 2))
+        block = data.draw(st.one_of(st.integers(1, 40), st.just(ev._RANK_BLOCK)))
+        saved, ev._RANK_BLOCK = ev._RANK_BLOCK, block
+        try:
+            for d in ("i2t", "t2i"):
+                assert ev.recall_at_k(S, gt, k, d) == oracle_recall(S, gt, k, d)
+        finally:
+            ev._RANK_BLOCK = saved
 
     def test_error_cases(self):
         gt = RetrievalGroundTruth.one_to_one(2)

@@ -98,6 +98,27 @@ class TestRunSweep:
         assert len(rows) == 2
         assert {int(r["value"]) for r in rows} == {0, 2}
 
+    def test_failed_cells_are_recorded(self, tiny_setup, tmp_path):
+        recs, vocab, base = tiny_setup
+        # a token limit of 3 leaves no room for [CLS], two corners and a word
+        spec = SweepSpec(axis="token_limit", values=[3, 16], base=base, seeds=[0])
+        out = tmp_path / "sweep"
+        rows = sweep.run_sweep(spec, recs, vocab, str(out))
+        assert [int(r["value"]) for r in rows] == [16]
+        failures = sweep.read_failures(str(out))
+        assert [(f["axis"], f["value"], f["seed"]) for f in failures] == [("token_limit", 3, 0)]
+        assert "limit too small" in failures[0]["error"]
+
+        # a rerun skips the finished cell and retries the failed one
+        rows = sweep.run_sweep(spec, recs, vocab, str(out))
+        assert [int(r["value"]) for r in rows] == [16]
+        assert len(sweep.read_failures(str(out))) == 1
+
+        # a run without failures clears the file
+        spec_ok = SweepSpec(axis="token_limit", values=[16], base=base, seeds=[0])
+        sweep.run_sweep(spec_ok, recs, vocab, str(out))
+        assert sweep.read_failures(str(out)) == []
+
 
 class TestPlotData:
     def test_tidy_csv_round_trip_and_aggregates(self, tmp_path):

@@ -121,6 +121,20 @@ class TestEncodeText:
         b = te.encode_text(tokenize("dog cat.", 16, 2, vocab), p, cfg)
         assert np.max(np.abs(a.t_g - b.t_g)) > 1e-9
 
+    @pytest.mark.parametrize("mask_mode", ["corner", "full"])
+    def test_trimmed_batch_matches_untrimmed_encodes(self, vocab, mask_mode):
+        cfg = small_config(vocab, mask_mode=mask_mode)
+        p = te.init_params(cfg, 9)
+        seqs = [tokenize(t, 16, 2, vocab)
+                for t in ("a cat.", "a cat sat on the mat. a dog ran far.", "birds fly high.")]
+        ids, roles = te.stack_trimmed(seqs)
+        assert ids.shape == roles.shape == (3, max(s.true_length for s in seqs))
+        assert ids.shape[1] < 16
+        batch = te.encode_text_batch(seqs, p, cfg)
+        for row, seq in zip(batch, seqs):
+            feats, _ = te.encode_text_graph(seq.ids, seq.roles, p, cfg)
+            np.testing.assert_allclose(row, feats.value[0, 0], rtol=0, atol=1e-12)
+
 
 class TestDumpAttention:
     def test_rows_sum_to_one(self, vocab):

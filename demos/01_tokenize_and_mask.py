@@ -27,8 +27,8 @@ for s in subs:
     print("   ", s)
 
 # during training a contiguous window of k sub-captions is sampled
-print("\nsampled window of 2 (seed 0):", sample_consecutive(subs, 2, 0))
-print("sampled window of 2 (seed 3):", sample_consecutive(subs, 2, 3))
+print("\nsampled window of 2 (seed 0):", sample_consecutive(subs, 2, np.random.default_rng(0)))
+print("sampled window of 2 (seed 3):", sample_consecutive(subs, 2, np.random.default_rng(3)))
 
 # --- token ids and roles -----------------------------------------------------
 vocab = Vocabulary.build([caption])

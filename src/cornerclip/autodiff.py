@@ -241,16 +241,6 @@ def sqrt(a) -> Tensor:
     return power(a, 0.5)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    v = np.tanh(a.value)
-
-    def _bw(g):
-        a.accumulate(g * (1.0 - v * v))
-
-    return _result(v, (a,), _bw)
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp with zero gradient outside [lo, hi]."""
     a = as_tensor(a)

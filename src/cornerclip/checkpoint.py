@@ -100,10 +100,3 @@ def load_checkpoint(path):
     opt = (adam_m, adam_v, header["opt_step"]) if header["has_opt_state"] else None
     return params, opt, header["step"], header["meta"]
 
-
-def check_meta_field(meta: dict, field: str, expected) -> None:
-    """Raise naming the field when a stored config value mismatches."""
-    if field in meta and meta[field] != expected:
-        raise CheckpointError(
-            f"checkpoint field {field!r} mismatch: stored {meta[field]!r}, "
-            f"expected {expected!r}")

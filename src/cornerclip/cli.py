@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import corpus, evaluation, masks, sweep as sweep_mod, text_encoder, train as train_mod
+from .image_encoder import ImageEncoderConfig
 from .tokenizer import ROLE_CORNER, ROLE_TEXT, Vocabulary, detokenize, tokenize
 from .train import TrainConfig
 
@@ -67,11 +69,10 @@ def _coerce(name: str, raw: str):
         if raw.lower() in ("0", "false", "no"):
             return False
         raise UsageError(f"bad boolean for {name}: {raw!r}")
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return raw
+    try:
+        return {"int": int, "float": float}.get(ftype, str)(raw)
+    except ValueError:
+        raise UsageError(f"bad {ftype} for {name}: {raw!r}") from None
 
 
 def resolve_train_config(args) -> TrainConfig:
@@ -92,20 +93,9 @@ def _add_train_flags(p: Parser):
     p.add_argument("--print-config", action="store_true",
                    help="dump the fully resolved configuration and exit")
     for f in dataclasses.fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            p.add_argument(flag, dest=f.name, default=None,
-                           type=lambda s: _coerce("use_long_texts", s),
-                           metavar="BOOL", help=f"{f.name} (default {f.default})")
-        elif f.type == "int":
-            p.add_argument(flag, dest=f.name, default=None, type=int,
-                           help=f"{f.name} (default {f.default})")
-        elif f.type == "float":
-            p.add_argument(flag, dest=f.name, default=None, type=float,
-                           help=f"{f.name} (default {f.default})")
-        else:
-            p.add_argument(flag, dest=f.name, default=None,
-                           help=f"{f.name} (default {f.default})")
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                       type=functools.partial(_coerce, f.name), metavar=f.type.upper(),
+                       help=f"{f.name} (default {f.default})")
 
 
 def build_parser() -> Parser:
@@ -199,12 +189,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    if args.corpus:
-        records = corpus.load_manifest(args.corpus)
-        texts = [r.short_text for r in records] + [t for r in records for t in r.long_texts]
-        vocab = Vocabulary.build(texts)
-    else:
-        vocab = Vocabulary.build([args.text])
+    vocab = _corpus_vocab(args.corpus)[1] if args.corpus else Vocabulary.build([args.text])
     seq = tokenize(args.text, args.limit, args.corners, vocab)
     tokens = detokenize(seq, vocab)
     payload = {"tokens": tokens, "ids": seq.ids.tolist(),
@@ -223,7 +208,7 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _training_corpus(path):
+def _corpus_vocab(path):
     """Manifest records and their vocabulary; a manifest with no usable record fails."""
     records = corpus.load_manifest(path)
     if not records:
@@ -238,7 +223,7 @@ def _cmd_train(args) -> int:
         _emit(args, dataclasses.asdict(cfg),
               "\n".join(f"{k} = {v}" for k, v in dataclasses.asdict(cfg).items()))
         return 0
-    records, vocab = _training_corpus(args.corpus)
+    records, vocab = _corpus_vocab(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
     last = result.metrics[-1] if result.metrics else {}
     _emit(args, {"steps": len(result.metrics), "final": last, "out_dir": args.out_dir},
@@ -251,7 +236,6 @@ def _cmd_eval(args) -> int:
     records = corpus.load_manifest(args.corpus)
     params, _, _, meta = ckpt.load_checkpoint(args.checkpoint)
     text_cfg = text_encoder.TextEncoderConfig(**meta["text_config"])
-    from .image_encoder import ImageEncoderConfig
     image_cfg = ImageEncoderConfig(**meta["image_config"])
     vocab = train_mod.vocab_from_meta(meta)
     ids, img, txt = evaluation.embed_eval_set(
@@ -281,7 +265,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --values: {exc}")
     cfg = resolve_train_config(args)
-    records, vocab = _training_corpus(args.corpus)
+    records, vocab = _corpus_vocab(args.corpus)
     spec = sweep_mod.SweepSpec(axis=args.axis, values=values, base=cfg,
                                seeds=list(range(args.seeds)))
     rows = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)
@@ -304,8 +288,8 @@ def _cmd_inspect(args) -> int:
         "n_parameters": int(sum(t.value.size for t in params.values())),
         "arrays": {name: list(t.value.shape) for name, t in sorted(params.items())},
         "has_opt_state": opt is not None,
-        "m": meta.get("m"),
-        "mask_mode": meta.get("mask_mode"),
+        "m": meta["text_config"]["m"],
+        "mask_mode": meta["text_config"]["mask_mode"],
     }
     text = "\n".join([f"step: {step}", f"parameters: {payload['n_parameters']}"]
                      + [f"  {n}: {s}" for n, s in payload["arrays"].items()])

@@ -209,13 +209,3 @@ def generate_synthetic_corpus(
         ))
     return records
 
-
-def synthetic_class_names(records: list[ManifestRecord]) -> list[str]:
-    """Class names for the salient-attribute classification task (index = label)."""
-    names: dict[int, str] = {}
-    for rec in records:
-        if rec.label is not None and rec.attributes:
-            names[rec.label] = rec.attributes[0]
-    if not names:
-        raise ValueError("manifest carries no labels")
-    return [names[k] for k in sorted(names)]

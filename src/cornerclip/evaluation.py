@@ -142,16 +142,19 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
     for i in range(0, len(seqs), batch_size):
         text_feats.append(text_encoder.encode_text_batch(
             seqs[i:i + batch_size], params, text_cfg))
-    image_feats = []
-    for i in range(0, len(records), batch_size):
-        chunk = records[i:i + batch_size]
-        if image_cfg.mode == "precomputed":
-            inputs = np.stack([r.image_feature for r in chunk])
-        else:
-            inputs = np.stack([np.load(r.image_path) for r in chunk])
-        image_feats.append(image_encoder.encode_image_graph(inputs, params, image_cfg).value)
     ids = [r.id for r in records]
-    return ids, np.concatenate(image_feats), np.concatenate(text_feats)
+    return (ids, embed_images(records, params, image_cfg, batch_size),
+            np.concatenate(text_feats))
+
+
+def embed_images(records: list[ManifestRecord], params: dict,
+                 image_cfg: ImageEncoderConfig, batch_size: int = 64) -> np.ndarray:
+    """Unit-norm image features (n, p) of a manifest, batch_size records per pass."""
+    return np.concatenate([
+        image_encoder.encode_image_graph(
+            image_encoder.image_inputs(records[i:i + batch_size], image_cfg),
+            params, image_cfg).value
+        for i in range(0, len(records), batch_size)])
 
 
 def evaluate_retrieval(image_feats: np.ndarray, text_feats: np.ndarray,
@@ -232,9 +235,7 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
     texts, image_to_texts, _ = short_text_groups(records)
     seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
     text_feats = text_encoder.encode_text_batch(seqs, params, text_cfg)
-    _, image_feats, _ = embed_eval_set(records, params, text_cfg, image_cfg, vocab,
-                                       text_kind="short")
-    S = image_feats @ text_feats.T
+    S = embed_images(records, params, image_cfg) @ text_feats.T
     ranks = _match_ranks(S, _best_paired(S, image_to_texts))
     return int(np.count_nonzero(ranks == 0)) / len(records)
 

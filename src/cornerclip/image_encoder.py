@@ -21,7 +21,6 @@ class ImageEncoderConfig:
     projection_dim: int = 32
     # precomputed mode
     input_feature_dim: int = 16
-    trainable_projection: bool = True
     # vit mode
     image_size: int = 32
     patch_size: int = 8
@@ -30,7 +29,6 @@ class ImageEncoderConfig:
     width: int = 64
     heads: int = 4
     mlp_ratio: int = 4
-    preset: str = "from_scratch"         # {"lit", "from_scratch"}
 
     def __post_init__(self):
         if self.mode not in ("vit", "precomputed"):
@@ -40,8 +38,6 @@ class ImageEncoderConfig:
                 raise ValueError("image_size must be divisible by patch_size")
             if self.width % self.heads != 0:
                 raise ValueError("width must be divisible by heads")
-        if self.preset not in ("lit", "from_scratch"):
-            raise ValueError(f"unknown preset {self.preset!r}")
 
     @property
     def n_patches(self) -> int:
@@ -55,13 +51,6 @@ class ImageEncoderConfig:
 @dataclass
 class ImageFeature:
     v: np.ndarray  # (p,) unit vector
-
-
-def freeze_flag(config: ImageEncoderConfig) -> bool:
-    """Whether the image tower is excluded from gradient updates."""
-    if config.mode == "precomputed":
-        return not config.trainable_projection
-    return config.preset == "lit"
 
 
 def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> dict:
@@ -98,6 +87,22 @@ def patchify(images: np.ndarray, config: ImageEncoderConfig) -> np.ndarray:
     return x.transpose(0, 1, 3, 2, 4, 5).reshape(B, config.n_patches, config.patch_dim)
 
 
+def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
+    """Stacked tower inputs of manifest records: each record's precomputed
+    feature, or in vit mode the pixels of its .npy file."""
+    inputs = []
+    for rec in records:
+        if config.mode == "precomputed":
+            if rec.image_feature is None:
+                raise ValueError(f"record {rec.id}: precomputed mode needs image_feature")
+            inputs.append(rec.image_feature)
+        elif rec.image_path is None:
+            raise ValueError(f"record {rec.id}: vit mode needs image_path")
+        else:
+            inputs.append(np.load(rec.image_path))
+    return np.stack(inputs)
+
+
 def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig,
                        prefix: str = "img.") -> Tensor:
     """Batched forward to unit-normalized global features, shape (B, p)."""
@@ -131,19 +136,3 @@ def encode_image(inputs: np.ndarray, params: dict, config: ImageEncoderConfig,
                  prefix: str = "img.") -> ImageFeature:
     return ImageFeature(v=encode_image_graph(inputs, params, config, prefix).value[0])
 
-
-def image_hidden_states(pixels: np.ndarray, params: dict, config: ImageEncoderConfig,
-                        prefix: str = "img.") -> np.ndarray:
-    """Pre-pooling hidden states (n_patches+1, d) for one image (vit mode)."""
-    if config.mode != "vit":
-        raise ValueError("hidden states exist only in vit mode")
-    patches = patchify(np.asarray(pixels, dtype=np.float64)[None], config)
-    x = matmul(Tensor(patches), params[f"{prefix}patch_emb"]) + params[f"{prefix}patch_bias"]
-    cls = params[f"{prefix}cls_emb"].reshape(1, 1, config.width) * np.ones((1, 1, 1))
-    x = concat([cls, x], axis=1) + params[f"{prefix}pos_emb"]
-    L = config.n_patches + 1
-    bias = np.zeros((1, 1, L, L))
-    for layer in range(config.depth):
-        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias)
-    hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
-    return hidden.value[0]

@@ -51,15 +51,10 @@ def split_subcaptions(text: str) -> list[str]:
     return out
 
 
-def sample_consecutive(subcaps: list[str], k: int, rng_seed: int) -> str:
-    """Join min(k, len) consecutive sub-captions starting at a seeded-uniform index."""
+def sample_consecutive(subcaps: list[str], k: int, rng: np.random.Generator) -> str:
+    """Join min(k, len) consecutive sub-captions starting at an rng-uniform index."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    return sample_consecutive_rng(subcaps, k, rng)
-
-
-def sample_consecutive_rng(subcaps: list[str], k: int, rng: np.random.Generator) -> str:
     if not subcaps:
         raise ValueError("empty long text")
     k = min(k, len(subcaps))

@@ -11,8 +11,9 @@ import dataclasses
 import json
 import logging
 import os
+import reprlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
 from .objective import ObjectiveParams
 from .text_encoder import TextEncoderConfig
-from .tokenizer import (TokenSequence, Vocabulary, sample_consecutive_rng, split_subcaptions,
-                        tokenize)
+from .tokenizer import TokenSequence, Vocabulary, sample_consecutive, split_subcaptions, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -73,24 +73,17 @@ def make_configs(vocab: Vocabulary, cfg: TrainConfig, feature_dim: int):
         projection_dim=cfg.projection_dim, mask_mode=cfg.mask_mode)
     image_cfg = ImageEncoderConfig(
         mode=cfg.image_mode, projection_dim=cfg.projection_dim,
-        input_feature_dim=feature_dim,
-        trainable_projection=not cfg.freeze_image,
-        preset="lit" if cfg.freeze_image else "from_scratch")
+        input_feature_dim=feature_dim)
     return text_cfg, image_cfg
 
 
 def build_model(text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                 seed: int, tau_init: float = 0.07):
-    """Flat parameter dict (text.*, img.*, obj.s) plus the objective wrapper."""
+    """Flat parameter dict: text.*, img.* and the objective's obj.s."""
     params = text_encoder.init_params(text_cfg, seed, prefix="text.")
     params.update(image_encoder.init_params(image_cfg, seed + 1, prefix="img."))
-    obj = ObjectiveParams.create(tau_init)
-    params["obj.s"] = obj.s
+    params["obj.s"] = ObjectiveParams.create(tau_init).s
     return params
-
-
-def objective_params(params: dict) -> ObjectiveParams:
-    return ObjectiveParams(s=params["obj.s"])
 
 
 @dataclass
@@ -102,16 +95,6 @@ class Batch:
     long_ids: np.ndarray | None = None
     long_roles: np.ndarray | None = None
     n_long_fallback: int = 0
-
-
-def _image_input(rec: ManifestRecord, image_cfg: ImageEncoderConfig) -> np.ndarray:
-    if image_cfg.mode == "precomputed":
-        if rec.image_feature is None:
-            raise ValueError(f"record {rec.id}: precomputed mode needs image_feature")
-        return rec.image_feature
-    if rec.image_path is None:
-        raise ValueError(f"record {rec.id}: vit mode needs image_path")
-    return np.load(rec.image_path)
 
 
 @dataclass
@@ -143,7 +126,7 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
     chosen_texts = ([texts[int(i)] for i in idx] if texts is not None
                     else prepare_texts(chosen, vocab, text_cfg))
 
-    images = np.stack([_image_input(r, image_cfg) for r in chosen])
+    images = image_encoder.image_inputs(chosen, image_cfg)
     short_ids, short_roles = text_encoder.stack_trimmed([t.short for t in chosen_texts])
     batch = Batch(indices=idx, image_inputs=images, short_ids=short_ids,
                   short_roles=short_roles)
@@ -153,7 +136,7 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
     for t in chosen_texts:
         if t.long_subcaptions:
             pick = int(rng.integers(0, len(t.long_subcaptions)))
-            text = sample_consecutive_rng(t.long_subcaptions[pick], cfg.k_subcaptions, rng)
+            text = sample_consecutive(t.long_subcaptions[pick], cfg.k_subcaptions, rng)
             long_seqs.append(tokenize(text, text_cfg.limit, text_cfg.m, vocab))
         else:
             long_seqs.append(t.short)
@@ -165,7 +148,7 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
 def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
                  image_cfg: ImageEncoderConfig, cfg: TrainConfig):
     """Build the loss graph; returns (breakdown, tau tensor)."""
-    tau = objective_params(params).tau()
+    tau = ObjectiveParams(s=params["obj.s"]).tau()
     v = image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg)
     short_feats, _ = text_encoder.encode_text_graph(
         batch.short_ids, batch.short_roles, params, text_cfg)
@@ -302,13 +285,32 @@ class TrainResult:
 def checkpoint_meta(cfg: TrainConfig, text_cfg: TextEncoderConfig,
                     image_cfg: ImageEncoderConfig, vocab: Vocabulary) -> dict:
     return {
-        "m": cfg.m,
-        "mask_mode": cfg.mask_mode,
         "train_config": dataclasses.asdict(cfg),
         "text_config": dataclasses.asdict(text_cfg),
         "image_config": dataclasses.asdict(image_cfg),
         "vocab": {"m_max": vocab.m_max, "token_to_id": vocab.token_to_id},
     }
+
+
+RESUMABLE = ("steps", "checkpoint_every")    # the train_config fields a resume may change
+
+
+def check_resume_meta(stored: dict, expected: dict) -> None:
+    """Refuse a checkpoint whose meta differs from the resuming run's anywhere
+    but in the RESUMABLE fields; the error names the first differing field,
+    train_config fields bare and the others as `section.field`."""
+    expected = json.loads(json.dumps(expected))        # in the form a checkpoint stores it
+    if sorted(stored) != sorted(expected):
+        raise ckpt.CheckpointError(f"checkpoint meta sections mismatch: stored "
+                                   f"{sorted(stored)}, expected {sorted(expected)}")
+    for section, want in expected.items():
+        got = stored[section]
+        prefix = "" if section == "train_config" else f"{section}."
+        for name in {**got, **want}:
+            if got.get(name) != want.get(name) and f"{prefix}{name}" not in RESUMABLE:
+                raise ckpt.CheckpointError(
+                    f"checkpoint field {prefix + name!r} mismatch: stored "
+                    f"{reprlib.repr(got.get(name))}, expected {reprlib.repr(want.get(name))}")
 
 
 def vocab_from_meta(meta: dict) -> Vocabulary:
@@ -351,8 +353,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     start_step = 0
     if resume_from is not None:
         params, opt_raw, start_step, meta = ckpt.load_checkpoint(resume_from)
-        ckpt.check_meta_field(meta, "m", cfg.m)
-        ckpt.check_meta_field(meta, "mask_mode", cfg.mask_mode)
+        check_resume_meta(meta, checkpoint_meta(cfg, text_cfg, image_cfg, vocab))
         names = trainable_names(params, cfg)
         if opt_raw is not None:
             adam_m, adam_v, opt_step = opt_raw

@@ -118,7 +118,7 @@ class TestTrainEvalCommands:
         code, out, _ = run(capsys, "inspect", "--checkpoint", ckpt_path, "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["step"] == 2 and payload["m"] == 2
+        assert payload["step"] == 2 and payload["m"] == 2 and payload["mask_mode"] == "corner"
 
     def test_eval_missing_checkpoint_is_runtime_error(self, manifest, capsys):
         code, _, err = run(capsys, "eval", "--corpus", manifest,
@@ -174,6 +174,17 @@ class TestConfigPrecedence:
                            "--config", str(cfg_file), "--print-config")
         assert code == 1
         assert "unknown config field" in err
+
+    @pytest.mark.parametrize("flag,raw,field", [
+        ("--freeze-image", "maybe", "boolean for freeze_image"),
+        ("--steps", "abc", "int for steps"),
+        ("--lr", "fast", "float for lr"),
+    ])
+    def test_bad_flag_value_names_its_field(self, capsys, flag, raw, field):
+        code, _, err = run(capsys, "train", "--corpus", "u", "--out-dir", "u",
+                           flag, raw, "--print-config")
+        assert code == 1
+        assert f"bad {field}: {raw!r}" in err
 
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg"

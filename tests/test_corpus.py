@@ -13,7 +13,6 @@ from cornerclip.corpus import (
     generate_synthetic_corpus,
     load_manifest,
     save_manifest,
-    synthetic_class_names,
 )
 
 
@@ -138,8 +137,3 @@ class TestSyntheticCorpus:
             generate_synthetic_corpus(0, 4, 1, 8)
         with pytest.raises(ValueError, match="pool_size"):
             generate_synthetic_corpus(0, 4, 4, 8, pool_size=2)
-
-    def test_class_names_requires_labels(self):
-        recs = [make_record()]
-        with pytest.raises(ValueError, match="no labels"):
-            synthetic_class_names(recs)

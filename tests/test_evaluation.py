@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from cornerclip import evaluation as ev
 from cornerclip import text_encoder as te
-from cornerclip import train
-from cornerclip.corpus import generate_synthetic_corpus
+from cornerclip import image_encoder, train
+from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.evaluation import RetrievalGroundTruth
-from cornerclip.tokenizer import Vocabulary
+from cornerclip.image_encoder import ImageEncoderConfig
+from cornerclip.tokenizer import Vocabulary, tokenize
 
 
 def oracle_recall(S, gt, k, direction):
@@ -159,6 +160,11 @@ class TestZeroShot:
         for rec, lab in zip(recs, labels):
             assert names[lab] == rec.attributes[0]
 
+    def test_classification_task_requires_labels(self):
+        recs = [ManifestRecord(id="r0", short_text="a cat.", image_feature=[1.0, 0.0])]
+        with pytest.raises(ValueError, match="record r0 carries no label"):
+            ev.classification_task(recs)
+
 
 class TestShortTextGroups:
     def test_duplicates_collapse(self):
@@ -201,6 +207,13 @@ class TestEmbedAndReports:
             ev.embed_eval_set(recs, res.params, res.text_cfg, res.image_cfg,
                               vocab, "medium")
 
+    def test_vit_record_without_image_path_is_named(self, trained):
+        recs, vocab, res = trained
+        vit_cfg = ImageEncoderConfig(mode="vit", projection_dim=8)
+        params = {**res.params, **image_encoder.init_params(vit_cfg, 0)}
+        with pytest.raises(ValueError, match=f"record {recs[0].id}: vit mode needs image_path"):
+            ev.embed_eval_set(recs, params, res.text_cfg, vit_cfg, vocab)
+
     def test_report_round_trip(self):
         gt = RetrievalGroundTruth.one_to_one(4)
         rep = ev.evaluate_retrieval(np.eye(4), np.eye(4), gt)
@@ -218,6 +231,32 @@ class TestEmbedAndReports:
         assert back["ids"].tolist() == ids
         np.testing.assert_array_equal(back["image"], img)
         np.testing.assert_array_equal(back["text"], txt)
+
+
+class TestShortRetrieval:
+    def test_embeds_only_the_deduplicated_short_texts(self, monkeypatch):
+        recs = generate_synthetic_corpus(0, 64, 2, 8)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
+                                projection_dim=8)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
+        params = train.build_model(text_cfg, image_cfg, 0)
+        texts, image_to_texts, _ = ev.short_text_groups(recs)
+        _, img, _ = ev.embed_eval_set(recs, params, text_cfg, image_cfg, vocab, "short")
+        seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
+        S = img @ te.encode_text_batch(seqs, params, text_cfg).T
+        # R@1 with one paired text per image: the row's first maximum is that text
+        expected = sum(int(np.argmax(S[i]) == paired[0])
+                       for i, paired in enumerate(image_to_texts)) / len(recs)
+
+        rows = []
+        encode = te.encode_text_graph
+        monkeypatch.setattr(te, "encode_text_graph", lambda ids, *a, **kw: (
+            rows.append(len(ids)), encode(ids, *a, **kw))[1])
+        r1 = ev.short_retrieval_r1(recs, params, text_cfg, image_cfg, vocab)
+        assert sum(rows) == len(texts) == 16
+        assert r1 == expected
 
 
 class TestFlops:

@@ -1,10 +1,13 @@
-"""Image tower tests for both modes plus the freeze flag."""
+"""Image tower tests for both modes plus freezing through TrainConfig.freeze_image."""
 
 import numpy as np
 import pytest
 
 from cornerclip import image_encoder as ie
+from cornerclip import train
 from cornerclip.image_encoder import ImageEncoderConfig
+from cornerclip.tokenizer import Vocabulary
+from cornerclip.train import TrainConfig
 
 
 class TestConfig:
@@ -59,14 +62,15 @@ class TestVitMode:
         with pytest.raises(ValueError, match="does not match"):
             ie.encode_image(np.zeros((8, 8, 1)), p, cfg)
 
-    def test_constant_image_symmetric_patches(self):
+    def test_patch_order_invariant_without_pos_emb(self):
+        # with no position embedding the tower treats its patches symmetrically
         cfg = self.cfg()
         p = ie.init_params(cfg, 2)
         p["img.pos_emb"].value[:] = 0.0
-        hidden = ie.image_hidden_states(np.zeros((16, 16, 1)), p, cfg)
-        patches = hidden[1:]
-        np.testing.assert_allclose(patches, np.broadcast_to(patches[0], patches.shape),
-                                   atol=1e-12)
+        img = np.random.default_rng(2).normal(size=(16, 16, 1))
+        swapped = np.concatenate([img[8:], img[:8]], axis=0)   # patch rows exchanged
+        np.testing.assert_allclose(ie.encode_image(swapped, p, cfg).v,
+                                   ie.encode_image(img, p, cfg).v, atol=1e-12)
 
     def test_same_sphere_as_precomputed(self):
         vit_cfg = self.cfg()
@@ -90,16 +94,23 @@ class TestPatchify:
 
 
 class TestFreezeFlag:
+    """TrainConfig.freeze_image is the one switch that locks the image tower."""
+
+    @staticmethod
+    def trainable_img(image_mode, freeze_image):
+        cfg = TrainConfig(image_mode=image_mode, freeze_image=freeze_image)
+        text_cfg, image_cfg = train.make_configs(Vocabulary.build(["a cat."]), cfg, 8)
+        params = train.build_model(text_cfg, image_cfg, 0)
+        names = train.trainable_names(params, cfg)
+        assert any(n.startswith("text.") for n in names)
+        return [n for n in names if n.startswith("img.")]
+
     def test_lit_preset_frozen(self):
-        cfg = ImageEncoderConfig(mode="vit", preset="lit")
-        assert ie.freeze_flag(cfg) is True
+        assert self.trainable_img("vit", True) == []
 
     def test_from_scratch_not_frozen(self):
-        cfg = ImageEncoderConfig(mode="vit", preset="from_scratch")
-        assert ie.freeze_flag(cfg) is False
+        assert "img.patch_emb" in self.trainable_img("vit", False)
 
-    def test_precomputed_trainable_projection(self):
-        cfg = ImageEncoderConfig(mode="precomputed", trainable_projection=True)
-        assert ie.freeze_flag(cfg) is False
-        cfg = ImageEncoderConfig(mode="precomputed", trainable_projection=False)
-        assert ie.freeze_flag(cfg) is True
+    def test_precomputed_projection_follows_switch(self):
+        assert self.trainable_img("precomputed", False) == ["img.proj"]
+        assert self.trainable_img("precomputed", True) == []

@@ -55,29 +55,34 @@ class TestSplitSubcaptions:
 class TestSampleConsecutive:
     def test_window_of_two(self):
         subcaps = ["a.", "b.", "c.", "d."]
-        out = sample_consecutive(subcaps, 2, 7)
+        out = sample_consecutive(subcaps, 2, np.random.default_rng(7))
         assert out in ("a. b.", "b. c.", "c. d.")
-        assert all(sample_consecutive(subcaps, 2, 7) == out for _ in range(5))
+        assert all(sample_consecutive(subcaps, 2, np.random.default_rng(7)) == out
+                   for _ in range(5))
 
     def test_clamps_to_available(self):
-        assert sample_consecutive(["a."], 3, 123) == "a."
+        assert sample_consecutive(["a."], 3, np.random.default_rng(123)) == "a."
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty long text"):
-            sample_consecutive([], 2, 0)
+            sample_consecutive([], 2, np.random.default_rng(0))
+
+    def test_nonpositive_k_errors(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sample_consecutive(["a."], 0, np.random.default_rng(0))
 
     def test_uniform_over_windows(self):
         subcaps = ["a.", "b.", "c.", "d."]
         counts = {"a. b.": 0, "b. c.": 0, "c. d.": 0}
         for seed in range(10_000):
-            counts[sample_consecutive(subcaps, 2, seed)] += 1
+            counts[sample_consecutive(subcaps, 2, np.random.default_rng(seed))] += 1
         for c in counts.values():
             assert abs(c / 10_000 - 1 / 3) < 0.02
 
     def test_always_contiguous_window(self):
         subcaps = [f"s{i}." for i in range(7)]
         for seed in range(50):
-            out = sample_consecutive(subcaps, 3, seed)
+            out = sample_consecutive(subcaps, 3, np.random.default_rng(seed))
             assert out in [" ".join(subcaps[i:i + 3]) for i in range(5)]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cornerclip import checkpoint as ckpt
-from cornerclip import train
+from cornerclip import evaluation, train
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.tokenizer import Vocabulary
 from cornerclip.train import AdamState, TrainConfig
@@ -211,7 +211,7 @@ class TestCheckpointing:
         path = tmp_path / "run" / "ckpt_final.bin"
         params, opt_raw, step, meta = ckpt.load_checkpoint(path)
         assert step == 2
-        assert meta["m"] == cfg.m
+        assert meta["text_config"]["m"] == cfg.m
         assert set(params) == set(res.params)
         for k in params:
             np.testing.assert_array_equal(params[k].value, res.params[k].value)
@@ -259,8 +259,17 @@ class TestCheckpointing:
             ckpt.load_checkpoint(path)
 
     def test_meta_field_mismatch(self):
-        with pytest.raises(ckpt.CheckpointError, match="'m' mismatch"):
-            ckpt.check_meta_field({"m": 2}, "m", 4)
+        stored = {"train_config": {"m": 2, "steps": 5}, "text_config": {"width": 16}}
+        train.check_resume_meta(stored, {"train_config": {"m": 2, "steps": 9},
+                                         "text_config": {"width": 16}})
+        with pytest.raises(ckpt.CheckpointError, match="'m' mismatch: stored 2, expected 4"):
+            train.check_resume_meta(stored, {"train_config": {"m": 4, "steps": 5},
+                                             "text_config": {"width": 16}})
+        with pytest.raises(ckpt.CheckpointError, match="'text_config.width' mismatch"):
+            train.check_resume_meta(stored, {"train_config": {"m": 2, "steps": 5},
+                                             "text_config": {"width": 32}})
+        with pytest.raises(ckpt.CheckpointError, match="meta sections mismatch"):
+            train.check_resume_meta({**stored, "m": 2}, stored)
 
     def test_vocab_round_trip(self, corpus16, tmp_path):
         recs, vocab = corpus16
@@ -327,3 +336,68 @@ class TestResume:
         with pytest.raises(ckpt.CheckpointError, match="'m' mismatch"):
             train.run_training(recs, vocab, other,
                                resume_from=str(tmp_path / "run" / "ckpt_final.bin"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("text_width", 32), ("lr", 5e-3), ("batch_size", 8), ("vocab", None)])
+    def test_resume_rejects_another_config(self, corpus16, tmp_path, field, value):
+        recs, vocab = corpus16
+        train.run_training(recs, vocab, tiny_cfg(steps=2), out_dir=str(tmp_path / "run"))
+        if field == "vocab":
+            cfg = tiny_cfg(steps=4)
+            vocab = Vocabulary.build([r.short_text for r in recs] + ["zebra."])
+        else:
+            cfg = tiny_cfg(steps=4, **{field: value})
+        with pytest.raises(ckpt.CheckpointError, match=f"'[a-z_.]*{field}[a-z_.]*' mismatch"):
+            train.run_training(recs, vocab, cfg,
+                               resume_from=str(tmp_path / "run" / "ckpt_final.bin"))
+
+    def test_resume_may_extend_steps(self, corpus16, tmp_path):
+        recs, vocab = corpus16
+        run_dir = tmp_path / "run"
+        train.run_training(recs, vocab, tiny_cfg(steps=2, checkpoint_every=2),
+                           out_dir=str(run_dir))
+        full = train.run_training(recs, vocab, tiny_cfg(steps=4))
+        resumed = train.run_training(recs, vocab, tiny_cfg(steps=4), out_dir=str(run_dir),
+                                     resume_from=str(run_dir / "ckpt_final.bin"))
+        assert [train.metrics_line(m) for m in resumed.metrics] == \
+            [train.metrics_line(m) for m in full.metrics[2:]]
+
+
+@pytest.fixture(scope="module")
+def pixel_corpus(tmp_path_factory):
+    """corpus16 with each feature replaced by a 32x32x3 .npy pixel file."""
+    recs = generate_synthetic_corpus(0, 16, 2, 8)
+    vocab = Vocabulary.build([r.short_text for r in recs]
+                             + [t for r in recs for t in r.long_texts])
+    pixel_dir = tmp_path_factory.mktemp("pixels")
+    projection = np.random.default_rng(7).normal(0.0, 8 ** -0.5, size=(32 * 32 * 3, 8))
+    for rec in recs:
+        path = pixel_dir / f"{rec.id}.npy"
+        np.save(path, np.tanh(projection @ rec.image_feature).reshape(32, 32, 3))
+        rec.image_path, rec.image_feature = str(path), None
+    return recs, vocab
+
+
+class TestVitTraining:
+    @pytest.mark.parametrize("freeze_image", [True, False])
+    def test_vit_end_to_end(self, pixel_corpus, freeze_image):
+        recs, vocab = pixel_corpus
+        cfg = tiny_cfg(image_mode="vit", freeze_image=freeze_image)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0)
+        init = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        res = train.run_training(recs, vocab, cfg)
+        img_names = [n for n in init if n.startswith("img.")]
+        changed = [n for n in img_names
+                   if not np.array_equal(res.params[n].value, init[n].value)]
+        assert changed == ([] if freeze_image else img_names)
+        assert not np.array_equal(res.params["text.tok_emb"].value, init["text.tok_emb"].value)
+
+        again = train.run_training(recs, vocab, cfg)
+        assert [train.metrics_line(m) for m in res.metrics] == \
+            [train.metrics_line(m) for m in again.metrics]
+
+        _, img, txt = evaluation.embed_eval_set(recs, res.params, res.text_cfg,
+                                                res.image_cfg, vocab)
+        assert img.shape == txt.shape == (16, cfg.projection_dim)
+        for feats in (img, txt):
+            np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)

@@ -200,10 +200,6 @@ def _fast_pow(x: np.ndarray, e: float) -> np.ndarray:
         return np.sqrt(x)
     if e == -0.5:
         return 1.0 / np.sqrt(x)
-    if e == 2.0:
-        return x * x
-    if e == 3.0:
-        return x * x * x
     if e == -2.0:
         return 1.0 / (x * x)
     return x**e

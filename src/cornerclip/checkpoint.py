@@ -8,6 +8,7 @@ payload, then a trailing CRC32 of everything before it.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
@@ -37,19 +38,20 @@ def _array_items(arrays: dict[str, np.ndarray]):
 
 def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
                     meta: dict) -> None:
-    """Write params, optimizer state, step counter, and JSON-able metadata."""
+    """Write params, optimizer state, step counter, and JSON-able metadata to a
+    fsynced temp file beside `path`, then rename it over `path`: a failed write
+    leaves the previous checkpoint as it was."""
     arrays = {name: t.value for name, t in params.items()}
-    if opt_state is not None:
-        for name, a in opt_state.m.items():
-            arrays[f"adam.m.{name}"] = a
-        for name, a in opt_state.v.items():
-            arrays[f"adam.v.{name}"] = a
+    for name, a in opt_state.m.items():
+        arrays[f"adam.m.{name}"] = a
+    for name, a in opt_state.v.items():
+        arrays[f"adam.v.{name}"] = a
     entries = _array_items(arrays)
     header = {
         "version": VERSION,
         "step": step,
-        "has_opt_state": opt_state is not None,
-        "opt_step": opt_state.step if opt_state is not None else 0,
+        "has_opt_state": True,
+        "opt_step": opt_state.step,
         "meta": meta,
         "arrays": entries,
     }
@@ -60,10 +62,18 @@ def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
     body += hbytes
     for e in entries:
         body += np.asarray(arrays[e["name"]], dtype=np.float64, order="C").tobytes()
-    crc = zlib.crc32(bytes(body))
-    with open(path, "wb") as f:
-        f.write(bytes(body))
-        f.write(struct.pack("<I", crc))
+    body += struct.pack("<I", zlib.crc32(body))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(body)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -83,6 +93,8 @@ def load_checkpoint(path):
     header = json.loads(blob[16:16 + hlen].decode())
     if header["version"] != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header['version']}")
+    if not header["has_opt_state"]:
+        raise CheckpointError("checkpoint carries no optimizer state")
     payload = blob[16 + hlen:-4]
     params: dict[str, Tensor] = {}
     adam_m: dict[str, np.ndarray] = {}
@@ -97,6 +109,5 @@ def load_checkpoint(path):
             adam_v[name[len("adam.v."):]] = a
         else:
             params[name] = Tensor(a, name=name)
-    opt = (adam_m, adam_v, header["opt_step"]) if header["has_opt_state"] else None
-    return params, opt, header["step"], header["meta"]
+    return params, (adam_m, adam_v, header["opt_step"]), header["step"], header["meta"]
 

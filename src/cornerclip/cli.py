@@ -232,11 +232,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _configs_from_meta(meta: dict):
+    """(text_cfg, image_cfg) of a checkpoint; refuses one older than their fields."""
+    configs = []
+    for section, cls in (("text_config", text_encoder.TextEncoderConfig),
+                         ("image_config", ImageEncoderConfig)):
+        stale = sorted(set(meta[section]) - {f.name for f in dataclasses.fields(cls)})
+        if stale:
+            raise ckpt.CheckpointError(
+                f"checkpoint {section} has fields {stale} that {cls.__name__} lacks: "
+                "the checkpoint predates the current format")
+        configs.append(cls(**meta[section]))
+    return configs
+
+
 def _cmd_eval(args) -> int:
     records = corpus.load_manifest(args.corpus)
     params, _, _, meta = ckpt.load_checkpoint(args.checkpoint)
-    text_cfg = text_encoder.TextEncoderConfig(**meta["text_config"])
-    image_cfg = ImageEncoderConfig(**meta["image_config"])
+    text_cfg, image_cfg = _configs_from_meta(meta)
     vocab = train_mod.vocab_from_meta(meta)
     ids, img, txt = evaluation.embed_eval_set(
         records, params, text_cfg, image_cfg, vocab, args.text_kind)
@@ -282,12 +295,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    params, opt, step, meta = ckpt.load_checkpoint(args.checkpoint)
+    params, _, step, meta = ckpt.load_checkpoint(args.checkpoint)
     payload = {
         "step": step,
         "n_parameters": int(sum(t.value.size for t in params.values())),
         "arrays": {name: list(t.value.shape) for name, t in sorted(params.items())},
-        "has_opt_state": opt is not None,
         "m": meta["text_config"]["m"],
         "mask_mode": meta["text_config"]["mask_mode"],
     }

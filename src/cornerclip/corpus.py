@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -116,13 +116,7 @@ class CorpusStats:
     n_skipped: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n_images": self.n_images,
-            "n_texts": self.n_texts,
-            "avg_subcaptions_per_text": self.avg_subcaptions_per_text,
-            "avg_tokens_per_text": self.avg_tokens_per_text,
-            "n_skipped": self.n_skipped,
-        }
+        return asdict(self)
 
 
 def text_token_count(text: str) -> int:

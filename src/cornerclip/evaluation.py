@@ -131,20 +131,22 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
     """
     if text_kind not in ("short", "long_full"):
         raise ValueError(f"unknown text_kind {text_kind!r}")
-    texts = []
-    for rec in records:
-        if text_kind == "short":
-            texts.append(rec.short_text or rec.long_texts[0])
-        else:
-            texts.append(rec.long_texts[0] if rec.long_texts else rec.short_text)
+    if text_kind == "short":
+        texts = [rec.short_text or rec.long_texts[0] for rec in records]
+    else:
+        texts = [rec.long_texts[0] if rec.long_texts else rec.short_text for rec in records]
+    return ([r.id for r in records], embed_images(records, params, image_cfg, batch_size),
+            embed_texts(texts, params, text_cfg, vocab, batch_size))
+
+
+def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
+                vocab: Vocabulary, batch_size: int = 64) -> np.ndarray:
+    """Unit-norm global text features (n, p), batch_size PAD-trimmed texts per pass."""
     seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
-    text_feats = []
-    for i in range(0, len(seqs), batch_size):
-        text_feats.append(text_encoder.encode_text_batch(
-            seqs[i:i + batch_size], params, text_cfg))
-    ids = [r.id for r in records]
-    return (ids, embed_images(records, params, image_cfg, batch_size),
-            np.concatenate(text_feats))
+    return np.concatenate([
+        text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs[i:i + batch_size]),
+                                       params, text_cfg)[0].value[:, 0, :]
+        for i in range(0, len(seqs), batch_size)])
 
 
 def embed_images(records: list[ManifestRecord], params: dict,
@@ -176,9 +178,8 @@ def class_prototypes(class_names: list[str], templates: list[str], params: dict,
         raise ValueError("empty class list")
     if not templates:
         raise ValueError("need at least one template")
-    seqs = [tokenize(t.format(name), text_cfg.limit, text_cfg.m, vocab)
-            for name in class_names for t in templates]
-    embs = text_encoder.encode_text_batch(seqs, params, text_cfg)
+    prompts = [t.format(name) for name in class_names for t in templates]
+    embs = embed_texts(prompts, params, text_cfg, vocab, batch_size=len(prompts))
     means = embs.reshape(len(class_names), len(templates), -1).mean(axis=1)
     return means / np.linalg.norm(means, axis=1, keepdims=True)
 
@@ -232,10 +233,15 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
                        text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                        vocab: Vocabulary) -> float:
     """i2t R@1 over the deduplicated short-text candidate set."""
+    return short_i2t_r1(embed_images(records, params, image_cfg), records, params,
+                        text_cfg, vocab)
+
+
+def short_i2t_r1(image_feats: np.ndarray, records: list[ManifestRecord], params: dict,
+                 text_cfg: TextEncoderConfig, vocab: Vocabulary) -> float:
+    """`short_retrieval_r1` from the records' image features (`embed_images`)."""
     texts, image_to_texts, _ = short_text_groups(records)
-    seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
-    text_feats = text_encoder.encode_text_batch(seqs, params, text_cfg)
-    S = embed_images(records, params, image_cfg) @ text_feats.T
+    S = image_feats @ embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts)).T
     ranks = _match_ranks(S, _best_paired(S, image_to_texts))
     return int(np.count_nonzero(ranks == 0)) / len(records)
 

@@ -48,11 +48,6 @@ class ImageEncoderConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
-@dataclass
-class ImageFeature:
-    v: np.ndarray  # (p,) unit vector
-
-
 def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> dict:
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
@@ -107,17 +102,18 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
                        prefix: str = "img.") -> Tensor:
     """Batched forward to unit-normalized global features, shape (B, p)."""
     inputs = np.asarray(inputs, dtype=np.float64)
+    ndim, shape = ((2, "(batch, input_feature_dim)") if config.mode == "precomputed"
+                   else (4, "(batch, height, width, channels)"))
+    if inputs.ndim != ndim:
+        raise ValueError(f"{config.mode} mode takes inputs of shape {shape}, "
+                         f"got {inputs.shape}")
     if config.mode == "precomputed":
-        if inputs.ndim == 1:
-            inputs = inputs[None, :]
         if inputs.shape[1] != config.input_feature_dim:
             raise ValueError(
                 f"feature width {inputs.shape[1]} != input_feature_dim "
                 f"{config.input_feature_dim}")
         return l2_normalize(matmul(Tensor(inputs), params[f"{prefix}proj"]))
 
-    if inputs.ndim == 3:
-        inputs = inputs[None]
     patches = patchify(inputs, config)
     B = patches.shape[0]
     x = matmul(Tensor(patches), params[f"{prefix}patch_emb"]) + params[f"{prefix}patch_bias"]
@@ -130,9 +126,3 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
         x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
     return l2_normalize(matmul(hidden[:, 0, :], params[f"{prefix}proj"]))
-
-
-def encode_image(inputs: np.ndarray, params: dict, config: ImageEncoderConfig,
-                 prefix: str = "img.") -> ImageFeature:
-    return ImageFeature(v=encode_image_graph(inputs, params, config, prefix).value[0])
-

@@ -135,14 +135,6 @@ def stack_trimmed(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     return (np.stack([s.ids[:L] for s in seqs]), np.stack([s.roles[:L] for s in seqs]))
 
 
-def encode_text_batch(seqs: list[TokenSequence], params: dict,
-                      config: TextEncoderConfig, prefix: str = "text.") -> np.ndarray:
-    """Global features for a list of sequences, shape (B, p)."""
-    ids, roles = stack_trimmed(seqs)
-    feats, _ = encode_text_graph(ids, roles, params, config, prefix)
-    return feats.value[:, 0, :]
-
-
 def dump_attention(seq: TokenSequence, params: dict, config: TextEncoderConfig,
                    layer: int, prefix: str = "text.") -> np.ndarray:
     """Head-averaged (L, L) attention weights for one layer; rows sum to 1."""

@@ -175,19 +175,24 @@ def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
               image_cfg: ImageEncoderConfig, cfg: TrainConfig):
     """Exact gradients of the total loss for every trainable parameter.
 
-    This is where parameters are marked: exactly the trainable ones require a
-    gradient, so backward never enters a frozen tower.
+    This is the only place parameters are marked, and only until it returns:
+    exactly the trainable ones require a gradient, so backward never enters a
+    frozen tower, and every other forward pass builds no graph.
     """
     names = trainable_names(params, cfg)
     trainable = set(names)
     for name, t in params.items():
         t.grad = None
         t.requires_grad = name in trainable
-    breakdown, tau = compute_loss(params, batch, text_cfg, image_cfg, cfg)
-    for label, term in (("loss_short", breakdown.short), ("loss_long", breakdown.long)):
-        if term is not None and not np.isfinite(term.value):
-            raise FloatingPointError(f"non-finite loss term: {label}")
-    breakdown.total.backward()
+    try:
+        breakdown, tau = compute_loss(params, batch, text_cfg, image_cfg, cfg)
+        for label, term in (("loss_short", breakdown.short), ("loss_long", breakdown.long)):
+            if term is not None and not np.isfinite(term.value):
+                raise FloatingPointError(f"non-finite loss term: {label}")
+        breakdown.total.backward()
+    finally:
+        for t in params.values():
+            t.requires_grad = False
     grads = {}
     for name in names:
         g = params[name].grad
@@ -352,14 +357,9 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
 
     start_step = 0
     if resume_from is not None:
-        params, opt_raw, start_step, meta = ckpt.load_checkpoint(resume_from)
+        params, (adam_m, adam_v, opt_step), start_step, meta = ckpt.load_checkpoint(resume_from)
         check_resume_meta(meta, checkpoint_meta(cfg, text_cfg, image_cfg, vocab))
-        names = trainable_names(params, cfg)
-        if opt_raw is not None:
-            adam_m, adam_v, opt_step = opt_raw
-            opt = AdamState(m=adam_m, v=adam_v, step=opt_step)
-        else:
-            opt = AdamState.create(params, names)
+        opt = AdamState(m=adam_m, v=adam_v, step=opt_step)
     else:
         params = build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
         opt = AdamState.create(params, trainable_names(params, cfg))

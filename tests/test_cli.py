@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cornerclip import checkpoint as ckpt
 from cornerclip import cli, evaluation, text_encoder
+from cornerclip.train import AdamState
 
 
 def run(capsys, *argv):
@@ -119,6 +121,28 @@ class TestTrainEvalCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["step"] == 2 and payload["m"] == 2 and payload["mask_mode"] == "corner"
+
+    def test_eval_of_an_older_format_checkpoint_names_the_field(self, manifest, tmp_path,
+                                                                capsys):
+        out_dir = str(tmp_path / "run")
+        code, _, _ = run(capsys, "train", "--corpus", manifest, "--out-dir", out_dir,
+                         "--steps", "1", "--batch-size", "4", "--limit", "16",
+                         "--text-depth", "1", "--text-width", "16", "--text-heads", "2",
+                         "--projection-dim", "8")
+        assert code == 0
+        path = f"{out_dir}/ckpt_final.bin"
+        params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
+        # the earlier layout: m and mask_mode also at the top level, and two
+        # image_config fields that ImageEncoderConfig no longer has
+        meta = {**meta, "m": 2, "mask_mode": "corner",
+                "image_config": {**meta["image_config"], "trainable_projection": True,
+                                 "preset": "from_scratch"}}
+        ckpt.save_checkpoint(path, params, AdamState(m=m, v=v, step=opt_step), step, meta)
+        code, _, err = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path)
+        assert code == 2
+        assert ("checkpoint image_config has fields ['preset', 'trainable_projection'] "
+                "that ImageEncoderConfig lacks: the checkpoint predates the current format"
+                in err)
 
     def test_eval_missing_checkpoint_is_runtime_error(self, manifest, capsys):
         code, _, err = run(capsys, "eval", "--corpus", manifest,

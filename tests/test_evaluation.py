@@ -11,7 +11,7 @@ from cornerclip import image_encoder, train
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.evaluation import RetrievalGroundTruth
 from cornerclip.image_encoder import ImageEncoderConfig
-from cornerclip.tokenizer import Vocabulary, tokenize
+from cornerclip.tokenizer import Vocabulary
 
 
 def oracle_recall(S, gt, k, direction):
@@ -244,8 +244,7 @@ class TestShortRetrieval:
         params = train.build_model(text_cfg, image_cfg, 0)
         texts, image_to_texts, _ = ev.short_text_groups(recs)
         _, img, _ = ev.embed_eval_set(recs, params, text_cfg, image_cfg, vocab, "short")
-        seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
-        S = img @ te.encode_text_batch(seqs, params, text_cfg).T
+        S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
         # R@1 with one paired text per image: the row's first maximum is that text
         expected = sum(int(np.argmax(S[i]) == paired[0])
                        for i, paired in enumerate(image_to_texts)) / len(recs)

@@ -25,22 +25,22 @@ class TestPrecomputedMode:
         cfg = ImageEncoderConfig(input_feature_dim=8, projection_dim=16)
         p = ie.init_params(cfg, 0)
         rng = np.random.default_rng(0)
-        f = ie.encode_image(rng.normal(size=8), p, cfg)
-        assert abs(np.linalg.norm(f.v) - 1) < 1e-6
+        f = ie.encode_image_graph(rng.normal(size=(1, 8)), p, cfg).value[0]
+        assert abs(np.linalg.norm(f) - 1) < 1e-6
 
     def test_identity_projection(self):
         cfg = ImageEncoderConfig(input_feature_dim=6, projection_dim=6)
         p = ie.init_params(cfg, 0)
         p["img.proj"].value = np.eye(6)
         x = np.array([3.0, 0.0, 4.0, 0.0, 0.0, 0.0])
-        f = ie.encode_image(x, p, cfg)
-        np.testing.assert_allclose(f.v, x / np.linalg.norm(x), atol=1e-9)
+        f = ie.encode_image_graph(x[None], p, cfg).value[0]
+        np.testing.assert_allclose(f, x / np.linalg.norm(x), atol=1e-9)
 
     def test_width_mismatch(self):
         cfg = ImageEncoderConfig(input_feature_dim=8, projection_dim=4)
         p = ie.init_params(cfg, 0)
         with pytest.raises(ValueError, match="input_feature_dim"):
-            ie.encode_image(np.zeros(5), p, cfg)
+            ie.encode_image_graph(np.zeros((1, 5)), p, cfg)
 
 
 class TestVitMode:
@@ -53,14 +53,14 @@ class TestVitMode:
         cfg = self.cfg()
         p = ie.init_params(cfg, 1)
         rng = np.random.default_rng(1)
-        f = ie.encode_image(rng.normal(size=(16, 16, 1)), p, cfg)
-        assert abs(np.linalg.norm(f.v) - 1) < 1e-6
+        f = ie.encode_image_graph(rng.normal(size=(1, 16, 16, 1)), p, cfg).value[0]
+        assert abs(np.linalg.norm(f) - 1) < 1e-6
 
     def test_shape_mismatch(self):
         cfg = self.cfg()
         p = ie.init_params(cfg, 1)
         with pytest.raises(ValueError, match="does not match"):
-            ie.encode_image(np.zeros((8, 8, 1)), p, cfg)
+            ie.encode_image_graph(np.zeros((1, 8, 8, 1)), p, cfg)
 
     def test_patch_order_invariant_without_pos_emb(self):
         # with no position embedding the tower treats its patches symmetrically
@@ -69,8 +69,8 @@ class TestVitMode:
         p["img.pos_emb"].value[:] = 0.0
         img = np.random.default_rng(2).normal(size=(16, 16, 1))
         swapped = np.concatenate([img[8:], img[:8]], axis=0)   # patch rows exchanged
-        np.testing.assert_allclose(ie.encode_image(swapped, p, cfg).v,
-                                   ie.encode_image(img, p, cfg).v, atol=1e-12)
+        feats = ie.encode_image_graph(np.stack([swapped, img]), p, cfg).value
+        np.testing.assert_allclose(feats[0], feats[1], atol=1e-12)
 
     def test_same_sphere_as_precomputed(self):
         vit_cfg = self.cfg()
@@ -78,9 +78,17 @@ class TestVitMode:
         pv = ie.init_params(vit_cfg, 3)
         pp = ie.init_params(pre_cfg, 3)
         rng = np.random.default_rng(3)
-        a = ie.encode_image(rng.normal(size=(16, 16, 1)), pv, vit_cfg)
-        b = ie.encode_image(rng.normal(size=5), pp, pre_cfg)
-        assert a.v.shape == b.v.shape == (8,)
+        a = ie.encode_image_graph(rng.normal(size=(2, 16, 16, 1)), pv, vit_cfg)
+        b = ie.encode_image_graph(rng.normal(size=(2, 5)), pp, pre_cfg)
+        assert a.shape == b.shape == (2, 8)
+
+
+@pytest.mark.parametrize("mode,single", [("precomputed", (8,)), ("vit", (16, 16, 1))])
+def test_single_example_is_refused(mode, single):
+    cfg = ImageEncoderConfig(mode=mode, input_feature_dim=8, image_size=16, channels=1,
+                             depth=1, width=16, heads=2, projection_dim=8)
+    with pytest.raises(ValueError, match=rf"{mode} mode takes inputs of shape \(batch, "):
+        ie.encode_image_graph(np.zeros(single), ie.init_params(cfg, 0), cfg)
 
 
 class TestPatchify:

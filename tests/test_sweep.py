@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from cornerclip import sweep
+from cornerclip import evaluation, image_encoder, sweep, train
 from cornerclip.corpus import generate_synthetic_corpus
 from cornerclip.sweep import ROW_FIELDS, SweepSpec
 from cornerclip.tokenizer import Vocabulary
@@ -56,6 +56,20 @@ class TestRunCell:
         for key in ("long_i2t_r@1", "long_t2i_r@5", "short_r@1", "cls_acc@1"):
             assert 0.0 <= row[key] <= 1.0
         assert row["flops"] > 0 and row["wall_time_s"] > 0
+
+    def test_embeds_each_image_once(self, tiny_setup, monkeypatch):
+        recs, vocab, base = tiny_setup
+        spec = SweepSpec(axis="m_corners", values=[2], base=base, seeds=[0])
+        res = train.run_training(recs, vocab, sweep.cell_config(spec, 2, 0))
+        short_r1 = evaluation.short_retrieval_r1(recs, res.params, res.text_cfg,
+                                                 res.image_cfg, vocab)
+        rows = []
+        encode = image_encoder.encode_image_graph
+        monkeypatch.setattr(image_encoder, "encode_image_graph", lambda x, *a, **kw: (
+            rows.append(len(x)), encode(x, *a, **kw))[1])
+        row = sweep.run_cell(spec, 2, 0, recs, vocab)
+        assert sum(rows) == base.steps * base.batch_size + len(recs)
+        assert row["short_r@1"] == short_r1
 
     def test_rerun_reproduces_metrics(self, tiny_setup):
         recs, vocab, base = tiny_setup

@@ -130,7 +130,7 @@ class TestEncodeText:
         ids, roles = te.stack_trimmed(seqs)
         assert ids.shape == roles.shape == (3, max(s.true_length for s in seqs))
         assert ids.shape[1] < 16
-        batch = te.encode_text_batch(seqs, p, cfg)
+        batch = te.encode_text_graph(ids, roles, p, cfg)[0].value[:, 0]
         for row, seq in zip(batch, seqs):
             feats, _ = te.encode_text_graph(seq.ids, seq.roles, p, cfg)
             np.testing.assert_allclose(row, feats.value[0, 0], rtol=0, atol=1e-12)

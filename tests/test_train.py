@@ -1,12 +1,16 @@
 """Training engine tests: batching, gradients, AdamW, resume equivalence."""
 
 import json
+import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from cornerclip import checkpoint as ckpt
 from cornerclip import evaluation, train
+from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.tokenizer import Vocabulary
 from cornerclip.train import AdamState, TrainConfig
@@ -201,6 +205,17 @@ class TestTrainStep:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].value, b.params[k].value)
 
+    def test_inference_after_training_builds_no_graph(self, corpus16, monkeypatch):
+        recs, vocab = corpus16
+        res = train.run_training(recs, vocab, tiny_cfg(steps=2))
+        assert not any(t.requires_grad for t in res.params.values())
+        made = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__",
+                            lambda self, *a, **kw: (init(self, *a, **kw), made.append(self))[0])
+        evaluation.embed_eval_set(recs, res.params, res.text_cfg, res.image_cfg, vocab)
+        assert made and not any(t._backward is not None for t in made)
+
 
 class TestCheckpointing:
     def test_round_trip_bit_exact(self, corpus16, tmp_path):
@@ -252,6 +267,53 @@ class TestCheckpointing:
         with pytest.raises(ckpt.CheckpointError, match="checksum"):
             ckpt.load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, corpus16, tmp_path, monkeypatch):
+        recs, vocab = corpus16
+        run_dir = tmp_path / "run"
+        train.run_training(recs, vocab, tiny_cfg(steps=1), out_dir=str(run_dir))
+        path = run_dir / "ckpt_final.bin"
+        before, listing = path.read_bytes(), sorted(os.listdir(run_dir))
+        params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
+
+        class TornFile:    # writes half of what it is given, then fails
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(ckpt, "open", raising=False, value=lambda file, mode="r": (
+            TornFile(real_open(file, mode)) if "w" in mode else real_open(file, mode)))
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save_checkpoint(path, params, AdamState(m=m, v=v, step=opt_step + 1),
+                                 step + 1, meta)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(run_dir)) == listing
+        assert ckpt.load_checkpoint(path)[2] == step
+
+    def test_checkpoint_without_optimizer_state_refused(self, corpus16, tmp_path):
+        recs, vocab = corpus16
+        train.run_training(recs, vocab, tiny_cfg(steps=1), out_dir=str(tmp_path / "run"))
+        path = tmp_path / "run" / "ckpt_final.bin"
+        blob = path.read_bytes()
+        hlen = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16:16 + hlen])
+        header["has_opt_state"] = False
+        hbytes = json.dumps(header, sort_keys=True).encode()
+        body = blob[:8] + struct.pack("<Q", len(hbytes)) + hbytes + blob[16 + hlen:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ckpt.CheckpointError, match="no optimizer state"):
+            ckpt.load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"definitely not a checkpoint file")
@@ -282,19 +344,20 @@ class TestCheckpointing:
 
 
 class TestResume:
-    def test_resume_reproduces_uninterrupted_run(self, corpus16, tmp_path):
+    @pytest.mark.parametrize("stop_after", [1, 2, 3, 4, 5])
+    def test_resume_reproduces_uninterrupted_run(self, corpus16, tmp_path, stop_after):
         recs, vocab = corpus16
         cfg = tiny_cfg(steps=6, warmup_steps=2)
         full = train.run_training(recs, vocab, cfg, out_dir=str(tmp_path / "full"))
 
         part_dir = str(tmp_path / "part")
-        train.run_training(recs, vocab, cfg, out_dir=part_dir, stop_after=3)
+        train.run_training(recs, vocab, cfg, out_dir=part_dir, stop_after=stop_after)
         resumed = train.run_training(
             recs, vocab, cfg, out_dir=part_dir,
             resume_from=str(tmp_path / "part" / "ckpt_final.bin"))
 
-        assert [m["step"] for m in resumed.metrics] == [4, 5, 6]
-        for got, want in zip(resumed.metrics, full.metrics[3:]):
+        assert [m["step"] for m in resumed.metrics] == list(range(stop_after + 1, 7))
+        for got, want in zip(resumed.metrics, full.metrics[stop_after:]):
             assert train.metrics_line(got) == train.metrics_line(want)
         for k in full.params:
             np.testing.assert_array_equal(resumed.params[k].value,

@@ -37,17 +37,15 @@ def count_macs():
 class Tensor:
     """A node in the computation graph wrapping an ndarray value."""
 
-    __slots__ = ("value", "grad", "_own_grad", "_parents", "_backward", "requires_grad",
-                 "name")
+    __slots__ = ("value", "grad", "_own_grad", "_parents", "_backward", "requires_grad")
 
-    def __init__(self, value, parents=(), backward=None, requires_grad=False, name=""):
+    def __init__(self, value, parents=(), backward=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._own_grad = None   # the grad array this node allocated, if any
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self):
@@ -125,17 +123,10 @@ class Tensor:
         return getitem(self, idx)
 
     def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, name={self.name!r})"
+        return f"Tensor(shape={self.value.shape})"
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.value.size
-        else:
-            n = self.value.shape[axis]
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
         return reshape(self, shape)

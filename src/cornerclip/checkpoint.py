@@ -108,6 +108,6 @@ def load_checkpoint(path):
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v."):]] = a
         else:
-            params[name] = Tensor(a, name=name)
+            params[name] = Tensor(a)
     return params, (adam_m, adam_v, header["opt_step"]), header["step"], header["meta"]
 

@@ -51,6 +51,11 @@ class ManifestRecord:
     def __post_init__(self):
         if self.image_feature is not None:
             self.image_feature = np.asarray(self.image_feature, dtype=np.float64)
+        if not isinstance(self.short_text, str):
+            raise ValueError(f"record {self.id}: short_text must be a string")
+        if not isinstance(self.long_texts, list) or any(
+                not isinstance(t, str) for t in self.long_texts):
+            raise ValueError(f"record {self.id}: long_texts must be a list of strings")
         if not self.short_text and not self.long_texts:
             raise ValueError(f"record {self.id}: needs short_text or long_texts")
         if self.image_path is None and self.image_feature is None:
@@ -71,6 +76,8 @@ class ManifestRecord:
     @classmethod
     def from_json(cls, line: str) -> "ManifestRecord":
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError("not a JSON object")
         return cls(
             id=d["id"],
             short_text=d.get("short_text", ""),
@@ -89,7 +96,7 @@ def save_manifest(records: list[ManifestRecord], path) -> None:
 
 
 def load_manifest(path) -> list[ManifestRecord]:
-    """Load a JSONL manifest; unreadable lines are skipped with a warning."""
+    """Load a JSONL manifest; a line that fails to parse or validate is skipped with a warning."""
     records = []
     skipped = 0
     with open(path) as f:
@@ -113,7 +120,6 @@ class CorpusStats:
     n_texts: int
     avg_subcaptions_per_text: float
     avg_tokens_per_text: float
-    n_skipped: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -209,24 +209,14 @@ def classification_task(records: list[ManifestRecord]):
 def short_text_groups(records: list[ManifestRecord]):
     """Deduplicated short texts with any-hit ground truth.
 
-    Returns (unique_texts, image_to_texts, text_to_image): each image's
-    paired-text set is the single deduplicated text matching its short
-    caption; the t2i side maps each unique text to its first image and is
-    only meaningful when short texts are unique.
+    Returns (unique_texts, image_to_texts): each image's paired-text set is
+    the single deduplicated text matching its short caption.
     """
     unique: dict[str, int] = {}
     image_to_texts = []
     for rec in records:
-        t = rec.short_text
-        if t not in unique:
-            unique[t] = len(unique)
-        image_to_texts.append([unique[t]])
-    texts = list(unique)
-    text_to_image = [-1] * len(texts)
-    for img, paired in enumerate(image_to_texts):
-        if text_to_image[paired[0]] == -1:
-            text_to_image[paired[0]] = img
-    return texts, image_to_texts, text_to_image
+        image_to_texts.append([unique.setdefault(rec.short_text, len(unique))])
+    return list(unique), image_to_texts
 
 
 def short_retrieval_r1(records: list[ManifestRecord], params: dict,
@@ -240,7 +230,7 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
 def short_i2t_r1(image_feats: np.ndarray, records: list[ManifestRecord], params: dict,
                  text_cfg: TextEncoderConfig, vocab: Vocabulary) -> float:
     """`short_retrieval_r1` from the records' image features (`embed_images`)."""
-    texts, image_to_texts, _ = short_text_groups(records)
+    texts, image_to_texts = short_text_groups(records)
     S = image_feats @ embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts)).T
     ranks = _match_ranks(S, _best_paired(S, image_to_texts))
     return int(np.count_nonzero(ranks == 0)) / len(records)

@@ -53,7 +53,7 @@ def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> 
     params: dict[str, Tensor] = {}
 
     def p(name, value):
-        params[f"{prefix}{name}"] = Tensor(value, name=f"{prefix}{name}")
+        params[f"{prefix}{name}"] = Tensor(value)
 
     if config.mode == "precomputed":
         p("proj", rng.normal(0.0, config.input_feature_dim ** -0.5,

@@ -29,7 +29,7 @@ class ObjectiveParams:
 
     @classmethod
     def create(cls, tau_init: float = 0.07) -> "ObjectiveParams":
-        return cls(s=Tensor(np.float64(-math.log(tau_init)), name="obj.s"))
+        return cls(s=Tensor(np.float64(-math.log(tau_init))))
 
     def tau(self) -> Tensor:
         return clip(exp(-self.s), TAU_MIN, TAU_MAX)
@@ -84,10 +84,10 @@ class LossBreakdown:
     short: Tensor
     long: Tensor | None
 
-    def per_pair(self, N: int, m: int, has_long: bool) -> dict:
+    def per_pair(self, N: int, m: int) -> dict:
         """Mean-per-pair values: loss / (N * number of directional terms)."""
         out = {"short_per_pair": float(self.short.value) / (2 * N)}
-        if has_long and self.long is not None:
+        if self.long is not None:
             out["long_per_pair"] = float(self.long.value) / (2 * N * (1 + m))
         return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import json
 import logging
 import os
@@ -22,7 +21,7 @@ from . import evaluation
 from .corpus import ManifestRecord
 from .evaluation import RetrievalGroundTruth
 from .tokenizer import Vocabulary
-from .train import TrainConfig, run_training
+from .train import TrainConfig, continue_stream, run_training
 
 log = logging.getLogger(__name__)
 
@@ -92,29 +91,21 @@ def run_cell(spec: SweepSpec, value: int, seed: int,
     }
 
 
-def _load_done(path) -> set[tuple]:
-    done = set()
-    if os.path.exists(path):
-        with open(path) as f:
-            for row in csv.DictReader(f):
-                done.add((row["axis"], int(row["value"]), int(row["seed"])))
-    return done
-
-
 def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
               out_dir: str) -> list[dict]:
-    """All cells of the sweep; completed cells in rows.csv are skipped.
+    """All cells of the sweep; cells with a complete row in rows.csv are skipped
+    (a torn last row is dropped, so its cell runs again).
 
     Cells that raise are left out of the rows and written, with their error,
     to failures.jsonl, which each run rewrites (see `read_failures`)."""
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "rows.csv")
-    done = _load_done(rows_path)
-    write_header = not os.path.exists(rows_path)
+    kept, f = continue_stream(rows_path, lambda line: True)
+    done = {(row["axis"], int(row["value"]), int(row["seed"])) for row in csv.DictReader(kept)}
     failures = []
-    with open(rows_path, "a", newline="") as f:
+    with f:
         writer = csv.DictWriter(f, fieldnames=ROW_FIELDS)
-        if write_header:
+        if not kept:
             writer.writeheader()
         for value in spec.values:
             for seed in spec.seeds:
@@ -148,14 +139,11 @@ def read_failures(out_dir) -> list[dict]:
 
 def emit_plot_data(rows: list[dict], path) -> None:
     """Tidy per-cell CSV plus a per-axis-value aggregate (mean, stddev over seeds)."""
-    buf = io.StringIO()
-    buf.write("# one row per sweep cell; columns: " + ", ".join(ROW_FIELDS) + "\n")
-    writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in ROW_FIELDS})
     with open(path, "w", newline="") as f:
-        f.write(buf.getvalue())
+        f.write("# one row per sweep cell; columns: " + ", ".join(ROW_FIELDS) + "\n")
+        writer = csv.DictWriter(f, fieldnames=ROW_FIELDS)
+        writer.writeheader()
+        writer.writerows({k: row[k] for k in ROW_FIELDS} for row in rows)
 
     metric_cols = [c for c in ROW_FIELDS if c not in ("axis", "value", "seed")]
     groups: dict[tuple, list[dict]] = {}

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import masks, transformer
 from .autodiff import Tensor, l2_normalize, layer_norm, matmul, take_rows
-from .tokenizer import ROLE_SEP, ROLE_TEXT, TokenSequence
-
-CORNER_ID_BASE = 4  # reserved corner token ids start here (see Vocabulary)
+from .tokenizer import CORNER_ID_BASE, ROLE_SEP, ROLE_TEXT, TokenSequence
 
 
 @dataclass
@@ -60,15 +58,13 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
     # distinct per-corner offsets so corner rows start apart from one another
     for i in range(config.m):
         tok[CORNER_ID_BASE + i] += 0.25 * (i + 1)
-    params[f"{prefix}tok_emb"] = Tensor(tok, name=f"{prefix}tok_emb")
-    params[f"{prefix}pos_emb"] = Tensor(
-        rng.normal(0.0, 0.02, size=(config.limit, d)), name=f"{prefix}pos_emb")
+    params[f"{prefix}tok_emb"] = Tensor(tok)
+    params[f"{prefix}pos_emb"] = Tensor(rng.normal(0.0, 0.02, size=(config.limit, d)))
     for layer in range(config.depth):
         transformer.init_block_params(rng, d, config.mlp_ratio, f"{prefix}L{layer}.", params)
-    params[f"{prefix}lnf.g"] = Tensor(np.ones(d), name=f"{prefix}lnf.g")
-    params[f"{prefix}lnf.b"] = Tensor(np.zeros(d), name=f"{prefix}lnf.b")
-    params[f"{prefix}proj"] = Tensor(
-        rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)), name=f"{prefix}proj")
+    params[f"{prefix}lnf.g"] = Tensor(np.ones(d))
+    params[f"{prefix}lnf.b"] = Tensor(np.zeros(d))
+    params[f"{prefix}proj"] = Tensor(rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)))
     return params
 
 

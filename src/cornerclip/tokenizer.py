@@ -20,8 +20,9 @@ ROLE_TEXT = 2
 ROLE_SEP = 3
 ROLE_PAD = 4
 
-ROLE_NAMES = {ROLE_CLS: "CLS", ROLE_CORNER: "CORNER", ROLE_TEXT: "TEXT",
-              ROLE_SEP: "SEP", ROLE_PAD: "PAD"}
+# Reserved token ids; corner i has id CORNER_ID_BASE + i.
+PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
+CORNER_ID_BASE = 4
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -66,7 +67,7 @@ def sample_consecutive(subcaps: list[str], k: int, rng: np.random.Generator) -> 
 class Vocabulary:
     """Token-to-id map with reserved ids for PAD/UNK/CLS/SEP and corner tokens.
 
-    Reserved ids occupy [0, 4 + m_max); word ids follow.
+    Reserved ids occupy [0, CORNER_ID_BASE + m_max); word ids follow.
     """
 
     m_max: int = 8
@@ -76,12 +77,14 @@ class Vocabulary:
     UNK = "[UNK]"
     CLS = "[CLS]"
     SEP = "[SEP]"
+    pad_id, unk_id, cls_id, sep_id = PAD_ID, UNK_ID, CLS_ID, SEP_ID
 
     def __post_init__(self):
         if not self.token_to_id:
-            self.token_to_id = {self.PAD: 0, self.UNK: 1, self.CLS: 2, self.SEP: 3}
+            self.token_to_id = {self.PAD: PAD_ID, self.UNK: UNK_ID, self.CLS: CLS_ID,
+                                self.SEP: SEP_ID}
             for i in range(self.m_max):
-                self.token_to_id[self.corner_token(i)] = 4 + i
+                self.token_to_id[self.corner_token(i)] = self.corner_id(i)
         self._id_to_token = {v: k for k, v in self.token_to_id.items()}
 
     @staticmethod
@@ -90,26 +93,10 @@ class Vocabulary:
 
     @property
     def n_reserved(self) -> int:
-        return 4 + self.m_max
-
-    @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def unk_id(self) -> int:
-        return 1
-
-    @property
-    def cls_id(self) -> int:
-        return 2
-
-    @property
-    def sep_id(self) -> int:
-        return 3
+        return CORNER_ID_BASE + self.m_max
 
     def corner_id(self, i: int) -> int:
-        return 4 + i
+        return CORNER_ID_BASE + i
 
     def __len__(self) -> int:
         return len(self.token_to_id)

@@ -117,14 +117,15 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
                    rng: np.random.Generator,
                    image_cfg: ImageEncoderConfig,
                    texts: list[RecordTexts] | None = None) -> Batch:
-    """One training batch. `texts` is `prepare_texts(records, ...)`; without it
-    the chosen records' texts are prepared here."""
+    """One training batch. `texts` is `prepare_texts(records, ...)`, made here
+    when not given."""
     if len(records) < cfg.batch_size:
         raise ValueError(f"manifest has {len(records)} records < batch_size {cfg.batch_size}")
+    if texts is None:
+        texts = prepare_texts(records, vocab, text_cfg)
     idx = rng.choice(len(records), size=cfg.batch_size, replace=False)
     chosen = [records[int(i)] for i in idx]
-    chosen_texts = ([texts[int(i)] for i in idx] if texts is not None
-                    else prepare_texts(chosen, vocab, text_cfg))
+    chosen_texts = [texts[int(i)] for i in idx]
 
     images = image_encoder.image_inputs(chosen, image_cfg)
     short_ids, short_roles = text_encoder.stack_trimmed([t.short for t in chosen_texts])
@@ -200,14 +201,14 @@ def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
     return grads, breakdown, float(np.asarray(tau.value).reshape(-1)[0])
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def create(cls, params: dict, names: list[str]) -> "AdamState":
@@ -243,12 +244,12 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
     for name in sorted(grads):
         g = grads[name]
         gnorm_sq += float((g * g).sum())
-        opt.m[name] = opt.beta1 * opt.m[name] + (1 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1 - opt.beta2) * g * g
-        mhat = opt.m[name] / (1 - opt.beta1 ** opt.step)
-        vhat = opt.v[name] / (1 - opt.beta2 ** opt.step)
+        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1 - ADAM_BETA1) * g
+        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1 - ADAM_BETA2) * g * g
+        mhat = opt.m[name] / (1 - ADAM_BETA1 ** opt.step)
+        vhat = opt.v[name] / (1 - ADAM_BETA2 ** opt.step)
         p = params[name]
-        update = mhat / (np.sqrt(vhat) + opt.eps)
+        update = mhat / (np.sqrt(vhat) + ADAM_EPS)
         if cfg.weight_decay and _decays(name, p.value):
             update = update + cfg.weight_decay * p.value
         p.value = p.value - lr * update
@@ -262,7 +263,7 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
         "lr": float(lr),
         "n_long_fallback": batch.n_long_fallback,
     }
-    metrics.update(breakdown.per_pair(cfg.batch_size, cfg.m, batch.long_ids is not None))
+    metrics.update(breakdown.per_pair(cfg.batch_size, cfg.m))
     log.debug("step %d: loss=%.4f (%.3fs)", step, metrics["loss_total"],
               time.perf_counter() - t0)
     return metrics
@@ -323,20 +324,24 @@ def vocab_from_meta(meta: dict) -> Vocabulary:
     return Vocabulary(m_max=v["m_max"], token_to_id=dict(v["token_to_id"]))
 
 
-def _open_metrics(path: str, start_step: int):
-    """Metrics stream for a run starting after `start_step`. On resume it keeps
-    the lines up to that step and drops later ones (a torn last line too),
-    since the resumed run logs those steps again."""
-    kept = []
-    if start_step and os.path.exists(path):
-        with open(path) as f:
-            for line in f:
-                if not line.endswith("\n") or json.loads(line)["step"] > start_step:
-                    break
-                kept.append(line)
-    f = open(path, "w")
-    f.writelines(kept)
-    return f
+def continue_stream(path, keep):
+    """Continue an append-only record file: keep its complete lines up to the
+    first one `keep` rejects and cut the rest off in place, a torn last line
+    too, so no kept line is ever rewritten. Returns (kept lines, a handle that
+    appends after them)."""
+    f = open(path, "a+", newline="")
+    try:
+        f.seek(0)
+        kept = []
+        for line in f:
+            if not line.endswith("\n") or not keep(line):
+                break
+            kept.append(line)
+        f.truncate(len("".join(kept).encode()))
+    except BaseException:
+        f.close()
+        raise
+    return kept, f
 
 
 def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainConfig,
@@ -368,7 +373,9 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     metrics_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_file = _open_metrics(os.path.join(out_dir, "metrics.jsonl"), start_step)
+        _, metrics_file = continue_stream(      # a resumed run logs later steps again
+            os.path.join(out_dir, "metrics.jsonl"),
+            lambda line: start_step and json.loads(line)["step"] <= start_step)
 
     end_step = cfg.steps if stop_after is None else min(stop_after, cfg.steps)
     metrics: list[dict] = []
@@ -382,6 +389,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
                 metrics_file.write(metrics_line(rec) + "\n")
             if (out_dir is not None and cfg.checkpoint_every
                     and step % cfg.checkpoint_every == 0):
+                metrics_file.flush()      # a resume from this checkpoint keeps these lines
                 ckpt.save_checkpoint(
                     os.path.join(out_dir, f"ckpt_{step:06d}.bin"), params, opt,
                     step, checkpoint_meta(cfg, text_cfg, image_cfg, vocab))

@@ -6,12 +6,6 @@ import numpy as np
 
 from .autodiff import Tensor, gelu, layer_norm, matmul, softmax, transpose
 
-BLOCK_PARAM_SUFFIXES = (
-    "ln1.g", "ln1.b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-    "ln2.g", "ln2.b", "w1", "b1", "w2", "b2",
-)
-
-
 def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
                       prefix: str, params: dict) -> None:
     """Initialize one block's parameters into `params` under `prefix`."""
@@ -19,7 +13,7 @@ def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
     scale = d ** -0.5
 
     def p(name, value):
-        params[f"{prefix}{name}"] = Tensor(value, name=f"{prefix}{name}")
+        params[f"{prefix}{name}"] = Tensor(value)
 
     p("ln1.g", np.ones(d))
     p("ln1.b", np.zeros(d))

@@ -68,6 +68,24 @@ class TestManifestIO:
         assert "skipped 2" in caplog.text
 
 
+    def test_lines_of_the_wrong_type_skipped_naming_the_field(self, tmp_path, caplog):
+        path = tmp_path / "m.jsonl"
+        good = json.loads(make_record().to_json())
+        lines = [json.dumps(good), "[1, 2]",
+                 json.dumps({**good, "id": "s", "long_texts": "a cat. a dog."}),
+                 json.dumps({**good, "id": "n", "long_texts": ["a cat.", 3]}),
+                 json.dumps({**good, "id": "t", "short_text": ["a cat."]})]
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING):
+            back = load_manifest(path)
+        assert [r.id for r in back] == ["r0"]
+        assert "skipped 4" in caplog.text
+        assert "line 2: not a JSON object" in caplog.text
+        assert "line 3: record s: long_texts must be a list of strings" in caplog.text
+        assert "line 4: record n: long_texts must be a list of strings" in caplog.text
+        assert "line 5: record t: short_text must be a string" in caplog.text
+
+
 class TestCorpusStats:
     def test_hand_counted(self):
         recs = [

@@ -1,6 +1,7 @@
 """Sweep bookkeeping: cell configs, resumable rows.csv, aggregates."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -101,16 +102,23 @@ class TestRunSweep:
     def test_partial_file_resumes_missing_cells_only(self, tiny_setup, tmp_path):
         recs, vocab, base = tiny_setup
         spec = SweepSpec(axis="m_corners", values=[0, 2], base=base, seeds=[0])
-        out = tmp_path / "sweep"
-        out.mkdir()
-        first = sweep.run_cell(spec, 0, 0, recs, vocab)
-        with open(out / "rows.csv", "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=ROW_FIELDS)
-            w.writeheader()
-            w.writerow(first)
-        rows = sweep.run_sweep(spec, recs, vocab, str(out))
-        assert len(rows) == 2
-        assert {int(r["value"]) for r in rows} == {0, 2}
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
+        w.writeheader()
+        w.writerow(sweep.run_cell(spec, 0, 0, recs, vocab))
+        done = buf.getvalue()
+        # a clean file, then a row and a header each cut mid-write: a cut line
+        # is dropped, so its cell runs again, and the next row starts a new line
+        for i, text in enumerate([done, done + "m_corners,2,0,0.5,0.", "axis,value,se"]):
+            out = tmp_path / f"sweep{i}"
+            out.mkdir()
+            (out / "rows.csv").write_text(text, newline="")
+            rows = sweep.run_sweep(spec, recs, vocab, str(out))
+            assert sorted((r["value"], r["seed"]) for r in rows) == [("0", "0"), ("2", "0")]
+            assert all(list(r) == ROW_FIELDS and None not in r.values() for r in rows)
+            if i < 2:
+                assert (out / "rows.csv").read_bytes().startswith(done.encode())
+            sweep.emit_plot_data(rows, out / "plot_data.csv")
 
     def test_failed_cells_are_recorded(self, tiny_setup, tmp_path):
         recs, vocab, base = tiny_setup

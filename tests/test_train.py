@@ -1,8 +1,13 @@
 """Training engine tests: batching, gradients, AdamW, resume equivalence."""
 
+import dataclasses
 import json
 import os
+import signal
 import struct
+import subprocess
+import sys
+import textwrap
 import zlib
 
 import numpy as np
@@ -390,6 +395,79 @@ class TestResume:
                            resume_from=str(run_dir / "ckpt_final.bin"))
         lines = (run_dir / "metrics.jsonl").read_text().splitlines()
         assert lines == [train.metrics_line(m) for m in full.metrics]
+
+    def test_resume_interrupted_at_reopening_keeps_covered_lines(self, corpus16, tmp_path,
+                                                                 monkeypatch):
+        recs, vocab = corpus16
+        cfg = tiny_cfg(steps=6, warmup_steps=2, checkpoint_every=2)
+        full = [train.metrics_line(m) for m in train.run_training(recs, vocab, cfg).metrics]
+        run_dir = tmp_path / "run"
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir), stop_after=5)
+        resume = dict(out_dir=str(run_dir), resume_from=str(run_dir / "ckpt_000004.bin"))
+
+        class Killed(Exception):
+            pass
+
+        class DiesOnWrite:    # the process dies at its first write to a reopened file
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __iter__(self):
+                return iter(self.f)
+
+            def __getattr__(self, name):
+                if name in ("write", "writelines"):
+                    raise Killed
+                return getattr(self.f, name)
+
+        real_open = open
+        monkeypatch.setattr(train, "open", raising=False,
+                            value=lambda *a, **kw: DiesOnWrite(real_open(*a, **kw)))
+        with pytest.raises(Killed):
+            train.run_training(recs, vocab, cfg, **resume)
+        monkeypatch.undo()
+        assert (run_dir / "metrics.jsonl").read_text().splitlines() == full[:4]
+        train.run_training(recs, vocab, cfg, **resume)
+        assert (run_dir / "metrics.jsonl").read_text().splitlines() == full
+
+    def test_kill_after_periodic_checkpoint_loses_no_line(self, corpus16, tmp_path):
+        """A child process SIGKILLed right after its step-6 checkpoint; the
+        resume from that checkpoint gives the uninterrupted stream."""
+        recs, vocab = corpus16
+        cfg = tiny_cfg(batch_size=8, steps=12, warmup_steps=2, checkpoint_every=6)
+        full = [train.metrics_line(m) for m in train.run_training(recs, vocab, cfg).metrics]
+        run_dir = tmp_path / "run"
+        child = textwrap.dedent("""
+            import json, os, signal, sys
+            from cornerclip import train
+            from cornerclip.corpus import generate_synthetic_corpus
+            from cornerclip.tokenizer import Vocabulary
+            recs = generate_synthetic_corpus(0, 16, 2, 8)
+            vocab = Vocabulary.build([r.short_text for r in recs]
+                                     + [t for r in recs for t in r.long_texts])
+            save = train.ckpt.save_checkpoint
+            def save_then_die(*args):
+                save(*args)
+                os.kill(os.getpid(), signal.SIGKILL)
+            train.ckpt.save_checkpoint = save_then_die
+            train.run_training(recs, vocab, train.TrainConfig(**json.loads(sys.argv[1])),
+                               out_dir=sys.argv[2])
+        """)
+        src = os.path.dirname(os.path.dirname(train.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(dataclasses.asdict(cfg)), str(run_dir)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert sorted(os.listdir(run_dir)) == ["ckpt_000006.bin", "metrics.jsonl"]
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir),
+                           resume_from=str(run_dir / "ckpt_000006.bin"))
+        assert (run_dir / "metrics.jsonl").read_text().splitlines() == full
 
     def test_resume_rejects_mismatched_m(self, corpus16, tmp_path):
         recs, vocab = corpus16

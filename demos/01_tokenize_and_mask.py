@@ -50,7 +50,7 @@ print(masks.format_mask(grid))
 
 # with masking disabled the corners behave like plain register tokens
 print("\nsame layout, masking disabled (all ones):")
-print(masks.format_mask(masks.build_corner_mask(small.roles, enabled=False)))
+print(masks.format_mask(masks.full_mask(small.roles, "full")))
 
 # sanity check: no information can flow out of a corner, ever
 assert np.all(grid[np.arange(10) != 1, 1] == 0)

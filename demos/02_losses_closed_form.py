@@ -42,8 +42,8 @@ print(f"\nidentity similarity, N=2, tau=1: short loss = {val:.6f} (expected 1.25
 # --- the learnable temperature ----------------------------------------------
 # tau lives on a log scale and is clamped to [0.01, 10]; gradients flow
 # through it like through any other parameter.
-obj = objective.ObjectiveParams.create(tau_init=0.07)
-print(f"\ninitial tau = {float(obj.tau().value):.4f}")
+s = objective.initial_log_scale(0.07)
+print(f"\ninitial tau = {float(objective.temperature(s).value):.4f}")
 
 # --- gradients are exact -----------------------------------------------------
 Vt = Tensor(rng.normal(size=(N, p)), requires_grad=True)

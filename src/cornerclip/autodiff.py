@@ -336,15 +336,15 @@ def concat(tensors, axis=0) -> Tensor:
     return _result(np.concatenate([t.value for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
-def softmax(x, axis=-1) -> Tensor:
-    """Numerically stable softmax primitive (max-subtracted)."""
+def softmax(x) -> Tensor:
+    """Numerically stable softmax primitive over the last axis (max-subtracted)."""
     x = as_tensor(x)
-    m = np.max(x.value, axis=axis, keepdims=True)
+    m = np.max(x.value, axis=-1, keepdims=True)
     e = np.exp(x.value - m)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def _bw(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         x.accumulate(p * (g - dot))
 
     return _result(p, (x,), _bw)
@@ -384,13 +384,13 @@ def gelu(x) -> Tensor:
     return _result(y, (x,), _bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Layer norm over the last axis as one node; its backward reuses the
     normalized input xhat and the reciprocal std rstd saved by the forward."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     inv_n = 1.0 / x.value.shape[-1]
     xhat = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
-    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
     xhat *= rstd
     y = xhat * gain.value
     y += bias.value
@@ -411,6 +411,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _result(y, (x, gain, bias), _bw)
 
 
-def l2_normalize(x, axis=-1) -> Tensor:
-    n = sqrt((x * x).sum(axis=axis, keepdims=True))
+def l2_normalize(x) -> Tensor:
+    n = sqrt((x * x).sum(axis=-1, keepdims=True))
     return x / n

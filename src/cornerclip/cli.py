@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import corpus, evaluation, masks, sweep as sweep_mod, text_encoder, train as train_mod
 from .image_encoder import ImageEncoderConfig
-from .tokenizer import ROLE_CORNER, ROLE_TEXT, Vocabulary, detokenize, tokenize
+from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_TEXT, Vocabulary, detokenize, tokenize
 from .train import TrainConfig
 
 CONFIG_ENV = "CORNERCLIP_CONFIG"
@@ -36,7 +36,7 @@ class Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload: dict, text: str | None = None):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text if text is not None else json.dumps(payload, sort_keys=True, indent=2))
@@ -100,50 +100,46 @@ def _add_train_flags(p: Parser):
 
 def build_parser() -> Parser:
     parser = Parser(prog="cornerclip", description=__doc__)
+    common = Parser(add_help=False)
+    common.add_argument("--json", action="store_true", help="print one line of JSON")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("gen-corpus", help="generate a synthetic manifest",
-                       parents=[], add_help=True)
+    p = add("gen-corpus", help="generate a synthetic manifest")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--attributes", type=int, default=4)
     p.add_argument("--feature-dim", type=int, default=16)
     p.add_argument("--pool-size", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("stats", help="corpus statistics")
+    p = add("stats", help="corpus statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="also write stats to this file")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("tokenize", help="debug-tokenize a text")
+    p = add("tokenize", help="debug-tokenize a text")
     p.add_argument("--text", required=True)
     p.add_argument("--limit", type=int, default=32)
     p.add_argument("--corners", type=int, default=2)
     p.add_argument("--corpus", help="build the vocabulary from this manifest")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("mask", help="print a corner attention mask as a 0/1 grid")
+    p = add("mask", help="print a corner attention mask as a 0/1 grid")
     p.add_argument("--len", type=int, required=True, dest="length")
     p.add_argument("--corners", type=int, required=True)
     p.add_argument("--mode", choices=["corner", "full"], default="corner")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("train", help="train on a manifest")
+    p = add("train", help="train on a manifest")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--json", action="store_true")
     _add_train_flags(p)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
+    p = add("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--text-kind", choices=["short", "long_full"], default="long_full")
     p.add_argument("--export-embeddings", help="write an embedding dump (npz)")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("flops", help="text-encoder FLOPs estimate")
+    p = add("flops", help="text-encoder FLOPs estimate")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--dim", type=int, default=512)
@@ -151,20 +147,17 @@ def build_parser() -> Parser:
     p.add_argument("--corners", type=int, default=2)
     p.add_argument("--mlp-ratio", type=int, default=4)
     p.add_argument("--proj-dim", type=int, default=512)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("sweep", help="axis sweep: fresh train + eval per cell")
+    p = add("sweep", help="axis sweep: fresh train + eval per cell")
     p.add_argument("--axis", choices=list(sweep_mod.AXES), required=True)
     p.add_argument("--values", required=True, help="comma-separated integers")
     p.add_argument("--seeds", type=int, default=3, help="number of repeat seeds")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, dest="out_dir")
-    p.add_argument("--json", action="store_true")
     _add_train_flags(p)
 
-    p = sub.add_parser("inspect", help="show checkpoint metadata")
+    p = add("inspect", help="show checkpoint metadata")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -201,9 +194,9 @@ def _cmd_tokenize(args) -> int:
 def _cmd_mask(args) -> int:
     if args.length < args.corners + 2:
         raise UsageError("--len must be at least corners + 2")
-    roles = np.array([0] + [ROLE_CORNER] * args.corners
+    roles = np.array([ROLE_CLS] + [ROLE_CORNER] * args.corners
                      + [ROLE_TEXT] * (args.length - args.corners - 1))
-    mask = masks.build_corner_mask(roles, enabled=args.mode == "corner")
+    mask = masks.full_mask(roles, args.mode)
     _emit(args, {"mask": mask.tolist()}, masks.format_mask(mask))
     return 0
 

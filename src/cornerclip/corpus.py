@@ -1,8 +1,9 @@
 """Corpus records, manifest I/O, statistics, and a synthetic toy generator.
 
 A manifest is a JSONL stream, one record per line, with fields
-``id``, ``image_path`` OR ``image_feature`` (list of reals),
-``short_text``, ``long_texts`` (list of strings).
+``id``, ``image_path`` OR ``image_feature`` (list of finite reals),
+``short_text``, ``long_texts`` (list of strings), and optionally
+``label`` (int) and ``attributes`` (list of strings).
 
 The synthetic generator builds records whose image feature is a
 salience-weighted sum of latent attribute vectors: the short text names
@@ -38,6 +39,10 @@ _LONG_TEMPLATES = [
 SHORT_TEMPLATE = "a photo of a {}."
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
 @dataclass
 class ManifestRecord:
     id: str
@@ -49,17 +54,27 @@ class ManifestRecord:
     attributes: list[str] | None = None
 
     def __post_init__(self):
+        def check(ok, rule):
+            if not ok:
+                raise ValueError(f"record {self.id}: {rule}")
+
+        check(isinstance(self.id, str), "id must be a string")
         if self.image_feature is not None:
-            self.image_feature = np.asarray(self.image_feature, dtype=np.float64)
-        if not isinstance(self.short_text, str):
-            raise ValueError(f"record {self.id}: short_text must be a string")
-        if not isinstance(self.long_texts, list) or any(
-                not isinstance(t, str) for t in self.long_texts):
-            raise ValueError(f"record {self.id}: long_texts must be a list of strings")
-        if not self.short_text and not self.long_texts:
-            raise ValueError(f"record {self.id}: needs short_text or long_texts")
-        if self.image_path is None and self.image_feature is None:
-            raise ValueError(f"record {self.id}: needs image_path or image_feature")
+            try:
+                feat = np.asarray(self.image_feature)
+            except ValueError:                  # a ragged nesting, refused as not 1-D
+                feat = np.asarray(None)
+            check(feat.ndim == 1 and feat.dtype.kind in "iuf" and np.isfinite(feat).all(),
+                  "image_feature must be a 1-D list of finite reals")
+            self.image_feature = feat.astype(np.float64, copy=False)
+        check(self.label is None or type(self.label) is int, "label must be an int")
+        check(self.attributes is None or _strings(self.attributes),
+              "attributes must be a list of strings")
+        check(isinstance(self.short_text, str), "short_text must be a string")
+        check(_strings(self.long_texts), "long_texts must be a list of strings")
+        check(self.short_text or self.long_texts, "needs short_text or long_texts")
+        check(self.image_path is not None or self.image_feature is not None,
+              "needs image_path or image_feature")
 
     def to_json(self) -> str:
         d = {"id": self.id, "short_text": self.short_text, "long_texts": self.long_texts}

@@ -90,6 +90,9 @@ def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
         if config.mode == "precomputed":
             if rec.image_feature is None:
                 raise ValueError(f"record {rec.id}: precomputed mode needs image_feature")
+            if len(rec.image_feature) != config.input_feature_dim:
+                raise ValueError(f"record {rec.id}: image_feature has {len(rec.image_feature)} "
+                                 f"values, expected {config.input_feature_dim}")
             inputs.append(rec.image_feature)
         elif rec.image_path is None:
             raise ValueError(f"record {rec.id}: vit mode needs image_path")

@@ -38,17 +38,12 @@ def validate_role_layout(roles: np.ndarray) -> None:
         raise ValueError("malformed role layout")
 
 
-def build_corner_mask(roles: np.ndarray, enabled: bool = True) -> np.ndarray:
+def build_corner_mask(roles: np.ndarray) -> np.ndarray:
     """L x L binary mask for the corner rule (B x L x L for a batch of role
-    rows); padding is ignored here.
-
-    With enabled=False (register-token ablation) the mask is all ones.
-    """
+    rows); padding is ignored here."""
     validate_role_layout(roles)
     roles = np.asarray(roles)
     L = roles.shape[-1]
-    if not enabled:
-        return np.ones(roles.shape + (L,), dtype=np.int8)
     is_corner = roles == ROLE_CORNER
     in_group = is_corner | (roles == ROLE_CLS)
     blocked = is_corner[..., None, :] | (in_group[..., :, None] & in_group[..., None, :])
@@ -66,14 +61,18 @@ def apply_padding(mask: np.ndarray, roles: np.ndarray) -> np.ndarray:
     return np.where(pad_key, np.eye(L, dtype=mask.dtype), mask)
 
 
-def full_mask(roles: np.ndarray, mask_mode: str = "corner") -> np.ndarray:
-    """Corner (or all-ones) mask with padding applied; mask_mode in {corner, full}.
+def full_mask(roles: np.ndarray, mask_mode: str) -> np.ndarray:
+    """The attention mask of `mask_mode` with padding applied: the corner rule,
+    or with "full" (the register-token ablation) all ones.
 
     `roles` is one (L,) layout or a (B, L) batch; the mask is (L, L) or (B, L, L).
     """
     if mask_mode not in ("corner", "full"):
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
-    return apply_padding(build_corner_mask(roles, enabled=mask_mode == "corner"), roles)
+    mask = build_corner_mask(roles)       # validates the layout in either mode
+    if mask_mode == "full":
+        mask = np.ones_like(mask)
+    return apply_padding(mask, roles)
 
 
 def mask_bias(mask: np.ndarray) -> np.ndarray:

@@ -21,18 +21,14 @@ TAU_MIN = 0.01
 TAU_MAX = 10.0
 
 
-@dataclass
-class ObjectiveParams:
-    """Learnable log-scale temperature: tau = clamp(exp(-s), [0.01, 10])."""
+def initial_log_scale(tau_init: float) -> Tensor:
+    """The learnable log-scale temperature s, set so that tau = exp(-s) = tau_init."""
+    return Tensor(np.float64(-math.log(tau_init)))
 
-    s: Tensor
 
-    @classmethod
-    def create(cls, tau_init: float = 0.07) -> "ObjectiveParams":
-        return cls(s=Tensor(np.float64(-math.log(tau_init))))
-
-    def tau(self) -> Tensor:
-        return clip(exp(-self.s), TAU_MIN, TAU_MAX)
+def temperature(s) -> Tensor:
+    """tau = clamp(exp(-s), [TAU_MIN, TAU_MAX])."""
+    return clip(exp(-s), TAU_MIN, TAU_MAX)
 
 
 def similarity(A, B) -> Tensor:

@@ -2,20 +2,20 @@
 
 Each cell (axis value x seed) trains a fresh model and evaluates it; rows
 are appended to a CSV as cells complete, so an interrupted sweep resumes
-from the finished cells. A cell that raises is recorded with its error in
+from the finished cells, provided its axis and base config are the ones
+recorded beside them. A cell that raises is recorded with its error in
 failures.jsonl and retried by the next run. Aggregates report mean and
 stddev over seeds.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import evaluation
 from .corpus import ManifestRecord
@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 AXES = ("k_subcaptions", "token_limit", "m_corners")
 FAILURES_FILE = "failures.jsonl"
+CONFIG_FILE = "sweep_config.json"      # the axis and base config of the rows beside it
 
 ROW_FIELDS = [
     "axis", "value", "seed", "long_i2t_r@1", "long_i2t_r@5",
@@ -49,17 +50,15 @@ class SweepSpec:
             raise ValueError("values must be nonempty and nonnegative")
 
 
+def cell_settings(axis: str, value: int, seed: int) -> dict:
+    """The TrainConfig fields that one cell sets over the sweep's base config."""
+    swept = {"k_subcaptions": {"k_subcaptions": value, "use_long_texts": value > 0},
+             "token_limit": {"limit": value}, "m_corners": {"m": value}}[axis]
+    return {"seed": seed, **swept}
+
+
 def cell_config(spec: SweepSpec, value: int, seed: int) -> TrainConfig:
-    cfg = copy.deepcopy(spec.base)
-    cfg.seed = seed
-    if spec.axis == "k_subcaptions":
-        cfg.k_subcaptions = value
-        cfg.use_long_texts = value > 0
-    elif spec.axis == "token_limit":
-        cfg.limit = value
-    else:
-        cfg.m = value
-    return cfg
+    return replace(spec.base, **cell_settings(spec.axis, value, seed))
 
 
 def run_cell(spec: SweepSpec, value: int, seed: int,
@@ -94,7 +93,8 @@ def run_cell(spec: SweepSpec, value: int, seed: int,
 def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
               out_dir: str) -> list[dict]:
     """All cells of the sweep; cells with a complete row in rows.csv are skipped
-    (a torn last row is dropped, so its cell runs again).
+    (a torn last row is dropped, so its cell runs again), provided the rows come
+    from a sweep of the same axis and base config (see `_keep_config`).
 
     Cells that raise are left out of the rows and written, with their error,
     to failures.jsonl, which each run rewrites (see `read_failures`)."""
@@ -104,6 +104,7 @@ def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
     done = {(row["axis"], int(row["value"]), int(row["seed"])) for row in csv.DictReader(kept)}
     failures = []
     with f:
+        _keep_config(spec, out_dir, resuming=bool(done))
         writer = csv.DictWriter(f, fieldnames=ROW_FIELDS)
         if not kept:
             writer.writeheader()
@@ -126,6 +127,27 @@ def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
         f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in failures)
     with open(rows_path) as f:
         return list(csv.DictReader(f))
+
+
+def _keep_config(spec: SweepSpec, out_dir, resuming: bool) -> None:
+    """Record the axis and base config of a sweep that starts into `out_dir`;
+    refuse to resume its rows with one that differs in a field no cell sets."""
+    path = os.path.join(out_dir, CONFIG_FILE)
+    config = {"axis": spec.axis, **asdict(spec.base)}
+    if not resuming:
+        with open(path, "w") as f:
+            json.dump(config, f, sort_keys=True)
+        return
+    if not os.path.exists(path):
+        raise ValueError(f"{out_dir} has sweep rows but no {CONFIG_FILE}: an older "
+                         "version wrote them; start the sweep in a new directory")
+    with open(path) as f:
+        stored = json.load(f)
+    per_cell = cell_settings(spec.axis, 0, 0)
+    for name in {**config, **stored}:
+        if name not in per_cell and stored.get(name) != config.get(name):
+            raise ValueError(f"sweep field {name!r}: the rows in {out_dir} have "
+                             f"{stored.get(name)!r}, this sweep {config.get(name)!r}")
 
 
 def read_failures(out_dir) -> list[dict]:

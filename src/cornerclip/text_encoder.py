@@ -68,23 +68,6 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
     return params
 
 
-def param_count(config: TextEncoderConfig) -> int:
-    """Closed-form trainable parameter count; audited against array sizes in tests."""
-    d = config.width
-    return (
-        config.vocab_size * d
-        + config.limit * d
-        + config.depth * transformer.block_param_count(d, config.mlp_ratio)
-        + 2 * d
-        + d * config.projection_dim
-    )
-
-
-def _batch_bias(roles: np.ndarray, mask_mode: str) -> np.ndarray:
-    """(B, 1, L, L) additive attention bias, built for the whole batch at once."""
-    return masks.mask_bias(masks.full_mask(roles, mask_mode))[:, None, :, :]
-
-
 def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
                       config: TextEncoderConfig, prefix: str = "text.",
                       collect_attn: list | None = None):
@@ -96,7 +79,8 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         raise ValueError(f"sequence length {L} outside [m+1, limit {config.limit}]")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    bias = _batch_bias(roles, config.mask_mode)
+    # (B, 1, L, L) additive attention bias, built for the whole batch at once
+    bias = masks.mask_bias(masks.full_mask(roles, config.mask_mode))[:, None, :, :]
     pos = params[f"{prefix}pos_emb"]
     if L < config.limit:
         # trailing PAD positions carry no information and attract no attention

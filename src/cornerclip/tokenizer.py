@@ -65,65 +65,34 @@ def sample_consecutive(subcaps: list[str], k: int, rng: np.random.Generator) -> 
 
 @dataclass
 class Vocabulary:
-    """Token-to-id map with reserved ids for PAD/UNK/CLS/SEP and corner tokens.
-
-    Reserved ids occupy [0, CORNER_ID_BASE + m_max); word ids follow.
-    """
+    """Token-to-id map: the reserved ids PAD_ID, UNK_ID, CLS_ID, SEP_ID and
+    CORNER_ID_BASE + i for corner i < m_max, then the words in sorted order."""
 
     m_max: int = 8
     token_to_id: dict[str, int] = field(default_factory=dict)
 
-    PAD = "[PAD]"
-    UNK = "[UNK]"
-    CLS = "[CLS]"
-    SEP = "[SEP]"
-    pad_id, unk_id, cls_id, sep_id = PAD_ID, UNK_ID, CLS_ID, SEP_ID
-
     def __post_init__(self):
         if not self.token_to_id:
-            self.token_to_id = {self.PAD: PAD_ID, self.UNK: UNK_ID, self.CLS: CLS_ID,
-                                self.SEP: SEP_ID}
-            for i in range(self.m_max):
-                self.token_to_id[self.corner_token(i)] = self.corner_id(i)
+            self.token_to_id = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID,
+                                **{f"[COR_{i + 1}]": CORNER_ID_BASE + i for i in range(self.m_max)}}
         self._id_to_token = {v: k for k, v in self.token_to_id.items()}
-
-    @staticmethod
-    def corner_token(i: int) -> str:
-        return f"[COR_{i + 1}]"
-
-    @property
-    def n_reserved(self) -> int:
-        return CORNER_ID_BASE + self.m_max
-
-    def corner_id(self, i: int) -> int:
-        return CORNER_ID_BASE + i
 
     def __len__(self) -> int:
         return len(self.token_to_id)
 
-    def add_word(self, word: str) -> int:
-        if word not in self.token_to_id:
-            wid = len(self.token_to_id)
-            self.token_to_id[word] = wid
-            self._id_to_token[wid] = word
-        return self.token_to_id[word]
-
     def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
+        return self.token_to_id.get(token, UNK_ID)
 
     def token_of(self, tid: int) -> str:
         return self._id_to_token[tid]
 
     @classmethod
-    def build(cls, texts, m_max: int = 8) -> "Vocabulary":
+    def build(cls, texts) -> "Vocabulary":
         """Build a vocabulary from an iterable of texts (sorted word order)."""
-        vocab = cls(m_max=m_max)
-        words = set()
-        for text in texts:
-            words.update(word_tokenize(text))
-        for w in sorted(words):
-            vocab.add_word(w)
-        return vocab
+        table = cls().token_to_id
+        for w in sorted({w for text in texts for w in word_tokenize(text)}):
+            table[w] = len(table)
+        return cls(token_to_id=table)
 
 
 @dataclass
@@ -145,18 +114,18 @@ def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
         raise ValueError("limit too small for corner tokens")
     if m > vocab.m_max:
         raise ValueError(f"m={m} exceeds vocabulary m_max={vocab.m_max}")
-    ids = [vocab.cls_id] + [vocab.corner_id(i) for i in range(m)]
+    ids = [CLS_ID] + [CORNER_ID_BASE + i for i in range(m)]
     roles = [ROLE_CLS] + [ROLE_CORNER] * m
     for sub in split_subcaptions(text):
         for w in word_tokenize(sub):
             ids.append(vocab.id_of(w))
             roles.append(ROLE_TEXT)
-        ids.append(vocab.sep_id)
+        ids.append(SEP_ID)
         roles.append(ROLE_SEP)
     ids = ids[:limit]
     roles = roles[:limit]
     true_length = len(ids)
-    ids += [vocab.pad_id] * (limit - true_length)
+    ids += [PAD_ID] * (limit - true_length)
     roles += [ROLE_PAD] * (limit - true_length)
     return TokenSequence(np.array(ids), np.array(roles), true_length)
 

@@ -21,7 +21,6 @@ from . import checkpoint as ckpt
 from . import image_encoder, objective, text_encoder
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
-from .objective import ObjectiveParams
 from .text_encoder import TextEncoderConfig
 from .tokenizer import TokenSequence, Vocabulary, sample_consecutive, split_subcaptions, tokenize
 
@@ -82,7 +81,7 @@ def build_model(text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
     """Flat parameter dict: text.*, img.* and the objective's obj.s."""
     params = text_encoder.init_params(text_cfg, seed, prefix="text.")
     params.update(image_encoder.init_params(image_cfg, seed + 1, prefix="img."))
-    params["obj.s"] = ObjectiveParams.create(tau_init).s
+    params["obj.s"] = objective.initial_log_scale(tau_init)
     return params
 
 
@@ -149,7 +148,7 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
 def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
                  image_cfg: ImageEncoderConfig, cfg: TrainConfig):
     """Build the loss graph; returns (breakdown, tau tensor)."""
-    tau = ObjectiveParams(s=params["obj.s"]).tau()
+    tau = objective.temperature(params["obj.s"])
     v = image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg)
     short_feats, _ = text_encoder.encode_text_graph(
         batch.short_ids, batch.short_roles, params, text_cfg)
@@ -164,12 +163,7 @@ def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
 
 
 def trainable_names(params: dict, cfg: TrainConfig) -> list[str]:
-    names = []
-    for name in sorted(params):
-        if cfg.freeze_image and name.startswith("img."):
-            continue
-        names.append(name)
-    return names
+    return [n for n in sorted(params) if not (cfg.freeze_image and n.startswith("img."))]
 
 
 def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
@@ -227,7 +221,7 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def _decays(name: str, arr: np.ndarray) -> bool:
+def _decays(arr: np.ndarray) -> bool:
     # decay matrices only; gains, biases, and the temperature are exempt
     return arr.ndim >= 2
 
@@ -250,7 +244,7 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
         vhat = opt.v[name] / (1 - ADAM_BETA2 ** opt.step)
         p = params[name]
         update = mhat / (np.sqrt(vhat) + ADAM_EPS)
-        if cfg.weight_decay and _decays(name, p.value):
+        if cfg.weight_decay and _decays(p.value):
             update = update + cfg.weight_decay * p.value
         p.value = p.value - lr * update
     metrics = {
@@ -359,11 +353,12 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     else:
         feature_dim = 0
     text_cfg, image_cfg = make_configs(vocab, cfg, feature_dim)
+    meta = checkpoint_meta(cfg, text_cfg, image_cfg, vocab)
 
     start_step = 0
     if resume_from is not None:
-        params, (adam_m, adam_v, opt_step), start_step, meta = ckpt.load_checkpoint(resume_from)
-        check_resume_meta(meta, checkpoint_meta(cfg, text_cfg, image_cfg, vocab))
+        params, (adam_m, adam_v, opt_step), start_step, stored = ckpt.load_checkpoint(resume_from)
+        check_resume_meta(stored, meta)
         opt = AdamState(m=adam_m, v=adam_v, step=opt_step)
     else:
         params = build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
@@ -390,14 +385,13 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
             if (out_dir is not None and cfg.checkpoint_every
                     and step % cfg.checkpoint_every == 0):
                 metrics_file.flush()      # a resume from this checkpoint keeps these lines
-                ckpt.save_checkpoint(
-                    os.path.join(out_dir, f"ckpt_{step:06d}.bin"), params, opt,
-                    step, checkpoint_meta(cfg, text_cfg, image_cfg, vocab))
+                ckpt.save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}.bin"),
+                                     params, opt, step, meta)
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
     if out_dir is not None:
         ckpt.save_checkpoint(os.path.join(out_dir, "ckpt_final.bin"), params, opt,
-                             end_step, checkpoint_meta(cfg, text_cfg, image_cfg, vocab))
+                             end_step, meta)
     return TrainResult(params, opt, metrics, text_cfg, image_cfg, vocab)

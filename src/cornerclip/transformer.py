@@ -28,11 +28,6 @@ def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
     p("b2", np.zeros(d))
 
 
-def block_param_count(d: int, mlp_ratio: int) -> int:
-    dm = d * mlp_ratio
-    return 4 * d + 4 * (d * d + d) + (d * dm + dm) + (dm * d + d)
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     B, L, d = x.shape
     return transpose(x.reshape(B, L, heads, d // heads), (0, 2, 1, 3))
@@ -51,7 +46,7 @@ def attention(x: Tensor, params: dict, prefix: str, heads: int,
     k = _split_heads(matmul(x, params[f"{prefix}wk"]) + params[f"{prefix}bk"], heads)
     v = _split_heads(matmul(x, params[f"{prefix}wv"]) + params[f"{prefix}bv"], heads)
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (dh ** -0.5) + bias
-    attn = softmax(scores, axis=-1)
+    attn = softmax(scores)
     if collect is not None:
         collect.append(attn.value)
     out = _merge_heads(matmul(attn, v))

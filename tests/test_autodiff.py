@@ -32,7 +32,7 @@ def check_unary(op, x, tol=1e-6):
 @pytest.mark.parametrize("op", [
     ad.exp, lambda t: ad.log(t + 3.0), ad.gelu,
     lambda t: ad.power(t, 3.0), lambda t: ad.power(t, -1.0),
-    lambda t: ad.sqrt(t * t + 1.0), lambda t: ad.softmax(t, axis=-1) * np.arange(4.0),
+    lambda t: ad.sqrt(t * t + 1.0), lambda t: ad.softmax(t) * np.arange(4.0),
     lambda t: ad.l2_normalize(t) * np.arange(4.0),
 ])
 def test_unary_gradients(op):

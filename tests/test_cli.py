@@ -144,6 +144,28 @@ class TestTrainEvalCommands:
                 "that ImageEncoderConfig lacks: the checkpoint predates the current format"
                 in err)
 
+    def test_feature_width_mismatch_names_the_record(self, tmp_path, capsys):
+        def manifest(name, widths):
+            path = tmp_path / name
+            path.write_text("".join(json.dumps({"id": rid, "short_text": f"a {rid}.",
+                                                "image_feature": [1.0] * w}) + "\n"
+                                    for rid, w in widths))
+            return str(path)
+
+        mixed = manifest("mixed.jsonl", [("a", 1), ("b", 2)])
+        small = ["--steps", "1", "--batch-size", "2", "--limit", "16", "--text-depth", "1",
+                 "--text-width", "16", "--text-heads", "2", "--projection-dim", "8"]
+        message = "record b: image_feature has 2 values, expected 1"
+        code, _, err = run(capsys, "train", "--corpus", mixed,
+                           "--out-dir", str(tmp_path / "x"), *small)
+        assert code == 2 and message in err
+        narrow = manifest("narrow.jsonl", [("a", 1), ("c", 1)])
+        out_dir = str(tmp_path / "run")
+        assert run(capsys, "train", "--corpus", narrow, "--out-dir", out_dir, *small)[0] == 0
+        code, _, err = run(capsys, "eval", "--corpus", mixed,
+                           "--checkpoint", f"{out_dir}/ckpt_final.bin")
+        assert code == 2 and message in err
+
     def test_eval_missing_checkpoint_is_runtime_error(self, manifest, capsys):
         code, _, err = run(capsys, "eval", "--corpus", manifest,
                            "--checkpoint", "/nonexistent.bin")
@@ -252,6 +274,17 @@ class TestSweepCommand:
         failure = json.loads(lines[0])
         assert (failure["axis"], failure["value"], failure["seed"]) == ("token_limit", 3, 0)
         assert "limit too small" in failure["error"]
+
+    def test_resume_with_a_changed_config_exits_2(self, manifest, tmp_path, capsys):
+        out_dir = str(tmp_path / "sweep")
+        argv = ["sweep", "--axis", "m_corners", "--values", "2", "--seeds", "1",
+                "--corpus", manifest, "--out", out_dir, "--batch-size", "4",
+                "--warmup-steps", "1", "--limit", "16", "--text-depth", "1",
+                "--text-width", "16", "--text-heads", "2", "--projection-dim", "8"]
+        assert run(capsys, *argv, "--steps", "2")[0] == 0
+        code, _, err = run(capsys, *argv, "--steps", "3", "--lr", "5e-3", "--values", "1,2")
+        assert code == 2
+        assert "sweep field 'steps'" in err
 
     def test_bad_values_is_usage_error(self, manifest, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "m_corners",

@@ -85,6 +85,31 @@ class TestManifestIO:
         assert "line 4: record n: long_texts must be a list of strings" in caplog.text
         assert "line 5: record t: short_text must be a string" in caplog.text
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", [1], "id must be a string"),
+        ("image_feature", {"x": 1}, "image_feature must be a 1-D list of finite reals"),
+        ("image_feature", [[1.0, 2.0]], "image_feature must be a 1-D list of finite reals"),
+        ("image_feature", [[1.0], [1.0, 2.0]], "image_feature must be a 1-D list of finite reals"),
+        ("image_feature", [1.0, "a"], "image_feature must be a 1-D list of finite reals"),
+        ("image_feature", [1.0, float("nan")], "image_feature must be a 1-D list of finite reals"),
+        ("image_feature", [float("inf")], "image_feature must be a 1-D list of finite reals"),
+        ("label", "zero", "label must be an int"),
+        ("label", 1.5, "label must be an int"),
+        ("label", True, "label must be an int"),
+        ("attributes", "red", "attributes must be a list of strings"),
+        ("attributes", ["red", 1], "attributes must be a list of strings"),
+    ])
+    def test_a_field_of_the_wrong_type_skips_its_line(self, tmp_path, caplog, field, value,
+                                                      message):
+        path = tmp_path / "m.jsonl"
+        good = json.loads(make_record(label=0, attributes=["red"]).to_json())
+        bad = {**good, "id": "b", field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with caplog.at_level(logging.WARNING):
+            back = load_manifest(path)
+        assert [r.id for r in back] == ["r0"]
+        assert f"line 2: record {bad['id']}: {message}" in caplog.text
+
 
 class TestCorpusStats:
     def test_hand_counted(self):

@@ -89,7 +89,7 @@ def test_malformed_layout_rejected():
 def test_register_mode_all_ones():
     roles = np.array([ROLE_CLS, ROLE_CORNER, ROLE_CORNER, ROLE_TEXT, ROLE_SEP])
     np.testing.assert_array_equal(
-        masks.build_corner_mask(roles, enabled=False), np.ones((5, 5)))
+        masks.full_mask(roles, "full"), np.ones((5, 5)))
 
 
 def test_corner_isolation_reachability():

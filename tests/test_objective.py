@@ -201,11 +201,11 @@ class TestTotalLoss:
         np.testing.assert_allclose(g_total, g_short + g_long, atol=1e-12)
 
 
-class TestObjectiveParams:
+class TestTemperature:
     def test_tau_init_and_clamp(self):
-        p = ob.ObjectiveParams.create(0.07)
-        assert abs(float(p.tau().value) - 0.07) < 1e-12
-        p.s.value = np.float64(100.0)
-        assert float(p.tau().value) == ob.TAU_MIN
-        p.s.value = np.float64(-100.0)
-        assert float(p.tau().value) == ob.TAU_MAX
+        s = ob.initial_log_scale(0.07)
+        assert abs(float(ob.temperature(s).value) - 0.07) < 1e-12
+        s.value = np.float64(100.0)
+        assert float(ob.temperature(s).value) == ob.TAU_MIN
+        s.value = np.float64(-100.0)
+        assert float(ob.temperature(s).value) == ob.TAU_MAX

@@ -1,7 +1,8 @@
 """Sweep bookkeeping: cell configs, resumable rows.csv, aggregates."""
 
 import csv
-import io
+import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -102,23 +103,52 @@ class TestRunSweep:
     def test_partial_file_resumes_missing_cells_only(self, tiny_setup, tmp_path):
         recs, vocab, base = tiny_setup
         spec = SweepSpec(axis="m_corners", values=[0, 2], base=base, seeds=[0])
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
-        w.writeheader()
-        w.writerow(sweep.run_cell(spec, 0, 0, recs, vocab))
-        done = buf.getvalue()
+        first = tmp_path / "first"
+        sweep.run_sweep(SweepSpec(axis="m_corners", values=[0], base=base, seeds=[0]),
+                        recs, vocab, str(first))
+        done = (first / "rows.csv").read_text()
         # a clean file, then a row and a header each cut mid-write: a cut line
         # is dropped, so its cell runs again, and the next row starts a new line
         for i, text in enumerate([done, done + "m_corners,2,0,0.5,0.", "axis,value,se"]):
             out = tmp_path / f"sweep{i}"
             out.mkdir()
             (out / "rows.csv").write_text(text, newline="")
+            shutil.copy(first / sweep.CONFIG_FILE, out)
             rows = sweep.run_sweep(spec, recs, vocab, str(out))
             assert sorted((r["value"], r["seed"]) for r in rows) == [("0", "0"), ("2", "0")]
             assert all(list(r) == ROW_FIELDS and None not in r.values() for r in rows)
             if i < 2:
                 assert (out / "rows.csv").read_bytes().startswith(done.encode())
             sweep.emit_plot_data(rows, out / "plot_data.csv")
+
+    def test_resume_refuses_a_changed_config(self, tiny_setup, tmp_path):
+        recs, vocab, base = tiny_setup
+        out = tmp_path / "sweep"
+        sweep.run_sweep(SweepSpec(axis="m_corners", values=[2], base=base, seeds=[0]),
+                        recs, vocab, str(out))
+        rows = (out / "rows.csv").read_bytes()
+        changed = dataclasses.replace(base, steps=30, lr=5e-3)
+        spec = SweepSpec(axis="m_corners", values=[1, 2], base=changed, seeds=[0])
+        with pytest.raises(ValueError, match="'steps': the rows in .* have 2, this sweep 30"):
+            sweep.run_sweep(spec, recs, vocab, str(out))
+        spec = SweepSpec(axis="token_limit", values=[16], base=base, seeds=[0])
+        with pytest.raises(ValueError, match="'axis': the rows in .* have 'm_corners'"):
+            sweep.run_sweep(spec, recs, vocab, str(out))
+        assert (out / "rows.csv").read_bytes() == rows
+
+        # more values and seeds, and a base that differs only in what each cell
+        # sets (the seed and the swept setting), resume the same sweep
+        per_cell = dataclasses.replace(base, seed=5, m=3)
+        spec = SweepSpec(axis="m_corners", values=[2, 0], base=per_cell, seeds=[0, 1])
+        got = sweep.run_sweep(spec, recs, vocab, str(out))
+        assert [(r["value"], r["seed"]) for r in got] == [("2", "0"), ("2", "1"), ("0", "0"),
+                                                          ("0", "1")]
+        assert (out / "rows.csv").read_bytes().startswith(rows)
+
+        # rows without a record (written before sweeps kept one) are refused
+        (out / sweep.CONFIG_FILE).unlink()
+        with pytest.raises(ValueError, match="no sweep_config.json"):
+            sweep.run_sweep(spec, recs, vocab, str(out))
 
     def test_failed_cells_are_recorded(self, tiny_setup, tmp_path):
         recs, vocab, base = tiny_setup

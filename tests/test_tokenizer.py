@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from cornerclip import tokenizer as tk
 from cornerclip.tokenizer import (
+    CLS_ID,
+    CORNER_ID_BASE,
+    PAD_ID,
     ROLE_CLS,
     ROLE_CORNER,
     ROLE_PAD,
     ROLE_SEP,
     ROLE_TEXT,
+    SEP_ID,
+    UNK_ID,
     Vocabulary,
     sample_consecutive,
     split_subcaptions,
@@ -89,11 +94,16 @@ class TestSampleConsecutive:
 class TestVocabulary:
     def test_reserved_layout(self):
         v = Vocabulary(m_max=4)
-        assert v.pad_id == 0
-        ids = [v.pad_id, v.unk_id, v.cls_id, v.sep_id] + [v.corner_id(i) for i in range(4)]
-        assert len(set(ids)) == len(ids)
-        v.add_word("zebra")
-        assert v.id_of("zebra") >= v.n_reserved
+        assert PAD_ID == 0
+        ids = [PAD_ID, UNK_ID, CLS_ID, SEP_ID] + [CORNER_ID_BASE + i for i in range(4)]
+        assert [v.id_of(v.token_of(i)) for i in ids] == ids
+        assert sorted(v.token_to_id.values()) == sorted(ids) == list(range(len(v)))
+
+    def test_words_follow_the_reserved_ids_in_sorted_order(self):
+        v = Vocabulary.build(["zebra ate. a cat."])
+        assert len(v) == CORNER_ID_BASE + v.m_max + 4
+        words = [v.token_of(i) for i in range(CORNER_ID_BASE + v.m_max, len(v))]
+        assert words == ["a", "ate", "cat", "zebra"]
 
     def test_round_trip(self):
         v = Vocabulary.build(["a cat sat. a dog ran."])
@@ -102,7 +112,7 @@ class TestVocabulary:
 
     def test_unknown_word_maps_to_unk(self):
         v = Vocabulary.build(["a cat."])
-        assert v.id_of("zeppelin") == v.unk_id
+        assert v.id_of("zeppelin") == UNK_ID
 
 
 class TestTokenize:
@@ -110,8 +120,8 @@ class TestTokenize:
         v = Vocabulary.build(["a cat."])
         seq = tokenize("a cat.", 8, 2, v)
         a, cat = v.id_of("a"), v.id_of("cat")
-        assert seq.ids.tolist() == [v.cls_id, v.corner_id(0), v.corner_id(1),
-                                    a, cat, v.sep_id, 0, 0]
+        assert seq.ids.tolist() == [CLS_ID, CORNER_ID_BASE, CORNER_ID_BASE + 1,
+                                    a, cat, SEP_ID, PAD_ID, PAD_ID]
         assert seq.roles.tolist() == [ROLE_CLS, ROLE_CORNER, ROLE_CORNER,
                                       ROLE_TEXT, ROLE_TEXT, ROLE_SEP,
                                       ROLE_PAD, ROLE_PAD]
@@ -120,7 +130,7 @@ class TestTokenize:
     def test_m_zero_degenerate(self):
         v = Vocabulary.build(["a cat."])
         seq = tokenize("a cat.", 6, 0, v)
-        assert seq.ids.tolist()[:4] == [v.cls_id, v.id_of("a"), v.id_of("cat"), v.sep_id]
+        assert seq.ids.tolist()[:4] == [CLS_ID, v.id_of("a"), v.id_of("cat"), SEP_ID]
         assert ROLE_CORNER not in seq.roles
 
     def test_limit_too_small(self):

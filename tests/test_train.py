@@ -175,9 +175,9 @@ class TestSchedule:
         assert train.lr_at(cfg, 10) == pytest.approx(0.0, abs=1e-12)
 
     def test_weight_decay_skips_vectors(self):
-        assert train._decays("text.proj", np.zeros((4, 4)))
-        assert not train._decays("text.L0.ln1.g", np.zeros(4))
-        assert not train._decays("obj.s", np.zeros(()))
+        assert train._decays(np.zeros((4, 4)))           # text.proj
+        assert not train._decays(np.zeros(4))            # text.L0.ln1.g
+        assert not train._decays(np.zeros(()))           # obj.s
 
 
 class TestTrainStep:

@@ -2,8 +2,9 @@
 
 Just enough machinery for a small transformer: broadcasting arithmetic,
 batched matmul, reductions, elementwise transcendentals, gather, softmax,
-GELU and layer-norm primitives, and an L2-normalize composite. Gradients
-are exact; the finite-difference harness in the test suite is the contract.
+GELU and layer-norm primitives, a dense layer and multi-head self-attention
+each fused into one node, and an L2-normalize composite. Gradients are
+exact; the finite-difference harness in the test suite is the contract.
 
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
@@ -17,8 +18,8 @@ import math
 
 import numpy as np
 
-# Optional multiply-accumulate counter, enabled via count_macs(). Counts
-# forward-pass matmul MACs only.
+# Optional multiply-accumulate counter, enabled via count_macs(). Counts the
+# forward-pass MACs of matmul, linear and self_attention only.
 _MAC_COUNTER: list | None = None
 
 
@@ -32,6 +33,11 @@ def count_macs():
         yield _MAC_COUNTER
     finally:
         _MAC_COUNTER = prev
+
+
+def _count_macs(n: int) -> None:
+    if _MAC_COUNTER is not None:
+        _MAC_COUNTER[0] += n
 
 
 class Tensor:
@@ -263,9 +269,7 @@ def matmul(a, b) -> Tensor:
             if b.requires_grad:
                 b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
-    if _MAC_COUNTER is not None:
-        batch = int(np.prod(v.shape[:-2], dtype=np.int64)) if v.ndim > 2 else 1
-        _MAC_COUNTER[0] += batch * v.shape[-2] * av.shape[-1] * v.shape[-1]
+    _count_macs(v.size * av.shape[-1])
     return _result(v, (a, b), _bw)
 
 
@@ -299,12 +303,25 @@ def transpose(a, axes) -> Tensor:
     return _result(a.value.transpose(axes), (a,), _bw)
 
 
+def _is_basic(idx) -> bool:
+    """True for an index of slices, ints, None and Ellipsis only: it selects
+    each element at most once, so its gradient needs no summing scatter."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is None or i is Ellipsis or isinstance(i, slice)
+               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+               for i in items)
+
+
 def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
+    basic = _is_basic(idx)
 
     def _bw(g):
         full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)     # an advanced index may repeat an element
         a.accumulate(full)
 
     return _result(a.value[idx], (a,), _bw)
@@ -336,12 +353,18 @@ def concat(tensors, axis=0) -> Tensor:
     return _result(np.concatenate([t.value for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis, computed in place in z."""
+    z -= np.max(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def softmax(x) -> Tensor:
     """Numerically stable softmax primitive over the last axis (max-subtracted)."""
     x = as_tensor(x)
-    m = np.max(x.value, axis=-1, keepdims=True)
-    e = np.exp(x.value - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(x.value.copy())
 
     def _bw(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -350,38 +373,134 @@ def softmax(x) -> Tensor:
     return _result(p, (x,), _bw)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
+def linear(x, w, b) -> Tensor:
+    """Dense layer x @ w + b over the last axis as one node: one flattened
+    (rows, k) GEMM with the bias added in place. The bias gradient is one
+    column sum of the flattened output gradient."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xv, wv = x.value, w.value
+    x2 = xv.reshape(-1, xv.shape[-1])
+    y = x2 @ wv
+    y += b.value
+    _count_macs(y.size * x2.shape[1])
+
+    def _bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x.accumulate((g2 @ wv.T).reshape(xv.shape))
+        if w.requires_grad:
+            w.accumulate(x2.T @ g2)
+        if b.requires_grad:
+            b.accumulate(g2.sum(axis=0))
+
+    return _result(y.reshape(xv.shape[:-1] + wv.shape[-1:]), (x, w, b), _bw)
+
+
+_GELU_A = 0.044715
+_GELU_2C = 2.0 * math.sqrt(2.0 / math.pi)
 
 
 def gelu(x) -> Tensor:
-    """tanh-approximation GELU primitive (smooth, finite-difference friendly):
-    0.5 v (1 + tanh(c (v + 0.044715 v^3))), evaluated with in-place temporaries."""
+    """tanh-approximation GELU, 0.5 v (1 + tanh(u)) with u = c (v + 0.044715 v^3),
+    in its exact sigmoid form v s with s = sigmoid(2u) = 1 / (1 + exp(-2u)).
+    The forward saves s for the backward. For very negative v, exp(-2u)
+    overflows to inf and s is 0, its limit, so that overflow goes unreported."""
     x = as_tensor(x)
     v = x.value
-    t = 0.044715 * v
-    t *= v
-    t *= v
-    t += v
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    half_v = 0.5 * v
-    y = 1.0 + t
-    y *= half_v
+    s = v * v
+    s *= _GELU_A
+    s += 1.0
+    s *= v
+    s *= -_GELU_2C                  # -2u
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
 
     def _bw(g):
-        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 * 0.044715 v^2)
-        du = (3.0 * 0.044715) * v
-        du *= v
-        du += 1.0
-        du *= _GELU_C
-        d = 1.0 - t * t
-        d *= half_v
-        d *= du
-        d += 0.5 * (1.0 + t)
+        # d/dv = s + v s (1 - s) 2c (1 + 3 * 0.044715 v^2)
+        d = v * v
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_2C
+        d *= v
+        d *= s
+        d *= 1.0 - s
+        d += s
         d *= g
         x.accumulate(d)
 
-    return _result(y, (x,), _bw)
+    return _result(v * s, (x,), _bw)
+
+
+def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
+                   rows: int | None = None):
+    """Multi-head self-attention as one node: the query, key and value
+    projections, scaled scores plus the additive logit bias `bias`
+    (B, 1, L, L), softmax and value mix, with the heads merged.
+
+    Queries, and so outputs, are computed for the first `rows` positions only
+    (all L by default); keys and values always cover every position. Returns
+    (output (B, rows, d), attention probabilities (B, heads, rows, L)). The
+    backward is analytic and reuses the saved probabilities."""
+    x = as_tensor(x)
+    ws = [as_tensor(t) for t in (wq, wk, wv)]
+    bs = [as_tensor(t) for t in (bq, bk, bv)]
+    B, L, d = x.value.shape
+    rows = L if rows is None else rows
+    dh = d // heads
+    scale = dh ** -0.5
+    W = np.concatenate([t.value for t in ws], axis=1)
+    b = np.concatenate([t.value for t in bs])
+    x2 = x.value.reshape(B * L, d)
+    if rows == L:
+        xq2 = x2
+        qkv = x2 @ W                # one GEMM for queries, keys and values
+        qkv += b
+        q2, kv2 = qkv[:, :d], qkv[:, d:]
+    else:
+        xq2 = x.value[:, :rows].reshape(B * rows, d)
+        q2 = xq2 @ W[:, :d]
+        q2 += b[:d]
+        kv2 = x2 @ W[:, d:]
+        kv2 += b[d:]
+    q = q2.reshape(B, rows, heads, dh).transpose(0, 2, 1, 3)
+    k, v = kv2.reshape(B, L, 2, heads, dh).transpose(2, 0, 3, 1, 4)
+    p = q @ k.swapaxes(-1, -2)
+    p *= scale
+    p += bias[:, :, :rows]
+    _softmax(p)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(B, rows, d)
+    _count_macs(B * (rows * d * d + 2 * L * d * d + 2 * rows * L * d))
+
+    def _bw(g):
+        gh = g.reshape(B, rows, heads, dh).transpose(0, 2, 1, 3)
+        dv = p.swapaxes(-1, -2) @ gh
+        ds = gh @ v.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq2 = (ds @ k).transpose(0, 2, 1, 3).reshape(B * rows, d)
+        dkv2 = np.stack([ds.swapaxes(-1, -2) @ q, dv]).transpose(1, 3, 0, 2, 4)
+        dkv2 = dkv2.reshape(B * L, 2 * d)
+        if rows == L:
+            dqkv = np.concatenate([dq2, dkv2], axis=1)
+            dW = x2.T @ dqkv
+            dx = dqkv @ W.T
+        else:
+            dW = np.concatenate([xq2.T @ dq2, x2.T @ dkv2], axis=1)
+            dx = dkv2 @ W[:, d:].T
+            dx.reshape(B, L, d)[:, :rows] += (dq2 @ W[:, :d].T).reshape(B, rows, d)
+        db = np.concatenate([dq2.sum(axis=0), dkv2.sum(axis=0)])
+        for i, (w, bias_i) in enumerate(zip(ws, bs)):
+            if w.requires_grad:
+                w.accumulate(dW[:, i * d:(i + 1) * d])
+            if bias_i.requires_grad:
+                bias_i.accumulate(db[i * d:(i + 1) * d])
+        if x.requires_grad:
+            x.accumulate(dx.reshape(B, L, d))
+
+    return _result(out, (x, *ws, *bs), _bw), p
 
 
 def layer_norm(x, gain, bias) -> Tensor:

@@ -240,15 +240,21 @@ def flops_estimate(config: TextEncoderConfig, L_effective: int) -> int:
     """Forward-pass FLOPs (2 per multiply-accumulate) of the text encoder.
 
     Counts every matrix product: QKV/output projections, attention scores
-    and mixing, the MLP, and the shared output projection of the 1+m pooled
-    positions. Embedding lookups and normalizations are free.
+    and mixing, the MLP, and the shared output projection of the r = 1+m
+    pooled positions. The last block computes keys and values for all L
+    positions but everything else for its r pooled rows only. Embedding
+    lookups and normalizations are free.
     """
     if L_effective > config.limit:
         raise ValueError("L_effective exceeds the configured limit")
-    L, d = L_effective, config.width
+    L, d, r = L_effective, config.width, 1 + config.m
     dm = d * config.mlp_ratio
-    macs_per_layer = 4 * L * d * d + 2 * L * L * d + 2 * L * d * dm
-    macs = config.depth * macs_per_layer + (1 + config.m) * d * config.projection_dim
+
+    def block(rows):     # MACs of one block computing `rows` of its L rows
+        return 2 * L * d * d + 2 * rows * d * d + 2 * rows * L * d + 2 * rows * d * dm
+
+    macs = sum(block(r if layer == config.depth - 1 else L) for layer in range(config.depth))
+    macs += r * d * config.projection_dim
     return 2 * macs
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transformer
-from .autodiff import Tensor, concat, l2_normalize, layer_norm, matmul
+from .autodiff import Tensor, concat, l2_normalize, layer_norm, linear, matmul
 
 
 @dataclass
@@ -119,13 +119,16 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
 
     patches = patchify(inputs, config)
     B = patches.shape[0]
-    x = matmul(Tensor(patches), params[f"{prefix}patch_emb"]) + params[f"{prefix}patch_bias"]
+    x = linear(patches, params[f"{prefix}patch_emb"], params[f"{prefix}patch_bias"])
     cls = params[f"{prefix}cls_emb"]
     cls_tiled = cls.reshape(1, 1, config.width) * np.ones((B, 1, 1))
     x = concat([cls_tiled, x], axis=1) + params[f"{prefix}pos_emb"]
     L = config.n_patches + 1
     bias = np.zeros((B, 1, L, L))
     for layer in range(config.depth):
-        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias)
+        # the feature reads only the CLS row, so the last block computes just that
+        rows = 1 if layer == config.depth - 1 else None
+        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias,
+                                      rows=rows)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
     return l2_normalize(matmul(hidden[:, 0, :], params[f"{prefix}proj"]))

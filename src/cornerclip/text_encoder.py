@@ -70,8 +70,13 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
 
 def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
                       config: TextEncoderConfig, prefix: str = "text.",
-                      collect_attn: list | None = None):
-    """Batched forward. Returns (features (B, 1+m, p), hidden (B, L, d)) Tensors."""
+                      collect_attn: list | None = None, with_hidden: bool = False):
+    """Batched forward. Returns (features (B, 1+m, p), hidden (B, L, d) or None)
+    Tensors; hidden is given only `with_hidden`.
+
+    Features read only positions 0..m, so the last block computes just those
+    rows, unless the caller reads every row: `with_hidden` or `collect_attn`.
+    """
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     roles = np.atleast_2d(np.asarray(roles, dtype=np.int64))
     L = ids.shape[1]
@@ -85,20 +90,24 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
     if L < config.limit:
         # trailing PAD positions carry no information and attract no attention
         # weight, so a batch may be trimmed to its longest true length
-        pos = pos[np.arange(L)]
+        pos = pos[:L]
     x = take_rows(params[f"{prefix}tok_emb"], ids) + pos
+    n_pooled = config.m + 1
+    every_row = with_hidden or collect_attn is not None
     for layer in range(config.depth):
-        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads,
-                                      bias, collect_attn)
+        rows = None if every_row or layer < config.depth - 1 else n_pooled
+        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias,
+                                      collect_attn, rows)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
-    pooled = hidden[:, :config.m + 1, :]
+    pooled = hidden if hidden.shape[1] == n_pooled else hidden[:, :n_pooled, :]
     feats = l2_normalize(matmul(pooled, params[f"{prefix}proj"]))
-    return feats, hidden
+    return feats, hidden if with_hidden else None
 
 
 def encode_text(seq: TokenSequence, params: dict, config: TextEncoderConfig,
                 prefix: str = "text.", with_hidden: bool = False) -> TextFeatures:
-    feats, hidden = encode_text_graph(seq.ids, seq.roles, params, config, prefix)
+    feats, hidden = encode_text_graph(seq.ids, seq.roles, params, config, prefix,
+                                      with_hidden=with_hidden)
     f = feats.value[0]
     return TextFeatures(
         t_g=f[0],

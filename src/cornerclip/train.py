@@ -348,10 +348,12 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     """
     if not records:
         raise ValueError("manifest has no usable records")
+    feature_dim = 0
     if cfg.image_mode == "precomputed":
-        feature_dim = int(records[0].image_feature.shape[0])
-    else:
-        feature_dim = 0
+        first = records[0]
+        if first.image_feature is None:
+            raise ValueError(f"record {first.id}: precomputed mode needs image_feature")
+        feature_dim = len(first.image_feature)
     text_cfg, image_cfg = make_configs(vocab, cfg, feature_dim)
     meta = checkpoint_meta(cfg, text_cfg, image_cfg, vocab)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, layer_norm, matmul, softmax, transpose
+from .autodiff import Tensor, gelu, layer_norm, linear, self_attention
+
 
 def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
                       prefix: str, params: dict) -> None:
@@ -28,36 +29,29 @@ def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
     p("b2", np.zeros(d))
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    B, L, d = x.shape
-    return transpose(x.reshape(B, L, heads, d // heads), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    B, h, L, dh = x.shape
-    return transpose(x, (0, 2, 1, 3)).reshape(B, L, h * dh)
-
-
-def attention(x: Tensor, params: dict, prefix: str, heads: int,
-              bias: np.ndarray, collect: list | None = None) -> Tensor:
-    """Masked multi-head self-attention; `bias` is an additive (B,1,L,L) logit bias."""
-    dh = x.shape[-1] // heads
-    q = _split_heads(matmul(x, params[f"{prefix}wq"]) + params[f"{prefix}bq"], heads)
-    k = _split_heads(matmul(x, params[f"{prefix}wk"]) + params[f"{prefix}bk"], heads)
-    v = _split_heads(matmul(x, params[f"{prefix}wv"]) + params[f"{prefix}bv"], heads)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (dh ** -0.5) + bias
-    attn = softmax(scores)
+def attention(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray,
+              collect: list | None = None, rows: int | None = None) -> Tensor:
+    """Masked multi-head self-attention with its output projection; `bias` is an
+    additive (B,1,L,L) logit bias. Outputs cover the first `rows` positions
+    (all by default)."""
+    mixed, probs = self_attention(
+        x, *(params[f"{prefix}{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
+        heads, bias, rows)
     if collect is not None:
-        collect.append(attn.value)
-    out = _merge_heads(matmul(attn, v))
-    return matmul(out, params[f"{prefix}wo"]) + params[f"{prefix}bo"]
+        collect.append(probs)
+    return linear(mixed, params[f"{prefix}wo"], params[f"{prefix}bo"])
 
 
-def block_forward(x: Tensor, params: dict, prefix: str, heads: int,
-                  bias: np.ndarray, collect: list | None = None) -> Tensor:
+def block_forward(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray,
+                  collect: list | None = None, rows: int | None = None) -> Tensor:
+    """One pre-norm block. With `rows`, only the first `rows` positions are
+    computed past the keys and values, and the output has those rows only."""
     h = layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
-    x = x + attention(h, params, prefix, heads, bias, collect)
+    a = attention(h, params, prefix, heads, bias, collect, rows)
+    if rows is not None:
+        x = x[:, :rows]
+    x = x + a
     h = layer_norm(x, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
-    h = matmul(gelu(matmul(h, params[f"{prefix}w1"]) + params[f"{prefix}b1"]),
-               params[f"{prefix}w2"]) + params[f"{prefix}b2"]
+    h = linear(gelu(linear(h, params[f"{prefix}w1"], params[f"{prefix}b1"])),
+               params[f"{prefix}w2"], params[f"{prefix}b2"])
     return x + h

@@ -1,13 +1,15 @@
 """Finite-difference checks for the autodiff primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from cornerclip import autodiff as ad
-from cornerclip import train
+from cornerclip import masks, objective, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import generate_synthetic_corpus
-from cornerclip.tokenizer import Vocabulary
+from cornerclip.tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT, Vocabulary
 
 
 def fd_grad(f, x, h=1e-6):
@@ -211,6 +213,103 @@ def test_fan_out_gradient_is_not_aliased():
     ((x + y) + x).sum().backward()
     np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+
+
+def check_inputs(loss, values, tol=1e-6):
+    """Analytic gradients of the scalar loss(*tensors) for every input against
+    central differences, one input at a time with the others held."""
+    tensors = [Tensor(v, requires_grad=True) for v in values]
+    loss(*tensors).backward()
+    for i, (t, v) in enumerate(zip(tensors, values)):
+        def f(x, i=i):
+            return float(loss(*[Tensor(x if j == i else u) for j, u in enumerate(values)]).value)
+        np.testing.assert_allclose(t.grad, fd_grad(f, v), atol=tol, rtol=tol, err_msg=f"input {i}")
+
+
+@pytest.mark.parametrize("idx", [
+    (slice(None), slice(1, 3)), 1, (Ellipsis, 2), (slice(None, None, 2), -1),
+    (np.array([0, 2, 2]), slice(None)), (np.array([1, 0, 1]), np.array([2, 2, 0])),
+], ids=["slices", "int", "ellipsis-int", "step-slice-int", "advanced-rows", "advanced-pairs"])
+def test_getitem_gradient(idx):
+    """Basic indices (slices and ints) take the exact-assignment backward,
+    advanced ones the summing scatter, where a repeated element adds up."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(4, 3))
+    coef = rng.normal(size=x[idx].shape)
+    check_inputs(lambda t: (t[idx] * coef).sum(), [x])
+
+
+def test_linear_gradients_and_macs():
+    rng = np.random.default_rng(14)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    coef = rng.normal(size=(2, 3, 5))
+    check_inputs(lambda x, w, b: (ad.linear(x, w, b) * coef).sum(), [x, w, b])
+    with ad.count_macs() as c:
+        y = ad.linear(Tensor(x), Tensor(w), Tensor(b)).value
+    assert c[0] == 2 * 3 * 4 * 5
+    np.testing.assert_allclose(y, x @ w + b, rtol=1e-12, atol=1e-12)
+
+
+def test_gelu_large_inputs_without_warnings():
+    v = np.array([-1e3, -300.0, -40.0, -5.0, -0.5, 0.0, 0.5, 5.0, 40.0, 300.0, 1e3])
+    u = np.sqrt(2.0 / np.pi) * (v + 0.044715 * v ** 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_unary(ad.gelu, v)
+        y = ad.gelu(Tensor(v)).value
+    # the tanh form loses relative precision to cancellation in 1 + tanh(u) < 1
+    np.testing.assert_allclose(y, 0.5 * v * (1.0 + np.tanh(u)), rtol=1e-14, atol=1e-15)
+
+
+def _corner_bias():
+    """(2, 1, 6, 6) corner-mask logit bias of a full row and a padded row."""
+    C, K, T, S, P = ROLE_CLS, ROLE_CORNER, ROLE_TEXT, ROLE_SEP, ROLE_PAD
+    roles = np.array([[C, K, K, T, T, S], [C, K, K, T, S, P]])
+    return masks.mask_bias(masks.full_mask(roles, "corner"))[:, None]
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["all-rows", "cut-rows"])
+def test_self_attention_gradients(rows):
+    """All seven inputs of the fused attention node, under a corner mask."""
+    rng = np.random.default_rng(15)
+    B, L, d, heads = 2, 6, 4, 2
+    bias = _corner_bias()
+    values = [rng.normal(size=(B, L, d))]
+    for _ in range(3):
+        values += [rng.normal(size=(d, d)), rng.normal(size=d)]
+    x, wq, bq, wk, bk, wv, bv = values
+    n = L if rows is None else rows
+    coef = rng.normal(size=(B, n, d))
+
+    def loss(*ts):
+        out, _ = ad.self_attention(*ts, heads, bias, rows)
+        return (out * coef).sum()
+
+    check_inputs(loss, values)
+    # reference: per-head softmax attention in plain numpy over all rows
+    out, probs = ad.self_attention(*[Tensor(v) for v in values], heads, bias, rows)
+    split = [(x @ w + b).reshape(B, L, heads, d // heads).transpose(0, 2, 1, 3)
+             for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+    s = split[0] @ split[1].transpose(0, 1, 3, 2) * (d // heads) ** -0.5 + bias
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    ref = (p @ split[2]).transpose(0, 2, 1, 3).reshape(B, L, d)
+    np.testing.assert_allclose(out.value, ref[:, :n], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(probs, p[:, :, :n], rtol=1e-12, atol=1e-12)
+    assert out.shape == (B, n, d) and probs.shape == (B, heads, n, L)
+
+
+@pytest.mark.parametrize("direction", ["i2t", "t2i"])
+def test_info_nce_gradients(direction):
+    """Both directions, with the gradient on S and on a Tensor temperature."""
+    rng = np.random.default_rng(16)
+    S = rng.normal(size=(4, 4))
+    check_inputs(lambda s, tau: objective.info_nce(s, tau, direction),
+                 [S, np.array(0.3)])
+    s_const = Tensor(S, requires_grad=True)
+    objective.info_nce(s_const, 0.3, direction).backward()
+    fd = fd_grad(lambda v: float(objective.info_nce(v, 0.3, direction).value), S)
+    np.testing.assert_allclose(s_const.grad, fd, atol=1e-6)
 
 
 def _vit_setup(tmp_path, freeze_image):

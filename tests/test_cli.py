@@ -166,6 +166,15 @@ class TestTrainEvalCommands:
                            "--checkpoint", f"{out_dir}/ckpt_final.bin")
         assert code == 2 and message in err
 
+    def test_first_record_without_feature_names_the_record(self, tmp_path, capsys):
+        path = tmp_path / "first_has_path.jsonl"
+        path.write_text(json.dumps({"id": "a", "short_text": "a a.", "image_path": "a.npy"})
+                        + "\n" + json.dumps({"id": "b", "short_text": "a b.",
+                                             "image_feature": [1.0]}) + "\n")
+        code, _, err = run(capsys, "train", "--corpus", str(path), "--steps", "1",
+                           "--batch-size", "2", "--out-dir", str(tmp_path / "x"))
+        assert code == 2 and "record a: precomputed mode needs image_feature" in err
+
     def test_eval_missing_checkpoint_is_runtime_error(self, manifest, capsys):
         code, _, err = run(capsys, "eval", "--corpus", manifest,
                            "--checkpoint", "/nonexistent.bin")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cornerclip import image_encoder as ie
-from cornerclip import train
+from cornerclip import train, transformer
 from cornerclip.image_encoder import ImageEncoderConfig
 from cornerclip.tokenizer import Vocabulary
 from cornerclip.train import TrainConfig
@@ -71,6 +71,19 @@ class TestVitMode:
         swapped = np.concatenate([img[8:], img[:8]], axis=0)   # patch rows exchanged
         feats = ie.encode_image_graph(np.stack([swapped, img]), p, cfg).value
         np.testing.assert_allclose(feats[0], feats[1], atol=1e-12)
+
+    def test_cls_row_matches_the_all_rows_forward(self, monkeypatch):
+        """The last block computes only the CLS row the feature reads."""
+        cfg = ImageEncoderConfig(mode="vit", image_size=16, patch_size=8, channels=1,
+                                 depth=2, width=16, heads=2, projection_dim=8)
+        p = ie.init_params(cfg, 4)
+        images = np.random.default_rng(4).normal(size=(3, 16, 16, 1))
+        cut = ie.encode_image_graph(images, p, cfg).value
+        block = transformer.block_forward
+        monkeypatch.setattr(transformer, "block_forward",
+                            lambda *a, rows=None, **kw: block(*a, **kw))
+        full = ie.encode_image_graph(images, p, cfg).value
+        np.testing.assert_allclose(cut, full, rtol=0, atol=1e-12)
 
     def test_same_sphere_as_precomputed(self):
         vit_cfg = self.cfg()

@@ -130,12 +130,28 @@ class TestEncodeText:
             np.testing.assert_allclose(row, feats.value[0, 0], rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("mask_mode", ["corner", "full"])
+    def test_pooled_rows_match_the_all_rows_forward(self, vocab, mask_mode):
+        """The last block computes only rows 0..m unless hidden states are read;
+        the features equal those of the forward that computes every row."""
+        cfg = small_config(vocab, mask_mode=mask_mode)
+        p = te.init_params(cfg, 11)
+        seqs = [tokenize(t, 16, 2, vocab)
+                for t in ("a cat.", "a cat sat on the mat. a dog ran.", "birds fly high.")]
+        ids, roles = te.stack_trimmed(seqs)
+        pooled, no_hidden = te.encode_text_graph(ids, roles, p, cfg)
+        full, hidden = te.encode_text_graph(ids, roles, p, cfg, with_hidden=True)
+        assert no_hidden is None and hidden.shape == (3, ids.shape[1], cfg.width)
+        np.testing.assert_allclose(pooled.value, full.value, rtol=0, atol=1e-12)
+
+
 class TestDumpAttention:
     def test_rows_sum_to_one(self, vocab):
         cfg = small_config(vocab)
         p = te.init_params(cfg, 2)
         seq = tokenize("a cat sat.", 16, 2, vocab)
         w = te.dump_attention(seq, p, cfg, layer=1)
+        assert w.shape == (16, 16)      # the last layer still covers every row
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
     def test_blocked_keys_carry_no_weight(self, vocab):

@@ -71,6 +71,13 @@ class TestAssembleBatch:
         with pytest.raises(ValueError, match="no usable records"):
             train.run_training([], vocab, tiny_cfg())
 
+    def test_first_record_without_feature_is_named(self, corpus16):
+        recs, vocab = corpus16
+        first = dataclasses.replace(recs[0], image_feature=None, image_path="a.npy")
+        with pytest.raises(ValueError, match=f"record {first.id}: precomputed mode needs "
+                                             "image_feature"):
+            train.run_training([first] + recs[1:], vocab, tiny_cfg())
+
     def test_too_small_manifest(self, corpus16):
         recs, vocab = corpus16
         cfg = tiny_cfg(batch_size=32)
@@ -159,6 +166,31 @@ class TestGradients:
         opt = AdamState.create(params, list(grads))
         train.train_step(params, opt, batch, text_cfg, image_cfg, cfg, 1)
         np.testing.assert_array_equal(params["img.proj"].value, before)
+
+
+    def test_step_graph_stays_fused(self):
+        """Nodes reachable from one default-config step's loss, the parameter
+        leaves left out: 300 before the dense layers, GELU, attention and
+        InfoNCE became one node each and the last blocks were cut to their
+        pooled rows. Unfusing a node again fails here."""
+        recs = generate_synthetic_corpus(1, 64, 4, 16)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        cfg = TrainConfig(seed=1)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
+        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(1, 1),
+                                     image_cfg)
+        for t in params.values():
+            t.requires_grad = True
+        loss = train.compute_loss(params, batch, text_cfg, image_cfg, cfg)[0].total
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen - {id(t) for t in params.values()}) <= 96
 
 
 class TestSchedule:

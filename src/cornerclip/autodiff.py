@@ -2,9 +2,10 @@
 
 Just enough machinery for a small transformer: broadcasting arithmetic,
 batched matmul, reductions, elementwise transcendentals, gather, softmax,
-GELU and layer-norm primitives, a dense layer and multi-head self-attention
-each fused into one node, and an L2-normalize composite. Gradients are
-exact; the finite-difference harness in the test suite is the contract.
+GELU and layer-norm primitives, a dense layer, multi-head self-attention and
+a softmax cross-entropy each fused into one node, and an L2-normalize
+composite. Gradients are exact; the finite-difference harness in the test
+suite is the contract.
 
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
@@ -245,23 +246,38 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _result(np.clip(a.value, lo, hi), (a,), _bw)
 
 
+def _dense(x: Tensor, w: Tensor):
+    """x @ w over the last axis of x for a 2-D w as one flattened (rows, k)
+    GEMM. Returns the (rows, n) product and a backward that takes its (rows, n)
+    gradient and accumulates the gradients of x and w, one GEMM each."""
+    xv, wv = x.value, w.value
+    x2 = xv.reshape(-1, xv.shape[-1])
+    y2 = x2 @ wv
+    _count_macs(y2.size * x2.shape[1])
+
+    def backward(g2):
+        if x.requires_grad:
+            x.accumulate((g2 @ wv.T).reshape(xv.shape))
+        if w.requires_grad:
+            w.accumulate(x2.T @ g2)
+
+    return y2, backward
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product. With a 2-D right operand (a dense layer) the forward pass
-    and both gradients are single flattened (rows, k) GEMMs."""
+    and both gradients are single flattened GEMMs, see _dense."""
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.value, b.value
     if bv.ndim == 2:
-        a2 = av.reshape(-1, av.shape[-1])
-        v = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+        v, dense_bw = _dense(a, b)
+        v = v.reshape(av.shape[:-1] + bv.shape[-1:])
 
         def _bw(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a.accumulate((g2 @ bv.T).reshape(av.shape))
-            if b.requires_grad:
-                b.accumulate(a2.T @ g2)
+            dense_bw(g.reshape(-1, g.shape[-1]))
     else:
         v = av @ bv
+        _count_macs(v.size * av.shape[-1])
 
         def _bw(g):
             if a.requires_grad:
@@ -269,7 +285,6 @@ def matmul(a, b) -> Tensor:
             if b.requires_grad:
                 b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
-    _count_macs(v.size * av.shape[-1])
     return _result(v, (a, b), _bw)
 
 
@@ -373,27 +388,49 @@ def softmax(x) -> Tensor:
     return _result(p, (x,), _bw)
 
 
+def diag_cross_entropy(s, tau, axis: int) -> Tensor:
+    """Summed cross-entropy of the diagonal of the square logits z = s / tau
+    under a softmax along `axis` (1: each row over its columns, 0: each column
+    over its rows), as one node. With P that softmax, the gradient is
+    (P - I)/tau on s and -sum((P - I) * z)/tau on tau."""
+    s, tau = as_tensor(s), as_tensor(tau)
+    cols = axis == 0
+    inv_tau = 1.0 / tau.value
+    z = (s.value.T if cols else s.value) * inv_tau
+    # row-wise stable log-sum-exp
+    m = np.max(z, axis=1, keepdims=True)
+    e = np.exp(z - m)
+    row_sum = e.sum(axis=1)
+    diag = np.arange(z.shape[0])
+    loss = (np.log(row_sum) + m[:, 0] - z[diag, diag]).sum()
+
+    def _bw(g):
+        dz = e / row_sum[:, None]
+        dz[diag, diag] -= 1.0
+        dz *= g
+        if s.requires_grad:
+            s.accumulate((dz.T if cols else dz) * inv_tau)
+        if tau.requires_grad:
+            tau.accumulate(-(dz * z).sum() * inv_tau)
+
+    return _result(loss, (s, tau), _bw)
+
+
 def linear(x, w, b) -> Tensor:
-    """Dense layer x @ w + b over the last axis as one node: one flattened
-    (rows, k) GEMM with the bias added in place. The bias gradient is one
-    column sum of the flattened output gradient."""
+    """Dense layer x @ w + b over the last axis as one node: the flattened GEMM
+    of _dense with the bias added in place. The bias gradient is one column
+    sum of the flattened output gradient."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    xv, wv = x.value, w.value
-    x2 = xv.reshape(-1, xv.shape[-1])
-    y = x2 @ wv
+    y, dense_bw = _dense(x, w)
     y += b.value
-    _count_macs(y.size * x2.shape[1])
 
     def _bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x.accumulate((g2 @ wv.T).reshape(xv.shape))
-        if w.requires_grad:
-            w.accumulate(x2.T @ g2)
+        dense_bw(g2)
         if b.requires_grad:
             b.accumulate(g2.sum(axis=0))
 
-    return _result(y.reshape(xv.shape[:-1] + wv.shape[-1:]), (x, w, b), _bw)
+    return _result(y.reshape(x.value.shape[:-1] + w.value.shape[-1:]), (x, w, b), _bw)
 
 
 _GELU_A = 0.044715
@@ -450,20 +487,14 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
     rows = L if rows is None else rows
     dh = d // heads
     scale = dh ** -0.5
-    W = np.concatenate([t.value for t in ws], axis=1)
-    b = np.concatenate([t.value for t in bs])
+    wq_v = ws[0].value
+    w_kv = np.concatenate([ws[1].value, ws[2].value], axis=1)
     x2 = x.value.reshape(B * L, d)
-    if rows == L:
-        xq2 = x2
-        qkv = x2 @ W                # one GEMM for queries, keys and values
-        qkv += b
-        q2, kv2 = qkv[:, :d], qkv[:, d:]
-    else:
-        xq2 = x.value[:, :rows].reshape(B * rows, d)
-        q2 = xq2 @ W[:, :d]
-        q2 += b[:d]
-        kv2 = x2 @ W[:, d:]
-        kv2 += b[d:]
+    xq2 = x.value[:, :rows].reshape(B * rows, d)
+    q2 = xq2 @ wq_v
+    q2 += bs[0].value
+    kv2 = x2 @ w_kv                 # one GEMM for keys and values
+    kv2 += np.concatenate([bs[1].value, bs[2].value])
     q = q2.reshape(B, rows, heads, dh).transpose(0, 2, 1, 3)
     k, v = kv2.reshape(B, L, 2, heads, dh).transpose(2, 0, 3, 1, 4)
     p = q @ k.swapaxes(-1, -2)
@@ -483,14 +514,9 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
         dq2 = (ds @ k).transpose(0, 2, 1, 3).reshape(B * rows, d)
         dkv2 = np.stack([ds.swapaxes(-1, -2) @ q, dv]).transpose(1, 3, 0, 2, 4)
         dkv2 = dkv2.reshape(B * L, 2 * d)
-        if rows == L:
-            dqkv = np.concatenate([dq2, dkv2], axis=1)
-            dW = x2.T @ dqkv
-            dx = dqkv @ W.T
-        else:
-            dW = np.concatenate([xq2.T @ dq2, x2.T @ dkv2], axis=1)
-            dx = dkv2 @ W[:, d:].T
-            dx.reshape(B, L, d)[:, :rows] += (dq2 @ W[:, :d].T).reshape(B, rows, d)
+        dW = np.concatenate([xq2.T @ dq2, x2.T @ dkv2], axis=1)
+        dx = dkv2 @ w_kv.T
+        dx.reshape(B, L, d)[:, :rows] += (dq2 @ wq_v.T).reshape(B, rows, d)
         db = np.concatenate([dq2.sum(axis=0), dkv2.sum(axis=0)])
         for i, (w, bias_i) in enumerate(zip(ws, bs)):
             if w.requires_grad:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _result, as_tensor, clip, exp, matmul, transpose
+from .autodiff import Tensor, as_tensor, clip, diag_cross_entropy, exp, matmul, transpose
 
 TAU_MIN = 0.01
 TAU_MAX = 10.0
@@ -42,35 +42,14 @@ def similarity(A, B) -> Tensor:
 def info_nce(S, tau, direction: str) -> Tensor:
     """Summed negative log-likelihood of the diagonal under row softmax, as one node.
 
-    i2t treats rows as queries; t2i uses the transposed pairing. With P the
-    row softmax of the logits Z = S/tau, the gradient is (P - I)/tau on S and
-    -sum((P - I) * Z)/tau on tau.
+    i2t treats rows as queries; t2i uses the transposed pairing.
     """
-    S, tau = as_tensor(S), as_tensor(tau)
+    S = as_tensor(S)
     if not np.all(np.isfinite(S.value)):
         raise ValueError("similarity matrix has non-finite entries")
     if direction not in ("i2t", "t2i"):
         raise ValueError(f"unknown direction {direction!r}")
-    t2i = direction == "t2i"
-    inv_tau = 1.0 / tau.value
-    z = (S.value.T if t2i else S.value) * inv_tau
-    # row-wise stable log-sum-exp
-    m = np.max(z, axis=1, keepdims=True)
-    e = np.exp(z - m)
-    row_sum = e.sum(axis=1)
-    diag = np.arange(z.shape[0])
-    loss = (np.log(row_sum) + m[:, 0] - z[diag, diag]).sum()
-
-    def _bw(g):
-        dz = e / row_sum[:, None]
-        dz[diag, diag] -= 1.0
-        dz *= g
-        if S.requires_grad:
-            S.accumulate((dz.T if t2i else dz) * inv_tau)
-        if tau.requires_grad:
-            tau.accumulate(-(dz * z).sum() * inv_tau)
-
-    return _result(loss, (S, tau), _bw)
+    return diag_cross_entropy(S, tau, axis=1 if direction == "i2t" else 0)
 
 
 def short_loss(V, T_short, tau) -> Tensor:

@@ -99,7 +99,7 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias,
                                       collect_attn, rows)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
-    pooled = hidden if hidden.shape[1] == n_pooled else hidden[:, :n_pooled, :]
+    pooled = hidden[:, :n_pooled, :]
     feats = l2_normalize(matmul(pooled, params[f"{prefix}proj"]))
     return feats, hidden if with_hidden else None
 

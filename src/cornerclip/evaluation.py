@@ -135,7 +135,8 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
         texts = [rec.short_text or rec.long_texts[0] for rec in records]
     else:
         texts = [rec.long_texts[0] if rec.long_texts else rec.short_text for rec in records]
-    return ([r.id for r in records], embed_images(records, params, image_cfg, batch_size),
+    return ([r.id for r in records],
+            image_encoder.embed_images(records, params, image_cfg, batch_size),
             embed_texts(texts, params, text_cfg, vocab, batch_size))
 
 
@@ -147,16 +148,6 @@ def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
         text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs[i:i + batch_size]),
                                        params, text_cfg)[0].value[:, 0, :]
         for i in range(0, len(seqs), batch_size)])
-
-
-def embed_images(records: list[ManifestRecord], params: dict,
-                 image_cfg: ImageEncoderConfig, batch_size: int = 64) -> np.ndarray:
-    """Unit-norm image features (n, p) of a manifest, batch_size records per pass."""
-    return np.concatenate([
-        image_encoder.encode_image_graph(
-            image_encoder.image_inputs(records[i:i + batch_size], image_cfg),
-            params, image_cfg).value
-        for i in range(0, len(records), batch_size)])
 
 
 def evaluate_retrieval(image_feats: np.ndarray, text_feats: np.ndarray,
@@ -223,13 +214,13 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
                        text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                        vocab: Vocabulary) -> float:
     """i2t R@1 over the deduplicated short-text candidate set."""
-    return short_i2t_r1(embed_images(records, params, image_cfg), records, params,
-                        text_cfg, vocab)
+    return short_i2t_r1(image_encoder.embed_images(records, params, image_cfg), records,
+                        params, text_cfg, vocab)
 
 
 def short_i2t_r1(image_feats: np.ndarray, records: list[ManifestRecord], params: dict,
                  text_cfg: TextEncoderConfig, vocab: Vocabulary) -> float:
-    """`short_retrieval_r1` from the records' image features (`embed_images`)."""
+    """`short_retrieval_r1` from the records' image features (`image_encoder.embed_images`)."""
     texts, image_to_texts = short_text_groups(records)
     S = image_feats @ embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts)).T
     ranks = _match_ranks(S, _best_paired(S, image_to_texts))

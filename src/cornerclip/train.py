@@ -19,6 +19,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import image_encoder, objective, text_encoder
+from .autodiff import Tensor
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
 from .text_encoder import TextEncoderConfig
@@ -88,9 +89,10 @@ def build_model(text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
 @dataclass
 class Batch:
     indices: np.ndarray
-    image_inputs: np.ndarray
     short_ids: np.ndarray
     short_roles: np.ndarray
+    image_inputs: np.ndarray | None = None      # what the image tower reads, or
+    image_features: np.ndarray | None = None    # what a frozen tower gave for them
     long_ids: np.ndarray | None = None
     long_roles: np.ndarray | None = None
     n_long_fallback: int = 0
@@ -100,14 +102,16 @@ class Batch:
 class RecordTexts:
     """A record's texts in the form every step reads them."""
     short: TokenSequence                  # the short caption, tokenized
-    long_subcaptions: list[list[str]]     # each long caption, split into sub-captions
+    long_subcaptions: list[list[str]]     # each long caption, split into sub-captions;
+                                          # empty when the long branch is off
 
 
 def prepare_texts(records: list[ManifestRecord], vocab: Vocabulary,
-                  text_cfg: TextEncoderConfig) -> list[RecordTexts]:
+                  text_cfg: TextEncoderConfig, cfg: TrainConfig) -> list[RecordTexts]:
     """Per record, the step-invariant text work, done once per run."""
     return [RecordTexts(tokenize(r.short_text, text_cfg.limit, text_cfg.m, vocab),
-                        [split_subcaptions(t) for t in r.long_texts])
+                        [split_subcaptions(t) for t in r.long_texts]
+                        if cfg.long_branch_active else [])
             for r in records]
 
 
@@ -115,21 +119,25 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
                    text_cfg: TextEncoderConfig, cfg: TrainConfig,
                    rng: np.random.Generator,
                    image_cfg: ImageEncoderConfig,
-                   texts: list[RecordTexts] | None = None) -> Batch:
+                   texts: list[RecordTexts] | None = None,
+                   image_features: np.ndarray | None = None) -> Batch:
     """One training batch. `texts` is `prepare_texts(records, ...)`, made here
-    when not given."""
+    when not given. With `image_features`, the (n, p) features of all records,
+    the batch takes its rows of them and no tower inputs."""
     if len(records) < cfg.batch_size:
         raise ValueError(f"manifest has {len(records)} records < batch_size {cfg.batch_size}")
     if texts is None:
-        texts = prepare_texts(records, vocab, text_cfg)
+        texts = prepare_texts(records, vocab, text_cfg, cfg)
     idx = rng.choice(len(records), size=cfg.batch_size, replace=False)
-    chosen = [records[int(i)] for i in idx]
     chosen_texts = [texts[int(i)] for i in idx]
 
-    images = image_encoder.image_inputs(chosen, image_cfg)
     short_ids, short_roles = text_encoder.stack_trimmed([t.short for t in chosen_texts])
-    batch = Batch(indices=idx, image_inputs=images, short_ids=short_ids,
-                  short_roles=short_roles)
+    batch = Batch(indices=idx, short_ids=short_ids, short_roles=short_roles)
+    if image_features is None:
+        batch.image_inputs = image_encoder.image_inputs([records[int(i)] for i in idx],
+                                                        image_cfg)
+    else:
+        batch.image_features = image_features[idx]
     if not cfg.long_branch_active:
         return batch
     long_seqs = []
@@ -149,7 +157,8 @@ def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
                  image_cfg: ImageEncoderConfig, cfg: TrainConfig):
     """Build the loss graph; returns (breakdown, tau tensor)."""
     tau = objective.temperature(params["obj.s"])
-    v = image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg)
+    v = (Tensor(batch.image_features) if batch.image_features is not None
+         else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
     short_feats, _ = text_encoder.encode_text_graph(
         batch.short_ids, batch.short_roles, params, text_cfg)
     t_short = short_feats[:, 0, :]
@@ -348,13 +357,12 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     """
     if not records:
         raise ValueError("manifest has no usable records")
-    feature_dim = 0
-    if cfg.image_mode == "precomputed":
-        first = records[0]
-        if first.image_feature is None:
-            raise ValueError(f"record {first.id}: precomputed mode needs image_feature")
-        feature_dim = len(first.image_feature)
+    # precomputed features take the first record's width (0 if it has none); every
+    # record is checked here, so a bad one fails before step 1, not when first drawn
+    first = records[0].image_feature
+    feature_dim = len(first) if cfg.image_mode == "precomputed" and first is not None else 0
     text_cfg, image_cfg = make_configs(vocab, cfg, feature_dim)
+    image_encoder.check_records(records, image_cfg)
     meta = checkpoint_meta(cfg, text_cfg, image_cfg, vocab)
 
     start_step = 0
@@ -366,7 +374,11 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
         params = build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
         opt = AdamState.create(params, trainable_names(params, cfg))
 
-    texts = prepare_texts(records, vocab, text_cfg)
+    # a frozen tower gives each record the same feature at every step: compute
+    # them once, in fixed record-order chunks, so a resumed run gets the same
+    image_features = (image_encoder.embed_images(records, params, image_cfg, cfg.batch_size)
+                      if cfg.freeze_image else None)
+    texts = prepare_texts(records, vocab, text_cfg, cfg)
     metrics_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -379,7 +391,8 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     try:
         for step in range(start_step + 1, end_step + 1):
             rng = step_rng(cfg.seed, step)
-            batch = assemble_batch(records, vocab, text_cfg, cfg, rng, image_cfg, texts)
+            batch = assemble_batch(records, vocab, text_cfg, cfg, rng, image_cfg, texts,
+                                   image_features)
             rec = train_step(params, opt, batch, text_cfg, image_cfg, cfg, step)
             metrics.append(rec)
             if metrics_file is not None:

@@ -73,6 +73,23 @@ class TestRunCell:
         assert sum(rows) == base.steps * base.batch_size + len(recs)
         assert row["short_r@1"] == short_r1
 
+    def test_frozen_cell_leaves_image_tower_unchanged(self, tiny_setup, monkeypatch):
+        recs, vocab, base = tiny_setup
+        spec = SweepSpec(axis="m_corners", values=[2],
+                         base=dataclasses.replace(base, freeze_image=True), seeds=[0])
+        results = []
+        run = sweep.run_training
+        monkeypatch.setattr(sweep, "run_training", lambda *a, **kw: (
+            results.append(run(*a, **kw)), results[-1])[1])
+        sweep.run_cell(spec, 2, 0, recs, vocab)
+        res, cfg = results[0], sweep.cell_config(spec, 2, 0)
+        init = train.build_model(res.text_cfg, res.image_cfg, cfg.seed, cfg.tau_init)
+        img_names = [n for n in init if n.startswith("img.")]
+        assert img_names
+        for name in img_names:
+            np.testing.assert_array_equal(res.params[name].value, init[name].value)
+        assert not np.array_equal(res.params["text.proj"].value, init["text.proj"].value)
+
     def test_rerun_reproduces_metrics(self, tiny_setup):
         recs, vocab, base = tiny_setup
         spec = SweepSpec(axis="m_corners", values=[1], base=base, seeds=[3])

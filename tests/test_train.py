@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cornerclip import checkpoint as ckpt
-from cornerclip import evaluation, train
+from cornerclip import evaluation, image_encoder, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.tokenizer import Vocabulary
@@ -77,6 +77,31 @@ class TestAssembleBatch:
         with pytest.raises(ValueError, match=f"record {first.id}: precomputed mode needs "
                                              "image_feature"):
             train.run_training([first] + recs[1:], vocab, tiny_cfg())
+
+    @pytest.mark.parametrize("mode", ["precomputed", "vit"])
+    def test_bad_last_record_fails_before_step_one(self, tmp_path, mode):
+        recs = generate_synthetic_corpus(0, 64, 2, 8)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        if mode == "vit":     # every record but the last has a path; none is ever loaded
+            recs = [dataclasses.replace(r, image_path=f"{r.id}.npy", image_feature=None)
+                    for r in recs[:-1]] + [recs[-1]]
+            need = "vit mode needs image_path"
+        else:
+            recs = recs[:-1] + [dataclasses.replace(recs[-1], image_feature=None,
+                                                    image_path="z.npy")]
+            need = "precomputed mode needs image_feature"
+        with pytest.raises(ValueError, match=f"record {recs[-1].id}: {need}"):
+            train.run_training(recs, vocab, tiny_cfg(image_mode=mode, steps=40),
+                               out_dir=str(tmp_path))
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_short_feature_names_the_record(self, corpus16):
+        recs, vocab = corpus16
+        short = dataclasses.replace(recs[5], image_feature=recs[5].image_feature[:3])
+        with pytest.raises(ValueError, match=f"record {short.id}: image_feature has 3 "
+                                             "values, expected 8"):
+            train.run_training(recs[:5] + [short] + recs[6:], vocab, tiny_cfg(steps=1))
 
     def test_too_small_manifest(self, corpus16):
         recs, vocab = corpus16
@@ -574,3 +599,69 @@ class TestVitTraining:
         assert img.shape == txt.shape == (16, cfg.projection_dim)
         for feats in (img, txt):
             np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.fixture(params=["precomputed", "vit"])
+def mode_corpus(request, corpus16, pixel_corpus):
+    """(image mode, records, vocab) for each image mode."""
+    return (request.param, *(pixel_corpus if request.param == "vit" else corpus16))
+
+
+class TestFrozenTower:
+    """A frozen image tower's features are computed once per run, in record-order
+    chunks of batch_size, and every step reads its rows of them."""
+
+    def test_cached_features_equal_each_batch_forward(self, mode_corpus):
+        mode, recs, vocab = mode_corpus
+        cfg = tiny_cfg(image_mode=mode, freeze_image=True)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0 if mode == "vit" else 8)
+        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        feats = image_encoder.embed_images(recs, params, image_cfg, cfg.batch_size)
+        assert feats.shape == (16, cfg.projection_dim)
+        for step in range(1, 9):
+            plain = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(0, step),
+                                         image_cfg)
+            cached = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(0, step),
+                                          image_cfg, image_features=feats)
+            assert plain.image_features is None and cached.image_inputs is None
+            np.testing.assert_array_equal(cached.indices, plain.indices)
+            forward = image_encoder.encode_image_graph(plain.image_inputs, params, image_cfg)
+            np.testing.assert_array_equal(cached.image_features, forward.value)
+            np.testing.assert_array_equal(cached.short_ids, plain.short_ids)
+
+    @pytest.mark.parametrize("n", [16, 14])
+    def test_tower_runs_once_per_chunk_when_frozen(self, mode_corpus, monkeypatch, n):
+        mode, recs, vocab = mode_corpus
+        recs = recs[:n]
+        calls = []
+        encode = image_encoder.encode_image_graph
+        monkeypatch.setattr(image_encoder, "encode_image_graph", lambda x, *a, **kw: (
+            calls.append(len(x)), encode(x, *a, **kw))[1])
+        for steps in (3, 7):
+            for frozen in (True, False):
+                calls.clear()
+                cfg = tiny_cfg(image_mode=mode, freeze_image=frozen, steps=steps)
+                res = train.run_training(recs, vocab, cfg)
+                if frozen:
+                    assert len(calls) == -(-n // cfg.batch_size) and sum(calls) == n
+                    init = train.build_model(res.text_cfg, res.image_cfg, cfg.seed,
+                                             cfg.tau_init)
+                    for name in (k for k in init if k.startswith("img.")):
+                        np.testing.assert_array_equal(res.params[name].value,
+                                                      init[name].value)
+                else:
+                    assert calls == [cfg.batch_size] * steps
+
+    def test_resume_from_periodic_checkpoint(self, mode_corpus, tmp_path):
+        mode, recs, vocab = mode_corpus
+        cfg = tiny_cfg(image_mode=mode, freeze_image=True, steps=8, warmup_steps=2,
+                       checkpoint_every=4)
+        full = train.run_training(recs, vocab, cfg)
+        run_dir = tmp_path / "run"
+        train.run_training(recs, vocab, cfg, out_dir=str(run_dir), stop_after=5)
+        resumed = train.run_training(recs, vocab, cfg, out_dir=str(run_dir),
+                                     resume_from=str(run_dir / "ckpt_000004.bin"))
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
+        assert lines == [train.metrics_line(m) for m in full.metrics]
+        for k in full.params:
+            np.testing.assert_array_equal(resumed.params[k].value, full.params[k].value)

@@ -7,9 +7,6 @@ pooling on pixel inputs, or a linear projection of precomputed features
 
 from __future__ import annotations
 
-import functools
-import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,29 +103,7 @@ def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
     check_records(records, config)
     if config.mode == "precomputed":
         return np.stack([rec.image_feature for rec in records])
-    shape = (config.image_size, config.image_size, config.channels)
-    return np.stack([_load_pixels(rec.image_path, shape) for rec in records])
-
-
-@functools.lru_cache(maxsize=None)
-def _npy_header(shape: tuple) -> bytes:
-    """The bytes np.save writes before the data of a float64 array of `shape`."""
-    buf = io.BytesIO()
-    np.save(buf, np.zeros(shape))
-    return buf.getvalue()[:-8 * math.prod(shape)]
-
-
-def _load_pixels(path: str, shape: tuple) -> np.ndarray:
-    """np.load of one .npy file. A file holding exactly what np.save writes for
-    a float64 array of `shape` is read past that known header, which skips
-    np.load's parse of it (about 0.1 ms of a 0.12 ms load)."""
-    header = _npy_header(shape)
-    size = len(header) + 8 * math.prod(shape)
-    with open(path, "rb") as f:
-        data = f.read(size + 1)
-    if len(data) == size and data.startswith(header):
-        return np.frombuffer(data, np.float64, offset=len(header)).reshape(shape)
-    return np.load(path)
+    return np.stack([np.load(rec.image_path) for rec in records])
 
 
 def embed_images(records, params: dict, config: ImageEncoderConfig,

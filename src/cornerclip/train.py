@@ -376,6 +376,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
 
     # a frozen tower gives each record the same feature at every step: compute
     # them once, in fixed record-order chunks, so a resumed run gets the same
+    # features as an uninterrupted one
     image_features = (image_encoder.embed_images(records, params, image_cfg, cfg.batch_size)
                       if cfg.freeze_image else None)
     texts = prepare_texts(records, vocab, text_cfg, cfg)

@@ -5,7 +5,6 @@ import pytest
 
 from cornerclip import image_encoder as ie
 from cornerclip import train, transformer
-from cornerclip.corpus import ManifestRecord
 from cornerclip.image_encoder import ImageEncoderConfig
 from cornerclip.tokenizer import Vocabulary
 from cornerclip.train import TrainConfig
@@ -103,31 +102,6 @@ def test_single_example_is_refused(mode, single):
                              depth=1, width=16, heads=2, projection_dim=8)
     with pytest.raises(ValueError, match=rf"{mode} mode takes inputs of shape \(batch, "):
         ie.encode_image_graph(np.zeros(single), ie.init_params(cfg, 0), cfg)
-
-
-class TestImageInputs:
-    def test_pixel_files_read_as_np_load_reads_them(self, tmp_path):
-        """Files np.save wrote for a float64 image of the configured shape take
-        the raw read; any other file goes through np.load."""
-        cfg = ImageEncoderConfig(mode="vit", image_size=16, channels=3)
-        img = np.random.default_rng(0).normal(size=(16, 16, 3))
-        arrays = {"plain": img, "float32": img.astype(np.float32),
-                  "fortran": np.asfortranarray(img), "big_endian": img.astype(">f8")}
-        recs = []
-        for name, arr in arrays.items():
-            np.save(tmp_path / f"{name}.npy", arr)
-            recs.append(ManifestRecord(id=name, short_text="a.",
-                                       image_path=str(tmp_path / f"{name}.npy")))
-        with open(tmp_path / "trailing.npy", "wb") as f:    # np.load ignores the extra byte
-            np.save(f, img)
-            f.write(b"x")
-        recs.append(ManifestRecord(id="trailing", short_text="a.",
-                                   image_path=str(tmp_path / "trailing.npy")))
-        got = ie.image_inputs(recs, cfg)
-        want = np.stack([np.load(r.image_path) for r in recs])
-        assert got.dtype == np.float64 and got.flags.writeable
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got[0], img)
 
 
 class TestPatchify:

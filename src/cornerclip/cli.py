@@ -201,11 +201,17 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _corpus_vocab(path):
-    """Manifest records and their vocabulary; a manifest with no usable record fails."""
+def _records(path):
+    """Manifest records; a manifest with no usable record fails."""
     records = corpus.load_manifest(path)
     if not records:
         raise ValueError(f"manifest {path} has no usable records")
+    return records
+
+
+def _corpus_vocab(path):
+    """Manifest records and their vocabulary."""
+    records = _records(path)
     texts = [r.short_text for r in records] + [t for r in records for t in r.long_texts]
     return records, Vocabulary.build(texts)
 
@@ -240,7 +246,7 @@ def _configs_from_meta(meta: dict):
 
 
 def _cmd_eval(args) -> int:
-    records = corpus.load_manifest(args.corpus)
+    records = _records(args.corpus)
     params, _, _, meta = ckpt.load_checkpoint(args.checkpoint)
     text_cfg, image_cfg = _configs_from_meta(meta)
     vocab = train_mod.vocab_from_meta(meta)

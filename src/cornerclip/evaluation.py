@@ -63,30 +63,7 @@ class EvalReport:
                    for v in self.metrics.values())
 
 
-_RANK_BLOCK = 1 << 21    # score entries compared per block of queries
-
-
-def _match_ranks(S: np.ndarray, match: np.ndarray) -> np.ndarray:
-    """Per row q of S, the rank of entry match[q] among the row's entries:
-    #(higher) + #(equal at a lower index), which is the position a stable sort
-    on descending score gives it. Rows are taken in blocks of views of S, so
-    the temporaries stay small; a non-finite score raises."""
-    n_rows, n_cols = S.shape
-    match = np.asarray(match, dtype=np.int64)
-    ranks = np.empty(n_rows, dtype=np.int64)
-    cols = np.arange(n_cols)
-    step = max(1, _RANK_BLOCK // n_cols)
-    for lo in range(0, n_rows, step):
-        block = S[lo:lo + step]
-        target = match[lo:lo + step]
-        if not np.isfinite(block).all():
-            raise ValueError("similarity matrix has non-finite entries")
-        score = block[np.arange(block.shape[0]), target][:, None]
-        ranks[lo:lo + step] = np.count_nonzero(block > score, axis=1)
-        equal = block == score
-        if np.count_nonzero(equal) > len(block):   # a tie beyond the matches themselves
-            ranks[lo:lo + step] += np.count_nonzero(equal & (cols < target[:, None]), axis=1)
-    return ranks
+_RANK_BLOCK = 1 << 18    # score entries per row block: 2 MB of float64
 
 
 def _best_paired(S: np.ndarray, image_to_texts: list[list[int]]) -> np.ndarray:
@@ -101,6 +78,46 @@ def _best_paired(S: np.ndarray, image_to_texts: list[list[int]]) -> np.ndarray:
     return txt[order][starts]
 
 
+def _ahead(S: np.ndarray, score: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row q of S, the entries above score[q] plus those equal to it left of
+    column target[q] (which may lie outside S): a stable sort's rank of that match."""
+    ahead = np.count_nonzero(S > score[:, None], axis=1)
+    equal = S == score[:, None]
+    own = np.count_nonzero((target >= 0) & (target < S.shape[1]))   # matches tie themselves
+    if np.count_nonzero(equal) > own:
+        ahead += np.count_nonzero(equal & (np.arange(S.shape[1]) < target[:, None]), axis=1)
+    return ahead
+
+
+def _ranks(row_block, shape, image_to_texts, text_to_image=None) -> dict:
+    """Ranks (see `_ahead`) of the matches in scores S (images x texts) of `shape`,
+    read only as row blocks row_block(lo, hi) = S[lo:hi] of about _RANK_BLOCK entries:
+    "i2t" per image, of its best paired text; given text_to_image, "t2i" per text, of
+    its image, counted down the columns in a second pass, so row_block must give
+    the same scores on each call. Non-finite scores raise."""
+    counts = (len(image_to_texts), shape[1] if text_to_image is None else len(text_to_image))
+    if counts != tuple(shape):
+        raise ValueError(f"ground truth pairs {counts[0]} images with {counts[1]} texts, "
+                         f"but the scores are {shape[0]} x {shape[1]}")
+    if not all(counts):
+        raise ValueError("empty ground truth")
+    step = max(1, _RANK_BLOCK // shape[1])
+    image_of = np.asarray([] if text_to_image is None else text_to_image, np.int64)
+    ranks, match = {"i2t": np.empty(shape[0], np.int64)}, np.empty(shape[1])
+    for lo in range(0, shape[0], step):
+        S = row_block(lo, lo + step)
+        if not np.isfinite(S).all():
+            raise ValueError("similarity matrix has non-finite entries")
+        best = _best_paired(S, image_to_texts[lo:lo + step])
+        ranks["i2t"][lo:lo + step] = _ahead(S, S[np.arange(len(S)), best], best)
+        mine = np.flatnonzero(image_of // step == lo // step)
+        match[mine] = S[image_of[mine] - lo, mine]
+    if text_to_image is not None:
+        ranks["t2i"] = sum(_ahead(row_block(lo, lo + step).T, match, image_of - lo)
+                           for lo in range(0, shape[0], step))
+    return ranks
+
+
 def recall_at_k(S: np.ndarray, gt: RetrievalGroundTruth, k: int, direction: str) -> float:
     """Fraction of queries whose match ranks in the top k (any-hit for i2t).
 
@@ -108,26 +125,23 @@ def recall_at_k(S: np.ndarray, gt: RetrievalGroundTruth, k: int, direction: str)
     S = np.asarray(S, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not gt.image_to_texts or not gt.text_to_image:
-        raise ValueError("empty ground truth")
-    if direction == "i2t":
-        ranks = _match_ranks(S, _best_paired(S, gt.image_to_texts))
-    elif direction == "t2i":
-        ranks = _match_ranks(S.T, gt.text_to_image)
-    else:
+    if direction not in ("i2t", "t2i"):
         raise ValueError(f"unknown direction {direction!r}")
+    ranks = _ranks(lambda lo, hi: S[lo:hi], S.shape, gt.image_to_texts,
+                   gt.text_to_image if direction == "t2i" else None)[direction]
     return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
 def embed_eval_set(records: list[ManifestRecord], params: dict,
                    text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                    vocab: Vocabulary, text_kind: str = "long_full",
-                   batch_size: int = 64):
+                   batch_size: int = 64, image_feats: np.ndarray | None = None):
     """Unit-norm embedding arrays for a manifest.
 
     text_kind "short" embeds the short texts; "long_full" embeds the ENTIRE
     first long text (truncated to the limit) - evaluation never samples
-    sub-captions. Returns (ids, image array (n,p), text array (n,p)).
+    sub-captions; given image_feats (a frozen run's), images are not embedded
+    again. Returns (ids, image array (n,p), text array (n,p)).
     """
     if text_kind not in ("short", "long_full"):
         raise ValueError(f"unknown text_kind {text_kind!r}")
@@ -135,8 +149,9 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
         texts = [rec.short_text or rec.long_texts[0] for rec in records]
     else:
         texts = [rec.long_texts[0] if rec.long_texts else rec.short_text for rec in records]
-    return ([r.id for r in records],
-            image_encoder.embed_images(records, params, image_cfg, batch_size),
+    if image_feats is None:
+        image_feats = image_encoder.embed_images(records, params, image_cfg, batch_size)
+    return ([r.id for r in records], image_feats,
             embed_texts(texts, params, text_cfg, vocab, batch_size))
 
 
@@ -153,11 +168,17 @@ def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
 def evaluate_retrieval(image_feats: np.ndarray, text_feats: np.ndarray,
                        gt: RetrievalGroundTruth, task: str = "retrieval",
                        ks=(1, 5)) -> EvalReport:
-    S = image_feats @ text_feats.T
-    metrics = {}
-    for k in ks:
-        metrics[f"i2t_r@{k}"] = recall_at_k(S, gt, k, "i2t")
-        metrics[f"t2i_r@{k}"] = recall_at_k(S, gt, k, "t2i")
+    """Recall@k both ways for each k in ks, from one ranking per direction over row
+    blocks image_feats[lo:hi] @ text_feats.T; the N x N scores are never built."""
+    if image_feats.shape[1] != text_feats.shape[1]:
+        raise ValueError(f"image features have width {image_feats.shape[1]}, "
+                         f"text features {text_feats.shape[1]}")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"k must be >= 1, got ks={list(ks)}")
+    ranks = _ranks(lambda lo, hi: image_feats[lo:hi] @ text_feats.T,
+                   (len(image_feats), len(text_feats)), gt.image_to_texts, gt.text_to_image)
+    metrics = {f"{d}_r@{k}": int(np.count_nonzero(ranks[d] < k)) / len(ranks[d])
+               for k in ks for d in ranks}
     return EvalReport(task=task, metrics=metrics,
                       n_images=image_feats.shape[0], n_texts=text_feats.shape[0])
 
@@ -212,18 +233,15 @@ def short_text_groups(records: list[ManifestRecord]):
 
 def short_retrieval_r1(records: list[ManifestRecord], params: dict,
                        text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
-                       vocab: Vocabulary) -> float:
-    """i2t R@1 over the deduplicated short-text candidate set."""
-    return short_i2t_r1(image_encoder.embed_images(records, params, image_cfg), records,
-                        params, text_cfg, vocab)
-
-
-def short_i2t_r1(image_feats: np.ndarray, records: list[ManifestRecord], params: dict,
-                 text_cfg: TextEncoderConfig, vocab: Vocabulary) -> float:
-    """`short_retrieval_r1` from the records' image features (`image_encoder.embed_images`)."""
+                       vocab: Vocabulary, image_feats: np.ndarray | None = None) -> float:
+    """i2t R@1 over the deduplicated short-text candidate set; image_feats, if given,
+    are the records' `image_encoder.embed_images`."""
+    if image_feats is None:
+        image_feats = image_encoder.embed_images(records, params, image_cfg)
     texts, image_to_texts = short_text_groups(records)
-    S = image_feats @ embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts)).T
-    ranks = _match_ranks(S, _best_paired(S, image_to_texts))
+    text_feats = embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts))
+    ranks = _ranks(lambda lo, hi: image_feats[lo:hi] @ text_feats.T,
+                   (len(image_feats), len(texts)), image_to_texts)["i2t"]
     return int(np.count_nonzero(ranks == 0)) / len(records)
 
 

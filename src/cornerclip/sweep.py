@@ -68,10 +68,12 @@ def run_cell(spec: SweepSpec, value: int, seed: int,
     t0 = time.perf_counter()
     result = run_training(records, vocab, cfg)
     _, img, txt = evaluation.embed_eval_set(
-        records, result.params, result.text_cfg, result.image_cfg, vocab, "long_full")
+        records, result.params, result.text_cfg, result.image_cfg, vocab, "long_full",
+        image_feats=result.image_features)
     gt = RetrievalGroundTruth.one_to_one(len(records))
     report = evaluation.evaluate_retrieval(img, txt, gt, task="long")
-    short_r1 = evaluation.short_i2t_r1(img, records, result.params, result.text_cfg, vocab)
+    short_r1 = evaluation.short_retrieval_r1(records, result.params, result.text_cfg,
+                                             result.image_cfg, vocab, img)
     names, labels = evaluation.classification_task(records)
     protos = evaluation.class_prototypes(
         names, evaluation.DEFAULT_TEMPLATES, result.params, result.text_cfg, vocab)

@@ -289,6 +289,7 @@ class TrainResult:
     text_cfg: TextEncoderConfig
     image_cfg: ImageEncoderConfig
     vocab: Vocabulary
+    image_features: np.ndarray | None = None    # a frozen tower's, per record
 
 
 def checkpoint_meta(cfg: TrainConfig, text_cfg: TextEncoderConfig,
@@ -410,4 +411,4 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     if out_dir is not None:
         ckpt.save_checkpoint(os.path.join(out_dir, "ckpt_final.bin"), params, opt,
                              end_step, meta)
-    return TrainResult(params, opt, metrics, text_cfg, image_cfg, vocab)
+    return TrainResult(params, opt, metrics, text_cfg, image_cfg, vocab, image_features)

@@ -193,6 +193,19 @@ class TestTrainEvalCommands:
         assert code == 2
         assert str(path) in err and "no usable records" in err
 
+    def test_eval_all_lines_skipped_is_runtime_error(self, manifest, tmp_path, capsys):
+        out_dir = str(tmp_path / "run")
+        assert run(capsys, "train", "--corpus", manifest, "--out-dir", out_dir,
+                   "--steps", "1", "--batch-size", "4", "--limit", "16",
+                   "--text-depth", "1", "--text-width", "16", "--text-heads", "2",
+                   "--projection-dim", "8")[0] == 0
+        path = tmp_path / "unreadable.jsonl"
+        path.write_text('not json\n{"id": "r0"}\n')
+        code, _, err = run(capsys, "eval", "--corpus", str(path),
+                           "--checkpoint", f"{out_dir}/ckpt_final.bin")
+        assert code == 2
+        assert f"error: manifest {path} has no usable records" in err
+
 
 class TestConfigPrecedence:
     def test_print_config_defaults(self, capsys):

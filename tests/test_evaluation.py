@@ -1,5 +1,7 @@
 """Retrieval/classification metrics against brute-force oracles, plus FLOPs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,33 @@ def oracle_recall(S, gt, k, direction):
         order = sorted(range(S.shape[0]), key=lambda i: (-S[i, t], i))
         hits += int(img in order[:k])
     return hits / len(gt.text_to_image)
+
+
+def grouped_ground_truth(data, n_img):
+    """Every image paired with at least one text, texts in shuffled order."""
+    owner = data.draw(st.lists(st.integers(0, n_img - 1), min_size=0, max_size=10))
+    text_to_image = list(range(n_img)) + owner
+    order = data.draw(st.permutations(range(len(text_to_image))))
+    text_to_image = [text_to_image[i] for i in order]
+    image_to_texts = [[t for t, img in enumerate(text_to_image) if img == i]
+                      for i in range(n_img)]
+    for texts in image_to_texts:
+        data.draw(st.randoms()).shuffle(texts)
+    return RetrievalGroundTruth(image_to_texts, text_to_image)
+
+
+def feature_rows(data, n, width, kind):
+    """n rows drawn from a pool of at most n distinct ones, so rows repeat:
+    small integers, eighths, or normal floats from a drawn seed."""
+    size = data.draw(st.integers(1, n))
+    if kind == "float":
+        pool = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+            size=(size, width))
+    else:
+        values = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+        pool = np.array(data.draw(st.lists(values, min_size=size, max_size=size)), float)
+        pool /= 8 if kind == "dyadic" else 1
+    return pool[data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))]
 
 
 class TestGroundTruth:
@@ -106,15 +135,8 @@ class TestRecallAtK:
         """Non-square S, grouped ground truth in shuffled order, forced ties,
         k up to past N, both directions, and row blocks down to one row."""
         n_img = data.draw(st.integers(1, 6))
-        owner = data.draw(st.lists(st.integers(0, n_img - 1), min_size=0, max_size=10))
-        text_to_image = list(range(n_img)) + owner
-        order = data.draw(st.permutations(range(len(text_to_image))))
-        text_to_image = [text_to_image[i] for i in order]
-        image_to_texts = [[t for t, img in enumerate(text_to_image) if img == i]
-                          for i in range(n_img)]
-        for texts in image_to_texts:
-            data.draw(st.randoms()).shuffle(texts)
-        gt = RetrievalGroundTruth(image_to_texts, text_to_image)
+        gt = grouped_ground_truth(data, n_img)
+        text_to_image = gt.text_to_image
         levels = data.draw(st.sampled_from([2, 3, 1000]))   # few levels force ties
         cells = st.integers(0, levels - 1)
         S = np.array(data.draw(st.lists(st.lists(cells, min_size=len(text_to_image),
@@ -138,6 +160,83 @@ class TestRecallAtK:
             ev.recall_at_k(np.eye(2), gt, 0, "i2t")
         with pytest.raises(ValueError, match="unknown direction"):
             ev.recall_at_k(np.eye(2), gt, 1, "sideways")
+        with pytest.raises(ValueError, match="pairs 2 images with 2 texts, but the scores are 3 x 2"):
+            ev.recall_at_k(np.ones((3, 2)), gt, 1, "t2i")
+
+
+class TestEvaluateRetrieval:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_recall_at_k_and_oracle(self, data):
+        """One ranking per direction over row blocks gives recall_at_k's and the
+        sorted oracle's recall for every k. Duplicated rows and columns and few
+        distinct values force ties; blocks go down to one row.
+
+        Integer and dyadic features have exact products, so every block equals
+        the full product's rows bit for bit. For general floats BLAS may round a
+        block's entries differently from one full product in the last bits, so
+        they are checked against the product of the blocks evaluate_retrieval
+        reads."""
+        n_img = data.draw(st.integers(1, 7))
+        gt = grouped_ground_truth(data, n_img)
+        n_txt = len(gt.text_to_image)
+        kind = data.draw(st.sampled_from(["integer", "dyadic", "float"]))
+        width = data.draw(st.integers(1, 8))
+        img = feature_rows(data, n_img, width, kind)
+        txt = feature_rows(data, n_txt, width, kind)
+        ks = data.draw(st.lists(st.integers(1, n_txt + 2), min_size=1, max_size=4))
+        block = data.draw(st.one_of(st.integers(1, 40), st.just(ev._RANK_BLOCK)))
+        saved, ev._RANK_BLOCK = ev._RANK_BLOCK, block
+        try:
+            report = ev.evaluate_retrieval(img, txt, gt, ks=ks)
+            step = max(1, block // n_txt)
+            S = (img @ txt.T if kind != "float" else
+                 np.concatenate([img[lo:lo + step] @ txt.T for lo in range(0, n_img, step)]))
+            for k in ks:
+                for d in ("i2t", "t2i"):
+                    want = oracle_recall(S, gt, k, d)
+                    assert report.metrics[f"{d}_r@{k}"] == ev.recall_at_k(S, gt, k, d) == want
+        finally:
+            ev._RANK_BLOCK = saved
+        assert (report.n_images, report.n_texts) == (n_img, n_txt)
+
+    def test_score_matrix_is_never_built(self):
+        n = 2048
+        rng = np.random.default_rng(0)
+        img, txt = rng.normal(size=(2, n, 32))
+        img /= np.linalg.norm(img, axis=1, keepdims=True)
+        txt /= np.linalg.norm(txt, axis=1, keepdims=True)
+        gt = RetrievalGroundTruth.one_to_one(n)
+        ev.evaluate_retrieval(img, txt, gt)
+        tracemalloc.start()
+        try:
+            ev.evaluate_retrieval(img, txt, gt, ks=(1, 5, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
+
+    def test_bad_inputs_rejected_before_ranking(self):
+        feats = np.eye(4)
+        with pytest.raises(ValueError, match="pairs 3 images with 3 texts, but the scores are 4 x 4"):
+            ev.evaluate_retrieval(feats, feats, RetrievalGroundTruth.one_to_one(3))
+        gt = RetrievalGroundTruth.one_to_one(4)
+        with pytest.raises(ValueError, match="pairs 4 images with 4 texts, but the scores are 4 x 5"):
+            ev.evaluate_retrieval(feats, np.eye(5, 4), gt)
+        with pytest.raises(ValueError, match="image features have width 4, text features 3"):
+            ev.evaluate_retrieval(feats, feats[:, :3], gt)
+        with pytest.raises(ValueError, match=r"k must be >= 1, got ks=\[1, 0\]"):
+            ev.evaluate_retrieval(feats, feats, gt, ks=(1, 0))
+
+    def test_non_finite_features_rejected(self):
+        gt = RetrievalGroundTruth.one_to_one(3)
+        for bad in (np.nan, np.inf):
+            img = np.eye(3)
+            img[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+                ev.evaluate_retrieval(img, np.eye(3), gt)
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+                ev.evaluate_retrieval(np.eye(3), img, gt)
 
 
 class TestZeroShot:

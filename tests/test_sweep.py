@@ -90,6 +90,25 @@ class TestRunCell:
             np.testing.assert_array_equal(res.params[name].value, init[name].value)
         assert not np.array_equal(res.params["text.proj"].value, init["text.proj"].value)
 
+    def test_frozen_cell_embeds_each_image_once(self, tiny_setup, monkeypatch):
+        recs, vocab, base = tiny_setup
+        spec = SweepSpec(axis="m_corners", values=[2],
+                         base=dataclasses.replace(base, freeze_image=True), seeds=[0])
+        # the row as it was when the cell embedded the images again for evaluation
+        run = sweep.run_training
+        monkeypatch.setattr(sweep, "run_training", lambda *a, **kw: dataclasses.replace(
+            run(*a, **kw), image_features=None))
+        before = sweep.run_cell(spec, 2, 0, recs, vocab)
+        monkeypatch.setattr(sweep, "run_training", run)
+        rows = []
+        encode = image_encoder.encode_image_graph
+        monkeypatch.setattr(image_encoder, "encode_image_graph", lambda x, *a, **kw: (
+            rows.append(len(x)), encode(x, *a, **kw))[1])
+        row = sweep.run_cell(spec, 2, 0, recs, vocab)
+        assert rows == [4, 4]
+        del row["wall_time_s"], before["wall_time_s"]
+        assert row == before
+
     def test_rerun_reproduces_metrics(self, tiny_setup):
         recs, vocab, base = tiny_setup
         spec = SweepSpec(axis="m_corners", values=[1], base=base, seeds=[3])

@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for a small transformer: broadcasting arithmetic,
-batched matmul, reductions, elementwise transcendentals, gather, softmax,
-GELU and layer-norm primitives, a dense layer, multi-head self-attention and
-a softmax cross-entropy each fused into one node, and an L2-normalize
-composite. Gradients are exact; the finite-difference harness in the test
-suite is the contract.
+a matmul whose right operand is 2-D, reductions, elementwise transcendentals,
+gather, softmax, GELU and layer-norm primitives, and a dense layer,
+multi-head self-attention, a softmax cross-entropy and an L2 normalization
+each fused into one node. Gradients are exact; the finite-difference harness
+in the test suite is the contract.
 
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
@@ -58,10 +58,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
     def accumulate(self, g):
         # The first gradient is kept as given, uncopied: it may be shared with
         # another node (add fans one g out) or read-only (tsum's broadcast_to).
@@ -101,27 +97,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return mul(self, power(other, -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(power(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -137,9 +114,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def detach(self):
         return Tensor(self.value.copy())
@@ -190,26 +164,13 @@ def mul(a, b) -> Tensor:
     return _result(a.value * b.value, (a, b), _bw)
 
 
-def _fast_pow(x: np.ndarray, e: float) -> np.ndarray:
-    # np.power with a float exponent is slow; special-case the hot exponents
-    if e == -1.0:
-        return 1.0 / x
-    if e == 0.5:
-        return np.sqrt(x)
-    if e == -0.5:
-        return 1.0 / np.sqrt(x)
-    if e == -2.0:
-        return 1.0 / (x * x)
-    return x**e
-
-
 def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
 
     def _bw(g):
-        a.accumulate(g * exponent * _fast_pow(a.value, exponent - 1.0))
+        a.accumulate(g * exponent * a.value ** (exponent - 1.0))
 
-    return _result(_fast_pow(a.value, exponent), (a,), _bw)
+    return _result(a.value ** exponent, (a,), _bw)
 
 
 def exp(a) -> Tensor:
@@ -229,10 +190,6 @@ def log(a) -> Tensor:
         a.accumulate(g / a.value)
 
     return _result(np.log(a.value), (a,), _bw)
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -265,27 +222,14 @@ def _dense(x: Tensor, w: Tensor):
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product. With a 2-D right operand (a dense layer) the forward pass
-    and both gradients are single flattened GEMMs, see _dense."""
+    """a @ b for a 2-D b: forward and both gradients are single GEMMs, see _dense."""
     a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.value, b.value
-    if bv.ndim == 2:
-        v, dense_bw = _dense(a, b)
-        v = v.reshape(av.shape[:-1] + bv.shape[-1:])
+    v, dense_bw = _dense(a, b)
 
-        def _bw(g):
-            dense_bw(g.reshape(-1, g.shape[-1]))
-    else:
-        v = av @ bv
-        _count_macs(v.size * av.shape[-1])
+    def _bw(g):
+        dense_bw(g.reshape(-1, g.shape[-1]))
 
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
-
-    return _result(v, (a, b), _bw)
+    return _result(v.reshape(a.value.shape[:-1] + b.value.shape[-1:]), (a, b), _bw)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
@@ -557,5 +501,13 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 def l2_normalize(x) -> Tensor:
-    n = sqrt((x * x).sum(axis=-1, keepdims=True))
-    return x / n
+    """x / ||x|| over the last axis as one node. With y the output and inv the
+    saved reciprocal norm, the gradient is (g - y (y . g)) inv."""
+    x = as_tensor(x)
+    inv = 1.0 / np.sqrt((x.value * x.value).sum(axis=-1, keepdims=True))
+    y = x.value * inv
+
+    def _bw(g):
+        x.accumulate((g - y * (y * g).sum(axis=-1, keepdims=True)) * inv)
+
+    return _result(y, (x,), _bw)

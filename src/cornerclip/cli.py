@@ -2,7 +2,8 @@
 
 Precedence for train/sweep settings: built-in defaults < config file
 (flat key=value lines, default path from $CORNERCLIP_CONFIG) < flags.
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error (a bad flag or a train setting out of its
+range), 2 runtime failure (a manifest with fewer records than batch_size too).
 """
 
 from __future__ import annotations
@@ -85,7 +86,10 @@ def resolve_train_config(args) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    return TrainConfig(**values)
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_train_flags(p: Parser):
@@ -224,10 +228,10 @@ def _cmd_train(args) -> int:
         return 0
     records, vocab = _corpus_vocab(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
-    last = result.metrics[-1] if result.metrics else {}
+    last = result.metrics[-1]
     _emit(args, {"steps": len(result.metrics), "final": last, "out_dir": args.out_dir},
           f"trained {len(result.metrics)} steps; final loss "
-          f"{last.get('loss_total', float('nan')):.4f}; artifacts in {args.out_dir}")
+          f"{last['loss_total']:.4f}; artifacts in {args.out_dir}")
     return 0
 
 

@@ -165,6 +165,14 @@ def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
         for i in range(0, len(seqs), batch_size)])
 
 
+def _score_blocks(image_feats: np.ndarray, text_feats: np.ndarray):
+    """(lo, hi) -> image_feats[lo:hi] @ text_feats.T, the features checked finite first."""
+    for name, feats in (("image", image_feats), ("text", text_feats)):
+        if not np.isfinite(feats).all():
+            raise ValueError(f"{name} features have non-finite entries")
+    return lambda lo, hi: image_feats[lo:hi] @ text_feats.T
+
+
 def evaluate_retrieval(image_feats: np.ndarray, text_feats: np.ndarray,
                        gt: RetrievalGroundTruth, task: str = "retrieval",
                        ks=(1, 5)) -> EvalReport:
@@ -175,7 +183,7 @@ def evaluate_retrieval(image_feats: np.ndarray, text_feats: np.ndarray,
                          f"text features {text_feats.shape[1]}")
     if any(k < 1 for k in ks):
         raise ValueError(f"k must be >= 1, got ks={list(ks)}")
-    ranks = _ranks(lambda lo, hi: image_feats[lo:hi] @ text_feats.T,
+    ranks = _ranks(_score_blocks(image_feats, text_feats),
                    (len(image_feats), len(text_feats)), gt.image_to_texts, gt.text_to_image)
     metrics = {f"{d}_r@{k}": int(np.count_nonzero(ranks[d] < k)) / len(ranks[d])
                for k in ks for d in ranks}
@@ -240,7 +248,7 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
         image_feats = image_encoder.embed_images(records, params, image_cfg)
     texts, image_to_texts = short_text_groups(records)
     text_feats = embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts))
-    ranks = _ranks(lambda lo, hi: image_feats[lo:hi] @ text_feats.T,
+    ranks = _ranks(_score_blocks(image_feats, text_feats),
                    (len(image_feats), len(texts)), image_to_texts)["i2t"]
     return int(np.count_nonzero(ranks == 0)) / len(records)
 

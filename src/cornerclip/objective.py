@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, clip, diag_cross_entropy, exp, matmul, transpose
+from .autodiff import Tensor, as_tensor, clip, diag_cross_entropy, exp, matmul, mul, transpose
 
 TAU_MIN = 0.01
 TAU_MAX = 10.0
@@ -28,7 +28,7 @@ def initial_log_scale(tau_init: float) -> Tensor:
 
 def temperature(s) -> Tensor:
     """tau = clamp(exp(-s), [TAU_MIN, TAU_MAX])."""
-    return clip(exp(-s), TAU_MIN, TAU_MAX)
+    return clip(exp(mul(s, -1.0)), TAU_MIN, TAU_MAX)
 
 
 def similarity(A, B) -> Tensor:

@@ -54,12 +54,19 @@ class TrainConfig:
     checkpoint_every: int = 0            # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.k_subcaptions < 0:
-            raise ValueError("k_subcaptions must be >= 0")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+        tau = (objective.TAU_MIN, objective.TAU_MAX)
+        for name, ok, rule in (
+                ("batch_size", self.batch_size >= 2, ">= 2"),
+                ("steps", self.steps >= 1, ">= 1"),
+                ("lr", 0 < self.lr < np.inf, "finite and > 0"),
+                ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
+                ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
+                ("lr_schedule", self.lr_schedule in ("constant", "cosine"), "constant or cosine"),
+                ("k_subcaptions", self.k_subcaptions >= 0, ">= 0"),
+                ("tau_init", tau[0] <= self.tau_init <= tau[1], f"in [{tau[0]}, {tau[1]}]"),
+                ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def long_branch_active(self) -> bool:
@@ -115,6 +122,11 @@ def prepare_texts(records: list[ManifestRecord], vocab: Vocabulary,
             for r in records]
 
 
+def _check_batch_fits(records: list[ManifestRecord], cfg: TrainConfig) -> None:
+    if len(records) < cfg.batch_size:
+        raise ValueError(f"manifest has {len(records)} records < batch_size {cfg.batch_size}")
+
+
 def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
                    text_cfg: TextEncoderConfig, cfg: TrainConfig,
                    rng: np.random.Generator,
@@ -124,8 +136,7 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
     """One training batch. `texts` is `prepare_texts(records, ...)`, made here
     when not given. With `image_features`, the (n, p) features of all records,
     the batch takes its rows of them and no tower inputs."""
-    if len(records) < cfg.batch_size:
-        raise ValueError(f"manifest has {len(records)} records < batch_size {cfg.batch_size}")
+    _check_batch_fits(records, cfg)
     if texts is None:
         texts = prepare_texts(records, vocab, text_cfg, cfg)
     idx = rng.choice(len(records), size=cfg.batch_size, replace=False)
@@ -358,6 +369,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     """
     if not records:
         raise ValueError("manifest has no usable records")
+    _check_batch_fits(records, cfg)
     # precomputed features take the first record's width (0 if it has none); every
     # record is checked here, so a bad one fails before step 1, not when first drawn
     first = records[0].image_feature

@@ -34,12 +34,27 @@ def check_unary(op, x, tol=1e-6):
 @pytest.mark.parametrize("op", [
     ad.exp, lambda t: ad.log(t + 3.0), ad.gelu,
     lambda t: ad.power(t, 3.0), lambda t: ad.power(t, -1.0),
-    lambda t: ad.sqrt(t * t + 1.0), lambda t: ad.softmax(t) * np.arange(4.0),
+    lambda t: ad.power(t * t + 1.0, 0.5), lambda t: ad.softmax(t) * np.arange(4.0),
     lambda t: ad.l2_normalize(t) * np.arange(4.0),
 ])
 def test_unary_gradients(op):
     rng = np.random.default_rng(0)
     check_unary(op, rng.normal(size=(3, 4)) + 2.0)
+
+
+def test_l2_normalize_gradient_3d():
+    rng = np.random.default_rng(17)
+    coef = rng.normal(size=(2, 3, 5))
+    check_unary(lambda t: ad.l2_normalize(t) * coef, rng.normal(size=(2, 3, 5)))
+
+
+def test_l2_normalize_forward_is_bit_exact():
+    """One node, same operations as x * (1 / sqrt(sum x^2)): bit for bit."""
+    x = np.random.default_rng(18).normal(size=(4, 3, 7)) * 5.0
+    t = Tensor(x, requires_grad=True)
+    y = ad.l2_normalize(t)
+    assert y._parents == (t,)
+    np.testing.assert_array_equal(y.value, x * (1 / np.sqrt((x * x).sum(-1, keepdims=True))))
 
 
 def test_broadcast_add_mul_gradients():

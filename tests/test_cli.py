@@ -254,6 +254,22 @@ class TestConfigPrecedence:
         assert code == 1
         assert f"bad {field}: {raw!r}" in err
 
+    @pytest.mark.parametrize("flag,raw,message", [
+        ("--checkpoint-every", "-1", "checkpoint_every must be >= 0, got -1"),
+        ("--lr", "nan", "lr must be finite and > 0, got nan"),
+        ("--tau-init", "0", "tau_init must be in [0.01, 10.0], got 0.0"),
+        ("--steps", "0", "steps must be >= 1, got 0"),
+        ("--warmup-steps", "-1", "warmup_steps must be >= 0, got -1"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, manifest, tmp_path, capsys,
+                                                 flag, raw, message):
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
+                           "--batch-size", "4", flag, raw)
+        assert code == 1
+        assert f"usage error: {message}" in err
+        assert not out_dir.exists()
+
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg"
         cfg_file.write_text("steps 50\n")

@@ -1,6 +1,7 @@
 """Retrieval/classification metrics against brute-force oracles, plus FLOPs."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,14 +230,17 @@ class TestEvaluateRetrieval:
             ev.evaluate_retrieval(feats, feats, gt, ks=(1, 0))
 
     def test_non_finite_features_rejected(self):
+        """A ValueError before the block product, not a matmul warning on inf * 0."""
         gt = RetrievalGroundTruth.one_to_one(3)
         for bad in (np.nan, np.inf):
             img = np.eye(3)
             img[1, 2] = bad
-            with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-                ev.evaluate_retrieval(img, np.eye(3), gt)
-            with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-                ev.evaluate_retrieval(np.eye(3), img, gt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="image features have non-finite entries"):
+                    ev.evaluate_retrieval(img, np.eye(3), gt)
+                with pytest.raises(ValueError, match="text features have non-finite entries"):
+                    ev.evaluate_retrieval(np.eye(3), img, gt)
 
 
 class TestZeroShot:
@@ -353,6 +357,20 @@ class TestShortRetrieval:
         r1 = ev.short_retrieval_r1(recs, params, text_cfg, image_cfg, vocab)
         assert sum(rows) == len(texts) == 16
         assert r1 == expected
+
+    def test_non_finite_image_features_rejected(self):
+        recs = generate_synthetic_corpus(0, 8, 2, 8)
+        vocab = Vocabulary.build([r.short_text for r in recs])
+        cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
+                                projection_dim=8, use_long_texts=False)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
+        params = train.build_model(text_cfg, image_cfg, 0)
+        img = np.eye(8)
+        img[5] = np.inf                 # inf - inf in the block product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="image features have non-finite entries"):
+                ev.short_retrieval_r1(recs, params, text_cfg, image_cfg, vocab, img)
 
 
 class TestFlops:

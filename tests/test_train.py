@@ -71,6 +71,13 @@ class TestAssembleBatch:
         with pytest.raises(ValueError, match="no usable records"):
             train.run_training([], vocab, tiny_cfg())
 
+    def test_too_few_records_rejected_before_any_file(self, corpus16, tmp_path):
+        recs, vocab = corpus16
+        out_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="manifest has 3 records < batch_size 4"):
+            train.run_training(recs[:3], vocab, tiny_cfg(), out_dir=str(out_dir))
+        assert not out_dir.exists()
+
     def test_first_record_without_feature_is_named(self, corpus16):
         recs, vocab = corpus16
         first = dataclasses.replace(recs[0], image_feature=None, image_path="a.npy")
@@ -195,9 +202,9 @@ class TestGradients:
 
     def test_step_graph_stays_fused(self):
         """Nodes reachable from one default-config step's loss, the parameter
-        leaves left out: 300 before the dense layers, GELU, attention and
-        InfoNCE became one node each and the last blocks were cut to their
-        pooled rows. Unfusing a node again fails here."""
+        leaves left out: 300 before the dense layers, GELU, attention,
+        InfoNCE and L2 normalization became one node each and the last blocks
+        were cut to their pooled rows. Unfusing a node again fails here."""
         recs = generate_synthetic_corpus(1, 64, 4, 16)
         vocab = Vocabulary.build([r.short_text for r in recs]
                                  + [t for r in recs for t in r.long_texts])
@@ -215,7 +222,30 @@ class TestGradients:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen - {id(t) for t in params.values()}) <= 98
+        assert len(seen - {id(t) for t in params.values()}) <= 86
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value,rule", [
+        ("steps", 0, ">= 1"),
+        ("lr", float("nan"), "finite and > 0"),
+        ("lr", 0.0, "finite and > 0"),
+        ("lr", float("inf"), "finite and > 0"),
+        ("weight_decay", -0.01, "finite and >= 0"),
+        ("weight_decay", float("nan"), "finite and >= 0"),
+        ("tau_init", 0.0, "in [0.01, 10.0]"),
+        ("tau_init", 10.5, "in [0.01, 10.0]"),
+        ("warmup_steps", -1, ">= 0"),
+        ("checkpoint_every", -1, ">= 0"),
+    ])
+    def test_bad_setting_names_field_and_value(self, field, value, rule):
+        with pytest.raises(ValueError) as exc:
+            tiny_cfg(**{field: value})
+        assert str(exc.value) == f"{field} must be {rule}, got {value!r}"
+
+    def test_range_ends_accepted(self):
+        tiny_cfg(steps=1, weight_decay=0.0, tau_init=0.01, warmup_steps=0, checkpoint_every=0)
+        tiny_cfg(tau_init=10.0)
 
 
 class TestSchedule:

@@ -3,9 +3,10 @@
 Just enough machinery for a small transformer: broadcasting arithmetic,
 a matmul whose right operand is 2-D, reductions, elementwise transcendentals,
 gather, softmax, GELU and layer-norm primitives, and a dense layer,
-multi-head self-attention, a softmax cross-entropy and an L2 normalization
-each fused into one node. Gradients are exact; the finite-difference harness
-in the test suite is the contract.
+multi-head self-attention, an L2 normalization and the bidirectional InfoNCE
+of image features against K text feature sets each fused into one node.
+Gradients are exact; the finite-difference harness in the test suite is the
+contract.
 
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 # Optional multiply-accumulate counter, enabled via count_macs(). Counts the
-# forward-pass MACs of matmul, linear and self_attention only.
+# forward-pass MACs of matmul, linear, self_attention and contrastive only.
 _MAC_COUNTER: list | None = None
 
 
@@ -112,14 +113,11 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
     def detach(self):
         return Tensor(self.value.copy())
 
 
-def as_tensor(x) -> Tensor:
+def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -141,7 +139,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def _bw(g):
         if a.requires_grad:
@@ -153,7 +151,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def _bw(g):
         if a.requires_grad:
@@ -165,7 +163,7 @@ def mul(a, b) -> Tensor:
 
 
 def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def _bw(g):
         a.accumulate(g * exponent * a.value ** (exponent - 1.0))
@@ -174,7 +172,7 @@ def power(a, exponent: float) -> Tensor:
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     v = np.exp(a.value)
 
     def _bw(g):
@@ -184,7 +182,7 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def _bw(g):
         a.accumulate(g / a.value)
@@ -194,7 +192,7 @@ def log(a) -> Tensor:
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp with zero gradient outside [lo, hi]."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     inside = (a.value >= lo) & (a.value <= hi)
 
     def _bw(g):
@@ -223,7 +221,7 @@ def _dense(x: Tensor, w: Tensor):
 
 def matmul(a, b) -> Tensor:
     """a @ b for a 2-D b: forward and both gradients are single GEMMs, see _dense."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     v, dense_bw = _dense(a, b)
 
     def _bw(g):
@@ -233,7 +231,7 @@ def matmul(a, b) -> Tensor:
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def _bw(g):
         if axis is not None and not keepdims:
@@ -244,7 +242,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def _bw(g):
         a.accumulate(g.reshape(a.value.shape))
@@ -253,7 +251,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     inv = np.argsort(axes)
 
     def _bw(g):
@@ -272,7 +270,7 @@ def _is_basic(idx) -> bool:
 
 
 def getitem(a, idx) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     basic = _is_basic(idx)
 
     def _bw(g):
@@ -298,7 +296,7 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.value.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -322,7 +320,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def softmax(x) -> Tensor:
     """Numerically stable softmax primitive over the last axis (max-subtracted)."""
-    x = as_tensor(x)
+    x = _as_tensor(x)
     p = _softmax(x.value.copy())
 
     def _bw(g):
@@ -332,39 +330,55 @@ def softmax(x) -> Tensor:
     return _result(p, (x,), _bw)
 
 
-def diag_cross_entropy(s, tau, axis: int) -> Tensor:
-    """Summed cross-entropy of the diagonal of the square logits z = s / tau
-    under a softmax along `axis` (1: each row over its columns, 0: each column
-    over its rows), as one node. With P that softmax, the gradient is
-    (P - I)/tau on s and -sum((P - I) * z)/tau on tau."""
-    s, tau = as_tensor(s), as_tensor(tau)
-    cols = axis == 0
+def contrastive(v, ts, tau) -> Tensor:
+    """Bidirectional InfoNCE of image features v (N, p) against K text feature
+    sets ts[k] (N, p) as one node over one GEMM of v against the sets stacked:
+    the (K, 2) summed cross-entropies [i2t, t2i] of the diagonal of
+    z_k = v t_k^T / tau under its row softmax P_k and its column softmax Q_k.
+    An upstream g (K, 2) gives z_k the gradient g_k0 (P_k - I) + g_k1 (Q_k - I)."""
+    v, tau, *ts = (_as_tensor(x) for x in (v, tau, *ts))
+    N, p = v.shape
+    for t in ts:
+        if t.shape != v.shape:
+            raise ValueError(f"text features {t.shape} do not match image features {v.shape}")
+    K = len(ts)
+    t2 = np.concatenate([t.value for t in ts])      # (K N, p)
+    s = v.value @ t2.T                              # (N, K N)
+    _count_macs(s.size * p)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("similarity matrix has non-finite entries")
     inv_tau = 1.0 / tau.value
-    z = (s.value.T if cols else s.value) * inv_tau
-    # row-wise stable log-sum-exp
-    m = np.max(z, axis=1, keepdims=True)
-    e = np.exp(z - m)
-    row_sum = e.sum(axis=1)
-    diag = np.arange(z.shape[0])
-    loss = (np.log(row_sum) + m[:, 0] - z[diag, diag]).sum()
+    z = s.reshape(N, K, N).transpose(1, 0, 2) * inv_tau
+    zz = np.stack([z, z.transpose(0, 2, 1)], axis=1)    # (K, 2, N, N): rows, columns of z_k
+    m = np.max(zz, axis=-1, keepdims=True)
+    e = np.exp(zz - m)
+    row_sum = e.sum(axis=-1, keepdims=True)
+    diag = np.arange(N)
+    loss = (np.log(row_sum[..., 0]) + m[..., 0] - zz[..., diag, diag]).sum(axis=-1)
 
     def _bw(g):
-        dz = e / row_sum[:, None]
-        dz[diag, diag] -= 1.0
-        dz *= g
-        if s.requires_grad:
-            s.accumulate((dz.T if cols else dz) * inv_tau)
+        dzz = e / row_sum
+        dzz[..., diag, diag] -= 1.0
+        dzz *= g[:, :, None, None]
+        dz = dzz[:, 0] + dzz[:, 1].transpose(0, 2, 1)
         if tau.requires_grad:
             tau.accumulate(-(dz * z).sum() * inv_tau)
+        dz *= inv_tau                               # now the gradient of s
+        if v.requires_grad:
+            v.accumulate(dz.transpose(1, 0, 2).reshape(N, K * N) @ t2)
+        dt = dz.transpose(0, 2, 1).reshape(K * N, N) @ v.value
+        for t, dt_k in zip(ts, np.split(dt, K)):
+            if t.requires_grad:
+                t.accumulate(dt_k)
 
-    return _result(loss, (s, tau), _bw)
+    return _result(loss, (v, *ts, tau), _bw)
 
 
 def linear(x, w, b) -> Tensor:
     """Dense layer x @ w + b over the last axis as one node: the flattened GEMM
     of _dense with the bias added in place. The bias gradient is one column
     sum of the flattened output gradient."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     y, dense_bw = _dense(x, w)
     y += b.value
 
@@ -386,7 +400,7 @@ def gelu(x) -> Tensor:
     in its exact sigmoid form v s with s = sigmoid(2u) = 1 / (1 + exp(-2u)).
     The forward saves s for the backward. For very negative v, exp(-2u)
     overflows to inf and s is 0, its limit, so that overflow goes unreported."""
-    x = as_tensor(x)
+    x = _as_tensor(x)
     v = x.value
     s = v * v
     s *= _GELU_A
@@ -424,9 +438,9 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
     (all L by default); keys and values always cover every position. Returns
     (output (B, rows, d), attention probabilities (B, heads, rows, L)). The
     backward is analytic and reuses the saved probabilities."""
-    x = as_tensor(x)
-    ws = [as_tensor(t) for t in (wq, wk, wv)]
-    bs = [as_tensor(t) for t in (bq, bk, bv)]
+    x = _as_tensor(x)
+    ws = [_as_tensor(t) for t in (wq, wk, wv)]
+    bs = [_as_tensor(t) for t in (bq, bk, bv)]
     B, L, d = x.value.shape
     rows = L if rows is None else rows
     dh = d // heads
@@ -476,7 +490,7 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
 def layer_norm(x, gain, bias) -> Tensor:
     """Layer norm over the last axis as one node; its backward reuses the
     normalized input xhat and the reciprocal std rstd saved by the forward."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     inv_n = 1.0 / x.value.shape[-1]
     xhat = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
     rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
@@ -503,7 +517,7 @@ def layer_norm(x, gain, bias) -> Tensor:
 def l2_normalize(x) -> Tensor:
     """x / ||x|| over the last axis as one node. With y the output and inv the
     saved reciprocal norm, the gradient is (g - y (y . g)) inv."""
-    x = as_tensor(x)
+    x = _as_tensor(x)
     inv = 1.0 / np.sqrt((x.value * x.value).sum(axis=-1, keepdims=True))
     y = x.value * inv
 

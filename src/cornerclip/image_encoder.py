@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transformer
-from .autodiff import Tensor, concat, l2_normalize, layer_norm, linear, matmul
+from .autodiff import Tensor, concat, l2_normalize, layer_norm, linear, matmul, take_rows
 
 
 @dataclass
@@ -136,9 +136,8 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
     patches = patchify(inputs, config)
     B = patches.shape[0]
     x = linear(patches, params[f"{prefix}patch_emb"], params[f"{prefix}patch_bias"])
-    cls = params[f"{prefix}cls_emb"]
-    cls_tiled = cls.reshape(1, 1, config.width) * np.ones((B, 1, 1))
-    x = concat([cls_tiled, x], axis=1) + params[f"{prefix}pos_emb"]
+    cls = take_rows(params[f"{prefix}cls_emb"], np.zeros((B, 1), dtype=np.int64))
+    x = concat([cls, x], axis=1) + params[f"{prefix}pos_emb"]
     L = config.n_patches + 1
     bias = np.zeros((B, 1, L, L))
     for layer in range(config.depth):

@@ -31,12 +31,14 @@ class TextEncoderConfig:
     mask_mode: str = "corner"
 
     def __post_init__(self):
+        for name, floor in (("heads", 1), ("width", 1), ("depth", 1), ("m", 0),
+                            ("projection_dim", 1)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)!r}")
         if self.width % self.heads != 0:
             raise ValueError("width must be divisible by heads")
         if self.limit < self.m + 2:
             raise ValueError("limit too small for corner tokens")
-        if self.projection_dim < 1:
-            raise ValueError("projection_dim must be >= 1")
         if self.mask_mode not in ("corner", "full"):
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
 

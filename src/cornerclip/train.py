@@ -67,6 +67,13 @@ class TrainConfig:
                 ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        self.text_config(vocab_size=0)      # the text tower's shape rules
+
+    def text_config(self, vocab_size: int) -> TextEncoderConfig:
+        return TextEncoderConfig(
+            vocab_size=vocab_size, limit=self.limit, m=self.m, depth=self.text_depth,
+            width=self.text_width, heads=self.text_heads,
+            projection_dim=self.projection_dim, mask_mode=self.mask_mode)
 
     @property
     def long_branch_active(self) -> bool:
@@ -74,10 +81,7 @@ class TrainConfig:
 
 
 def make_configs(vocab: Vocabulary, cfg: TrainConfig, feature_dim: int):
-    text_cfg = TextEncoderConfig(
-        vocab_size=len(vocab), limit=cfg.limit, m=cfg.m, depth=cfg.text_depth,
-        width=cfg.text_width, heads=cfg.text_heads,
-        projection_dim=cfg.projection_dim, mask_mode=cfg.mask_mode)
+    text_cfg = cfg.text_config(len(vocab))
     image_cfg = ImageEncoderConfig(
         mode=cfg.image_mode, projection_dim=cfg.projection_dim,
         input_feature_dim=feature_dim)
@@ -202,7 +206,7 @@ def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
     try:
         breakdown, tau = compute_loss(params, batch, text_cfg, image_cfg, cfg)
         for label, term in (("loss_short", breakdown.short), ("loss_long", breakdown.long)):
-            if term is not None and not np.isfinite(term.value):
+            if term is not None and not np.isfinite(term):
                 raise FloatingPointError(f"non-finite loss term: {label}")
         breakdown.total.backward()
     finally:
@@ -270,8 +274,8 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
     metrics = {
         "step": step,
         "loss_total": float(breakdown.total.value),
-        "loss_short": float(breakdown.short.value),
-        "loss_long": float(breakdown.long.value) if breakdown.long is not None else 0.0,
+        "loss_short": breakdown.short,
+        "loss_long": breakdown.long if breakdown.long is not None else 0.0,
         "tau": tau_val,
         "grad_norm": float(np.sqrt(gnorm_sq)),
         "lr": float(lr),

@@ -1,6 +1,8 @@
 """Finite-difference checks for the autodiff primitives."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +316,31 @@ def test_self_attention_gradients(rows):
     assert out.shape == (B, n, d) and probs.shape == (B, heads, n, L)
 
 
+def test_contrastive_gradients_values_and_macs():
+    """K = 3 sets of non-unit features under a non-uniform (K, 2) upstream
+    gradient, with a Tensor temperature and one set that needs no gradient."""
+    rng = np.random.default_rng(17)
+    N, p, K = 4, 5, 3
+    v, t0, t1, fixed = (rng.normal(size=(N, p)) for _ in range(4))
+    coef = rng.normal(size=(K, 2))
+
+    def loss(v, t0, t1, tau):
+        return (ad.contrastive(v, [t0, fixed, t1], tau) * coef).sum()
+
+    check_inputs(loss, [v, t0, t1, np.array(0.7)])
+    const = Tensor(fixed)
+    with ad.count_macs() as c:
+        out = ad.contrastive(Tensor(v, requires_grad=True), [t0, const, t1], 0.7)
+    out.sum().backward()
+    assert const.grad is None
+    assert c[0] == N * K * N * p
+    for k, t in enumerate((t0, fixed, t1)):
+        z = v @ t.T / 0.7
+        for j, zd in enumerate((z, z.T)):
+            lse = np.log(np.exp(zd).sum(axis=1))
+            assert out.value[k, j] == pytest.approx((lse - np.diag(zd)).sum(), rel=1e-12)
+
+
 @pytest.mark.parametrize("direction", ["i2t", "t2i"])
 def test_info_nce_gradients(direction):
     """Both directions, with the gradient on S and on a Tensor temperature."""
@@ -354,3 +381,30 @@ def test_frozen_image_tower_gets_no_backward(tmp_path):
     assert set(frozen) == set(full) - set(img)
     for name, g in frozen.items():
         np.testing.assert_array_equal(g, full[name], err_msg=name)
+
+
+def test_every_public_name_has_a_caller():
+    """No primitive the model does not call: each public name of autodiff.py
+    is imported from it or read off it by another module of the package, or
+    is one that perfbench/tracer.py wraps by name."""
+    root = Path(__file__).resolve().parents[1]
+    pkg = root / "src" / "cornerclip"
+    public = {n.name for n in ast.parse((pkg / "autodiff.py").read_text()).body
+              if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+    called = set()
+    for path in pkg.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "cornerclip.autodiff"):
+                called |= {a.name for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "autodiff"):
+                called.add(node.attr)
+    wrapped = set()
+    for node in ast.parse((root / "perfbench" / "tracer.py").read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("PRIMITIVES", "COMPOSITES")):
+            wrapped |= set(ast.literal_eval(node.value))
+    assert wrapped and called
+    assert public - called - wrapped == set()

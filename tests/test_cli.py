@@ -260,6 +260,14 @@ class TestConfigPrecedence:
         ("--tau-init", "0", "tau_init must be in [0.01, 10.0], got 0.0"),
         ("--steps", "0", "steps must be >= 1, got 0"),
         ("--warmup-steps", "-1", "warmup_steps must be >= 0, got -1"),
+        ("--text-heads", "0", "heads must be >= 1, got 0"),
+        ("--text-width", "0", "width must be >= 1, got 0"),
+        ("--text-depth", "0", "depth must be >= 1, got 0"),
+        ("--m", "-1", "m must be >= 0, got -1"),
+        ("--limit", "3", "limit too small for corner tokens"),
+        ("--text-width", "30", "width must be divisible by heads"),
+        ("--projection-dim", "0", "projection_dim must be >= 1, got 0"),
+        ("--mask-mode", "none", "unknown mask_mode 'none'"),
     ])
     def test_out_of_range_setting_is_usage_error(self, manifest, tmp_path, capsys,
                                                  flag, raw, message):

@@ -28,30 +28,6 @@ def random_unit_vectors(rng, n, p):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-class TestSimilarity:
-    def test_orthonormal_identity(self):
-        A = np.eye(4)
-        np.testing.assert_allclose(ob.similarity(A, A).value, np.eye(4), atol=1e-15)
-
-    def test_negated_diagonal(self):
-        rng = np.random.default_rng(0)
-        A = random_unit_vectors(rng, 5, 8)
-        np.testing.assert_allclose(np.diag(ob.similarity(A, -A).value), -1.0, atol=1e-12)
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        A = random_unit_vectors(rng, 6, 10)
-        B = random_unit_vectors(rng, 6, 10)
-        S = ob.similarity(A, B).value
-        for i in range(6):
-            for j in range(6):
-                assert abs(S[i, j] - float(A[i] @ B[j])) <= 1e-12
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            ob.similarity(np.ones((2, 3)), np.ones((2, 4)))
-
-
 class TestInfoNCE:
     @pytest.mark.parametrize("N", [2, 4, 8])
     @pytest.mark.parametrize("direction", ["i2t", "t2i"])
@@ -133,6 +109,12 @@ class TestShortLoss:
         perm = rng.permutation(6)
         assert abs(float(ob.short_loss(V[perm], T[perm], 0.2).value) - base) <= 1e-12
 
+    def test_feature_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"text features \(2, 4\) do not match"):
+            ob.short_loss(np.ones((2, 3)), np.ones((2, 4)), 1.0)
+        with pytest.raises(ValueError, match=r"text features \(3, 3\) do not match"):
+            ob.long_loss(np.ones((2, 3)), np.ones((2, 3)), [np.ones((3, 3))], 1.0)
+
 
 class TestLongLoss:
     def test_m_zero_equals_short(self):
@@ -169,7 +151,7 @@ class TestTotalLoss:
         T = random_unit_vectors(rng, 4, 8)
         bd = ob.total_loss(V, T, 0.5)
         assert bd.long is None
-        assert float(bd.total.value) == float(bd.short.value)
+        assert float(bd.total.value) == bd.short
 
     def test_uniform_sum_of_closed_forms(self):
         rng = np.random.default_rng(12)
@@ -177,8 +159,8 @@ class TestTotalLoss:
         V = np.repeat(v, 4, axis=0)
         bd = ob.total_loss(V, V, 0.9, t_g=V, corners=[V, V])
         # short = 2*4*log 4, long = (1+2)*2*4*log 4
-        assert abs(float(bd.short.value) - 11.090) < 1e-3
-        assert abs(float(bd.long.value) - 33.271) < 1e-3
+        assert abs(bd.short - 11.090) < 1e-3
+        assert abs(bd.long - 33.271) < 1e-3
         assert abs(float(bd.total.value) - (11.090 + 33.271)) < 2e-3
 
     def test_gradient_is_sum_of_term_gradients(self):

@@ -29,6 +29,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="limit too small"):
             TextEncoderConfig(vocab_size=10, limit=3, m=2)
 
+    @pytest.mark.parametrize("field,value,rule", [
+        ("heads", 0, ">= 1"), ("width", 0, ">= 1"), ("depth", 0, ">= 1"), ("m", -1, ">= 0"),
+    ])
+    def test_bad_shape_names_field_and_value(self, field, value, rule):
+        with pytest.raises(ValueError) as exc:
+            TextEncoderConfig(vocab_size=10, **{field: value})
+        assert str(exc.value) == f"{field} must be {rule}, got {value!r}"
+
 
 class TestInitParams:
     def test_deterministic(self, vocab):

@@ -2,15 +2,16 @@
 
 Just enough machinery for a small transformer: broadcasting arithmetic,
 a matmul whose right operand is 2-D, reductions, elementwise transcendentals,
-gather, softmax, GELU and layer-norm primitives, and a dense layer,
-multi-head self-attention, an L2 normalization and the bidirectional InfoNCE
-of image features against K text feature sets each fused into one node.
-Gradients are exact; the finite-difference harness in the test suite is the
-contract.
+gather, softmax, GELU and layer-norm primitives, and a dense layer, the
+transformer MLP, multi-head self-attention, an L2 normalization and the
+bidirectional InfoNCE of image features against K text feature sets each
+fused into one node. Gradients are exact; the finite-difference harness in
+the test suite is the contract.
 
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
-and no backward closure, so ``backward`` never visits them.
+and no backward closure, so ``backward`` never visits them. ``mlp`` also
+saves nothing then: it writes its GELU in place into its first GEMM's output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 # Optional multiply-accumulate counter, enabled via count_macs(). Counts the
-# forward-pass MACs of matmul, linear, self_attention and contrastive only.
+# forward-pass MACs of matmul, linear, mlp, self_attention and contrastive only.
 _MAC_COUNTER: list | None = None
 
 
@@ -201,13 +202,16 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _result(np.clip(a.value, lo, hi), (a,), _bw)
 
 
-def _dense(x: Tensor, w: Tensor):
-    """x @ w over the last axis of x for a 2-D w as one flattened (rows, k)
-    GEMM. Returns the (rows, n) product and a backward that takes its (rows, n)
-    gradient and accumulates the gradients of x and w, one GEMM each."""
+def _dense(x: Tensor, w: Tensor, b: Tensor | None = None):
+    """x @ w (+ b) over the last axis of x for a 2-D w as one flattened (rows, k)
+    GEMM, the bias added in place. Returns the (rows, n) result and a backward
+    that takes its (rows, n) gradient and accumulates the gradients of x and w,
+    one GEMM each, and of b, one column sum."""
     xv, wv = x.value, w.value
     x2 = xv.reshape(-1, xv.shape[-1])
     y2 = x2 @ wv
+    if b is not None:
+        y2 += b.value
     _count_macs(y2.size * x2.shape[1])
 
     def backward(g2):
@@ -215,6 +219,8 @@ def _dense(x: Tensor, w: Tensor):
             x.accumulate((g2 @ wv.T).reshape(xv.shape))
         if w.requires_grad:
             w.accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b.accumulate(g2.sum(axis=0))
 
     return y2, backward
 
@@ -375,18 +381,12 @@ def contrastive(v, ts, tau) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Dense layer x @ w + b over the last axis as one node: the flattened GEMM
-    of _dense with the bias added in place. The bias gradient is one column
-    sum of the flattened output gradient."""
+    """Dense layer x @ w + b over the last axis as one node, see _dense."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    y, dense_bw = _dense(x, w)
-    y += b.value
+    y, dense_bw = _dense(x, w, b)
 
     def _bw(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        dense_bw(g2)
-        if b.requires_grad:
-            b.accumulate(g2.sum(axis=0))
+        dense_bw(g.reshape(-1, g.shape[-1]))
 
     return _result(y.reshape(x.value.shape[:-1] + w.value.shape[-1:]), (x, w, b), _bw)
 
@@ -395,13 +395,11 @@ _GELU_A = 0.044715
 _GELU_2C = 2.0 * math.sqrt(2.0 / math.pi)
 
 
-def gelu(x) -> Tensor:
-    """tanh-approximation GELU, 0.5 v (1 + tanh(u)) with u = c (v + 0.044715 v^3),
-    in its exact sigmoid form v s with s = sigmoid(2u) = 1 / (1 + exp(-2u)).
-    The forward saves s for the backward. For very negative v, exp(-2u)
-    overflows to inf and s is 0, its limit, so that overflow goes unreported."""
-    x = _as_tensor(x)
-    v = x.value
+def _gelu_gate(v: np.ndarray) -> np.ndarray:
+    """The gate s = sigmoid(2u) = 1 / (1 + exp(-2u)), u = c (v + 0.044715 v^3),
+    of the tanh-approximation GELU 0.5 v (1 + tanh(u)) = v s. For very negative
+    v, exp(-2u) overflows to inf and s is 0, its limit, so that overflow goes
+    unreported."""
     s = v * v
     s *= _GELU_A
     s += 1.0
@@ -411,21 +409,56 @@ def gelu(x) -> Tensor:
         np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
+    return s
+
+
+def _gelu_grad(v: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times d(v s)/dv = s + v s (1 - s) 2c (1 + 3 * 0.044715 v^2)."""
+    d = v * v
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= _GELU_2C
+    d *= v
+    d *= s
+    d *= 1.0 - s
+    d += s
+    d *= g
+    return d
+
+
+def gelu(x) -> Tensor:
+    """GELU v s, s = _gelu_gate(v), as one node that saves s for its backward."""
+    x = _as_tensor(x)
+    s = _gelu_gate(x.value)
 
     def _bw(g):
-        # d/dv = s + v s (1 - s) 2c (1 + 3 * 0.044715 v^2)
-        d = v * v
-        d *= 3.0 * _GELU_A
-        d += 1.0
-        d *= _GELU_2C
-        d *= v
-        d *= s
-        d *= 1.0 - s
-        d += s
-        d *= g
-        x.accumulate(d)
+        x.accumulate(_gelu_grad(x.value, s, g))
 
-    return _result(v * s, (x,), _bw)
+    return _result(x.value * s, (x,), _bw)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """The transformer MLP, linear -> GELU -> linear, as one node over the two
+    GEMMs of _dense. When an input requires a gradient, it keeps the
+    pre-activation v, the gate s and the activation h = v s for a backward
+    that runs those of linear, gelu and linear. When none does, it saves
+    nothing: h is written in place into v, and the result is a constant."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    v, first_bw = _dense(x, w1, b1)
+    s = _gelu_gate(v)
+    grad = any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    y, second_bw = _dense(Tensor(v * s if grad else np.multiply(v, s, out=v)), w2, b2)
+    y = y.reshape(x.value.shape[:-1] + y.shape[-1:])
+    if not grad:
+        return Tensor(y)
+
+    def _bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        second_bw(g2)               # w2 and b2 only: h is not a graph node
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            first_bw(_gelu_grad(v, s, g2 @ w2.value.T))
+
+    return Tensor(y, (x, w1, b1, w2, b2), _bw, requires_grad=True)
 
 
 def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,

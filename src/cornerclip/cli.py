@@ -2,8 +2,9 @@
 
 Precedence for train/sweep settings: built-in defaults < config file
 (flat key=value lines, default path from $CORNERCLIP_CONFIG) < flags.
-Exit codes: 0 success, 1 usage error (a bad flag or a train setting out of its
-range), 2 runtime failure (a manifest with fewer records than batch_size too).
+Exit codes: 0 success, 1 usage error (a bad flag, or a train setting or a
+shape setting of tokenize, mask or flops out of its range), 2 runtime failure
+(a manifest with fewer records than batch_size too).
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _setting(make, *args, **kwargs):
+    """make(*args, **kwargs), with a setting out of its range (a ValueError
+    that make raises) turned into a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(args, payload: dict, text: str | None = None):
@@ -86,10 +96,7 @@ def resolve_train_config(args) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    try:
-        return TrainConfig(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _setting(TrainConfig, **values)
 
 
 def _add_train_flags(p: Parser):
@@ -187,7 +194,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_tokenize(args) -> int:
     vocab = _corpus_vocab(args.corpus)[1] if args.corpus else Vocabulary.build([args.text])
-    seq = tokenize(args.text, args.limit, args.corners, vocab)
+    seq = _setting(tokenize, args.text, args.limit, args.corners, vocab)
     tokens = detokenize(seq, vocab)
     payload = {"tokens": tokens, "ids": seq.ids.tolist(),
                "roles": seq.roles.tolist(), "true_length": seq.true_length}
@@ -196,6 +203,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_mask(args) -> int:
+    if args.corners < 0:
+        raise UsageError(f"--corners must be >= 0, got {args.corners}")
     if args.length < args.corners + 2:
         raise UsageError("--len must be at least corners + 2")
     roles = np.array([ROLE_CLS] + [ROLE_CORNER] * args.corners
@@ -266,9 +275,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    cfg = text_encoder.TextEncoderConfig(
-        vocab_size=2, limit=args.limit, m=args.corners, depth=args.depth,
-        width=args.dim, heads=args.heads, mlp_ratio=args.mlp_ratio,
+    cfg = _setting(
+        text_encoder.TextEncoderConfig, vocab_size=2, limit=args.limit, m=args.corners,
+        depth=args.depth, width=args.dim, heads=args.heads, mlp_ratio=args.mlp_ratio,
         projection_dim=args.proj_dim)
     flops = evaluation.flops_estimate(cfg, args.limit)
     _emit(args, {"flops": flops}, str(flops))

@@ -32,7 +32,7 @@ class TextEncoderConfig:
 
     def __post_init__(self):
         for name, floor in (("heads", 1), ("width", 1), ("depth", 1), ("m", 0),
-                            ("projection_dim", 1)):
+                            ("mlp_ratio", 1), ("projection_dim", 1)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)!r}")
         if self.width % self.heads != 0:

@@ -110,6 +110,8 @@ class TokenSequence:
 
 def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
     """Produce [CLS], COR_1..COR_m, words + [SEP] per sub-caption, pad to limit."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if limit < m + 2:
         raise ValueError("limit too small for corner tokens")
     if m > vocab.m_max:

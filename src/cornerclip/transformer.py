@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, layer_norm, linear, self_attention
+from .autodiff import Tensor, layer_norm, linear, mlp, self_attention
 
 
 def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
@@ -52,6 +52,5 @@ def block_forward(x: Tensor, params: dict, prefix: str, heads: int, bias: np.nda
         x = x[:, :rows]
     x = x + a
     h = layer_norm(x, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
-    h = linear(gelu(linear(h, params[f"{prefix}w1"], params[f"{prefix}b1"])),
-               params[f"{prefix}w2"], params[f"{prefix}b2"])
+    h = mlp(h, *(params[f"{prefix}{n}"] for n in ("w1", "b1", "w2", "b2")))
     return x + h

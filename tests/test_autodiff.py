@@ -232,12 +232,16 @@ def test_fan_out_gradient_is_not_aliased():
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
 
 
-def check_inputs(loss, values, tol=1e-6):
+def check_inputs(loss, values, tol=1e-6, const=()):
     """Analytic gradients of the scalar loss(*tensors) for every input against
-    central differences, one input at a time with the others held."""
-    tensors = [Tensor(v, requires_grad=True) for v in values]
+    central differences, one input at a time with the others held. Inputs
+    whose index is in `const` require no gradient and must get none."""
+    tensors = [Tensor(v, requires_grad=i not in const) for i, v in enumerate(values)]
     loss(*tensors).backward()
     for i, (t, v) in enumerate(zip(tensors, values)):
+        if i in const:
+            assert t.grad is None, f"input {i}"
+            continue
         def f(x, i=i):
             return float(loss(*[Tensor(x if j == i else u) for j, u in enumerate(values)]).value)
         np.testing.assert_allclose(t.grad, fd_grad(f, v), atol=tol, rtol=tol, err_msg=f"input {i}")
@@ -276,6 +280,67 @@ def test_gelu_large_inputs_without_warnings():
         y = ad.gelu(Tensor(v)).value
     # the tanh form loses relative precision to cancellation in 1 + tanh(u) < 1
     np.testing.assert_allclose(y, 0.5 * v * (1.0 + np.tanh(u)), rtol=1e-14, atol=1e-15)
+
+
+def _mlp_inputs(rng, scale=1.0):
+    """x (2, 3, 4), w1 (4, 6), b1 (6,), w2 (6, 4), b2 (4,)."""
+    return [rng.normal(size=shape) * scale for shape in ((2, 3, 4), (4, 6), (6,), (6, 4), (4,))]
+
+
+@pytest.mark.parametrize("const", range(5), ids=["x", "w1", "b1", "w2", "b2"])
+def test_mlp_gradients(const):
+    """All five inputs of the fused MLP under a non-uniform upstream gradient,
+    with the input `const` requiring none."""
+    rng = np.random.default_rng(19)
+    values = _mlp_inputs(rng)
+    coef = rng.normal(size=(2, 3, 4))
+    check_inputs(lambda *ts: (ad.mlp(*ts) * coef).sum(), values, const=(const,))
+
+
+def test_mlp_no_grad_forward_is_bit_exact_and_counts_both_layers():
+    """The in-place no-grad forward, the graph forward and linear -> gelu ->
+    linear agree bit for bit, and the node counts the two linears' MACs."""
+    values = _mlp_inputs(np.random.default_rng(20), scale=2.0)
+    x, w1, b1, w2, b2 = (Tensor(v) for v in values)
+    with ad.count_macs() as c_mlp:
+        no_grad = ad.mlp(x, w1, b1, w2, b2)
+    with ad.count_macs() as c_ref:
+        ref = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+    graph = ad.mlp(Tensor(values[0], requires_grad=True), w1, b1, w2, b2)
+    assert not no_grad.requires_grad and no_grad._parents == () and no_grad._backward is None
+    assert graph.requires_grad
+    np.testing.assert_array_equal(no_grad.value, ref.value)
+    np.testing.assert_array_equal(graph.value, ref.value)
+    assert c_mlp[0] == c_ref[0] == 2 * 2 * 3 * 4 * 6
+
+
+def test_mlp_gradients_are_those_of_the_unfused_layers_bit_for_bit():
+    """The backward runs the numpy operations of linear, gelu and linear."""
+    rng = np.random.default_rng(23)
+    values = _mlp_inputs(rng, scale=2.0)
+    coef = rng.normal(size=(2, 3, 4))
+    grads = []
+    for fused in (True, False):
+        ts = [Tensor(v, requires_grad=True) for v in values]
+        x, w1, b1, w2, b2 = ts
+        out = ad.mlp(*ts) if fused else ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+        (out * coef).sum().backward()
+        grads.append([t.grad for t in ts])
+    for i, (g_fused, g_chain) in enumerate(zip(*grads)):
+        np.testing.assert_array_equal(g_fused, g_chain, err_msg=f"input {i}")
+
+
+def test_mlp_large_inputs_without_warnings():
+    """Pre-activations down to about -1e3 overflow exp(-2u) silently, in both modes."""
+    x, w1, b1, w2, b2 = _mlp_inputs(np.random.default_rng(21))
+    b1 = np.array([-1e3, -300.0, -40.0, 0.0, 40.0, 1e3])
+    w1 *= 1e-3
+    coef = np.random.default_rng(22).normal(size=(2, 3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_inputs(lambda *ts: (ad.mlp(*ts) * coef).sum(), [x, w1, b1, w2, b2])
+        y = ad.mlp(*(Tensor(v) for v in (x, w1, b1, w2, b2))).value
+    assert np.all(np.isfinite(y))
 
 
 def _corner_bias():

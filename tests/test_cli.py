@@ -85,6 +85,32 @@ class TestMaskCommand:
         code, _, err = run(capsys, "mask", "--len", "3", "--corners", "2")
         assert code == 1
 
+    def test_negative_corners_rejected(self, capsys):
+        code, out, err = run(capsys, "mask", "--len", "5", "--corners", "-1")
+        assert code == 1
+        assert "usage error: --corners must be >= 0, got -1" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tokenize", "--text", "a b c", "--corners", "-1"], "m must be >= 0, got -1"),
+    (["tokenize", "--text", "a b c", "--limit", "2"], "limit too small for corner tokens"),
+    (["tokenize", "--text", "a b c", "--corners", "9"], "m=9 exceeds vocabulary m_max=8"),
+    (["flops", "--limit", "16", "--heads", "0"], "heads must be >= 1, got 0"),
+    (["flops", "--limit", "16", "--dim", "30", "--heads", "4"],
+     "width must be divisible by heads"),
+    (["flops", "--limit", "3"], "limit too small for corner tokens"),
+    (["flops", "--limit", "16", "--mlp-ratio", "-1"], "mlp_ratio must be >= 1, got -1"),
+], ids=["tokenize-corners", "tokenize-limit", "tokenize-m-max", "flops-heads",
+        "flops-width", "flops-limit", "flops-mlp-ratio"])
+def test_out_of_range_shape_setting_is_usage_error(capsys, argv, message):
+    """Shape settings of the debug commands are refused as usage errors,
+    exit 1, as the same settings of train are."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert f"usage error: {message}" in err
+    assert out == ""
+
 
 class TestFlopsCommand:
     def test_matches_library_closed_form(self, capsys):

@@ -31,6 +31,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value,rule", [
         ("heads", 0, ">= 1"), ("width", 0, ">= 1"), ("depth", 0, ">= 1"), ("m", -1, ">= 0"),
+        ("mlp_ratio", 0, ">= 1"),
     ])
     def test_bad_shape_names_field_and_value(self, field, value, rule):
         with pytest.raises(ValueError) as exc:

@@ -138,6 +138,11 @@ class TestTokenize:
         with pytest.raises(ValueError, match="limit too small"):
             tokenize("a.", 3, 2, v)
 
+    def test_negative_corner_count_refused(self):
+        v = Vocabulary.build(["a b c"])
+        with pytest.raises(ValueError, match=r"m must be >= 0, got -1"):
+            tokenize("a b c", 8, -1, v)
+
     def test_truncation_hard_cut(self):
         v = Vocabulary.build(["w0 w1 w2 w3 w4 w5 w6 w7."])
         seq = tokenize("w0 w1 w2 w3 w4 w5 w6 w7.", 6, 1, v)

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from cornerclip import checkpoint as ckpt
-from cornerclip import evaluation, image_encoder, train
+from cornerclip import evaluation, image_encoder, text_encoder, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
-from cornerclip.tokenizer import Vocabulary
+from cornerclip.tokenizer import Vocabulary, tokenize
 from cornerclip.train import AdamState, TrainConfig
 
 
@@ -205,7 +205,8 @@ class TestGradients:
         leaves left out: 300 before the dense layers, GELU, attention,
         InfoNCE and L2 normalization became one node each and the last blocks
         were cut to their pooled rows, 86 before every InfoNCE term of the
-        step became one contrastive node. Unfusing a node again fails here."""
+        step became one contrastive node, 65 before each block's MLP became
+        one mlp node. Unfusing a node again fails here."""
         recs = generate_synthetic_corpus(1, 64, 4, 16)
         vocab = Vocabulary.build([r.short_text for r in recs]
                                  + [t for r in recs for t in r.long_texts])
@@ -223,7 +224,33 @@ class TestGradients:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen - {id(t) for t in params.values()}) <= 65
+        assert len(seen - {id(t) for t in params.values()}) <= 57
+
+    def test_features_do_not_depend_on_grad_mode(self):
+        """Text and ViT features are the same bytes with every parameter
+        requiring a gradient (nodes save what their backward reads) and with
+        none (the MLP works in place and saves nothing): the in-place branch
+        writes into no array that another node kept."""
+        recs = generate_synthetic_corpus(1, 6, 2, 16)
+        vocab = Vocabulary.build([t for r in recs for t in r.long_texts])
+        cfg = TrainConfig(seed=1, image_mode="vit")
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
+        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        seqs = [tokenize(r.long_texts[0], text_cfg.limit, text_cfg.m, vocab) for r in recs]
+        ids, roles = np.stack([q.ids for q in seqs]), np.stack([q.roles for q in seqs])
+        size = image_cfg.image_size
+        images = np.random.default_rng(2).normal(size=(len(recs), size, size, image_cfg.channels))
+
+        def features(requires_grad):
+            for t in params.values():
+                t.requires_grad = requires_grad
+            text = text_encoder.encode_text_graph(ids, roles, params, text_cfg)[0]
+            image = image_encoder.encode_image_graph(images, params, image_cfg)
+            assert text.requires_grad == image.requires_grad == requires_grad
+            return text.value, image.value
+
+        for graph, no_grad in zip(features(True), features(False)):
+            np.testing.assert_array_equal(graph, no_grad)
 
 
 class TestConfigValidation:

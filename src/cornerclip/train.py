@@ -168,21 +168,39 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
     return batch
 
 
+def _distinct_rows(ids: np.ndarray, roles: np.ndarray):
+    """The distinct (ids, roles) rows of a text batch in first-occurrence
+    order, and the index that reads the batch back from them:
+    `ids == distinct_ids[index]`. A batch with no repeated row comes back as
+    it is, with the identity index."""
+    seen: dict = {}
+    index = np.array([seen.setdefault((i.tobytes(), r.tobytes()), len(seen))
+                      for i, r in zip(ids, roles)], dtype=np.intp)
+    first = np.unique(index, return_index=True)[1]
+    return ids[first], roles[first], index
+
+
 def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
                  image_cfg: ImageEncoderConfig, cfg: TrainConfig):
-    """Build the loss graph; returns (breakdown, tau tensor)."""
+    """Build the loss graph; returns (breakdown, tau tensor).
+
+    Short captions repeat within a batch, so each text batch is encoded once
+    per distinct row and each pair reads its row back through an advanced
+    index, whose backward sums the gradients of the repeats. The graph has
+    the same nodes whether or not a batch repeats a row.
+    """
     tau = objective.temperature(params["obj.s"])
     v = (Tensor(batch.image_features) if batch.image_features is not None
          else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
-    short_feats, _ = text_encoder.encode_text_graph(
-        batch.short_ids, batch.short_roles, params, text_cfg)
-    t_short = short_feats[:, 0, :]
+    ids, roles, short_index = _distinct_rows(batch.short_ids, batch.short_roles)
+    short_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg)
+    t_short = short_feats[short_index, 0, :]
     if batch.long_ids is None:
         return objective.total_loss(v, t_short, tau), tau
-    long_feats, _ = text_encoder.encode_text_graph(
-        batch.long_ids, batch.long_roles, params, text_cfg)
-    t_g = long_feats[:, 0, :]
-    corners = [long_feats[:, 1 + k, :] for k in range(text_cfg.m)]
+    ids, roles, long_index = _distinct_rows(batch.long_ids, batch.long_roles)
+    long_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg)
+    t_g = long_feats[long_index, 0, :]
+    corners = [long_feats[long_index, 1 + k, :] for k in range(text_cfg.m)]
     return objective.total_loss(v, t_short, tau, t_g=t_g, corners=corners), tau
 
 

@@ -102,6 +102,22 @@ def test_getitem_and_take_rows_gradients():
     np.testing.assert_array_equal(table.grad, expect)
 
 
+@pytest.mark.parametrize("table_shape, ids", [
+    ((62, 8), np.random.default_rng(5).integers(0, 62, size=(32, 15))),   # a text batch
+    ((6, 3), np.array([2, 2, 5, 2, 0])),                                   # 1-D, repeats
+    ((1, 4), np.zeros((7, 1), dtype=np.int64)),                            # the ViT's CLS row
+])
+def test_take_rows_backward_matches_add_at_bytes(table_shape, ids):
+    """The bincount backward adds in np.add.at's order: the same bytes."""
+    rng = np.random.default_rng(6)
+    table = Tensor(rng.normal(size=table_shape), requires_grad=True)
+    g = rng.normal(size=ids.shape + table_shape[1:])
+    (ad.take_rows(table, ids) * g).sum().backward()
+    expect = np.zeros(table_shape)
+    np.add.at(expect, ids, g)
+    assert table.grad.tobytes() == expect.tobytes()
+
+
 def test_layer_norm_gradient():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)

@@ -12,9 +12,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cornerclip import checkpoint as ckpt
-from cornerclip import evaluation, image_encoder, text_encoder, train
+from cornerclip import evaluation, image_encoder, objective, text_encoder, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.tokenizer import Vocabulary, tokenize
@@ -156,35 +159,44 @@ class TestAssembleBatch:
 
 class TestGradients:
     def test_matches_finite_differences(self, corpus16):
+        """On a drawn batch, and on one whose second pair repeats the first
+        pair's captions, so each text pass encodes one row fewer."""
         recs, vocab = corpus16
         cfg = tiny_cfg()
         text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
         batch = train.assemble_batch(recs, vocab, text_cfg, cfg,
                                      train.step_rng(0, 1), image_cfg)
-        grads, _, _ = train.gradients(params, batch, text_cfg, image_cfg, cfg)
+        dup = {name: getattr(batch, name).copy()
+               for name in ("short_ids", "short_roles", "long_ids", "long_roles")}
+        for rows in dup.values():
+            rows[1] = rows[0]
+        forced = dataclasses.replace(batch, **dup)
+        assert len(np.unique(forced.short_ids, axis=0)) < cfg.batch_size
+        for batch in (batch, forced):
+            grads, _, _ = train.gradients(params, batch, text_cfg, image_cfg, cfg)
 
-        def loss_value():
-            bd, _ = train.compute_loss(params, batch, text_cfg, image_cfg, cfg)
-            return float(bd.total.value)
+            def loss_value():
+                bd, _ = train.compute_loss(params, batch, text_cfg, image_cfg, cfg)
+                return float(bd.total.value)
 
-        rng = np.random.default_rng(0)
-        eps = 1e-6
-        checked = 0
-        for name in ("text.tok_emb", "text.L0.wq", "img.proj", "obj.s",
-                     "text.proj", "text.pos_emb"):
-            flat = params[name].value.reshape(-1)
-            for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                old = flat[idx]
-                flat[idx] = old + eps
-                up = loss_value()
-                flat[idx] = old - eps
-                down = loss_value()
-                flat[idx] = old
-                fd = (up - down) / (2 * eps)
-                an = grads[name].reshape(-1)[idx]
-                assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), (name, idx)
-                checked += 1
-        assert checked >= 16
+            rng = np.random.default_rng(0)
+            eps = 1e-6
+            checked = 0
+            for name in ("text.tok_emb", "text.L0.wq", "img.proj", "obj.s",
+                         "text.proj", "text.pos_emb"):
+                flat = params[name].value.reshape(-1)
+                for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                    old = flat[idx]
+                    flat[idx] = old + eps
+                    up = loss_value()
+                    flat[idx] = old - eps
+                    down = loss_value()
+                    flat[idx] = old
+                    fd = (up - down) / (2 * eps)
+                    an = grads[name].reshape(-1)[idx]
+                    assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), (name, idx)
+                    checked += 1
+            assert checked >= 16
 
     def test_frozen_image_excluded(self, corpus16):
         recs, vocab = corpus16
@@ -251,6 +263,126 @@ class TestGradients:
 
         for graph, no_grad in zip(features(True), features(False)):
             np.testing.assert_array_equal(graph, no_grad)
+
+
+def encode_every_row_loss(params, batch, text_cfg, image_cfg, cfg):
+    """The reference for compute_loss: every text row encoded, as it is
+    drawn, and read back by a basic slice."""
+    tau = objective.temperature(params["obj.s"])
+    v = (Tensor(batch.image_features) if batch.image_features is not None
+         else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
+    short = text_encoder.encode_text_graph(batch.short_ids, batch.short_roles,
+                                           params, text_cfg)[0]
+    long = text_encoder.encode_text_graph(batch.long_ids, batch.long_roles,
+                                          params, text_cfg)[0]
+    corners = [long[:, 1 + k, :] for k in range(text_cfg.m)]
+    return objective.total_loss(v, short[:, 0, :], tau, t_g=long[:, 0, :],
+                                corners=corners), tau
+
+
+def n_distinct(ids, roles):
+    return len(np.unique(np.concatenate([ids, roles], axis=1), axis=0))
+
+
+@pytest.fixture(scope="module")
+def repeating_corpus():
+    """16 records over a pool of 3 attributes: 3 distinct short captions and
+    6 distinct attribute pairs, so captions repeat within a batch of 8."""
+    recs = generate_synthetic_corpus(0, 16, 2, 8, pool_size=3)
+    texts = [r.short_text for r in recs] + [t for r in recs for t in r.long_texts]
+    return recs, Vocabulary.build(texts)
+
+
+class TestDistinctCaptions:
+    def batch(self, recs, vocab, cfg):
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
+        batch = train.assemble_batch(recs, vocab, text_cfg, cfg,
+                                     train.step_rng(cfg.seed, 1), image_cfg)
+        return params, batch, text_cfg, image_cfg
+
+    def reference_gradients(self, monkeypatch, params, batch, text_cfg, image_cfg, cfg):
+        with monkeypatch.context() as patch:
+            patch.setattr(train, "compute_loss", encode_every_row_loss)
+            return train.gradients(params, batch, text_cfg, image_cfg, cfg)
+
+    def test_encoder_sees_only_distinct_rows(self, repeating_corpus, monkeypatch):
+        recs, vocab = repeating_corpus
+        cfg = tiny_cfg(batch_size=8)
+        params, batch, text_cfg, image_cfg = self.batch(recs, vocab, cfg)
+        want = [n_distinct(batch.short_ids, batch.short_roles),
+                n_distinct(batch.long_ids, batch.long_roles)]
+        assert max(want) < cfg.batch_size
+        sizes = []
+        encode = text_encoder.encode_text_graph
+        monkeypatch.setattr(text_encoder, "encode_text_graph",
+                            lambda ids, *a, **kw: (sizes.append(len(ids)), encode(ids, *a, **kw))[1])
+        train.gradients(params, batch, text_cfg, image_cfg, cfg)
+        assert sizes == want
+
+    def test_repeats_match_every_row_reference(self, repeating_corpus, monkeypatch):
+        """The forward reads the same bytes; the gradients sum the repeats
+        over fewer rows, so they differ in the last bits only."""
+        recs, vocab = repeating_corpus
+        cfg = tiny_cfg(batch_size=8)
+        params, batch, text_cfg, image_cfg = self.batch(recs, vocab, cfg)
+        grads, bd, tau = train.gradients(params, batch, text_cfg, image_cfg, cfg)
+        ref, ref_bd, ref_tau = self.reference_gradients(monkeypatch, params, batch,
+                                                        text_cfg, image_cfg, cfg)
+        assert (bd.total.value.tobytes(), bd.short, bd.long, tau) == \
+            (ref_bd.total.value.tobytes(), ref_bd.short, ref_bd.long, ref_tau)
+        # relative to the largest entry: the key bias's true gradient is 0,
+        # and both sides hold only rounding there
+        scale = max(np.abs(g).max() for g in ref.values())
+        for name, g in ref.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
+    def test_all_distinct_batch_is_today_s_graph(self, corpus16, monkeypatch):
+        """With no repeated row, every text row is encoded in its drawn order:
+        the gradients are the reference's bytes."""
+        recs, vocab = corpus16
+        firsts = list({r.short_text: r for r in recs}.values())
+        cfg = tiny_cfg(batch_size=8)
+        params, batch, text_cfg, image_cfg = self.batch(firsts, vocab, cfg)
+        assert n_distinct(batch.short_ids, batch.short_roles) == cfg.batch_size
+        assert n_distinct(batch.long_ids, batch.long_roles) == cfg.batch_size
+        grads = train.gradients(params, batch, text_cfg, image_cfg, cfg)[0]
+        ref = self.reference_gradients(monkeypatch, params, batch, text_cfg, image_cfg, cfg)[0]
+        for name, g in ref.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+
+    def test_one_caption_batch_takes_a_step(self, corpus16):
+        recs, vocab = corpus16
+        caption = recs[0].short_text
+        same = [dataclasses.replace(r, short_text=caption, long_texts=[caption])
+                for r in recs]
+        cfg = tiny_cfg(batch_size=16)
+        params, batch, text_cfg, image_cfg = self.batch(same, vocab, cfg)
+        assert n_distinct(batch.short_ids, batch.short_roles) == 1
+        assert n_distinct(batch.long_ids, batch.long_roles) == 1
+        opt = AdamState.create(params, train.trainable_names(params, cfg))
+        metrics = train.train_step(params, opt, batch, text_cfg, image_cfg, cfg, 1)
+        assert np.isfinite([metrics["loss_total"], metrics["grad_norm"]]).all()
+        assert all(np.isfinite(p.value).all() for p in params.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 3), st.data())
+    def test_distinct_rows_rebuild_the_batch(self, batch_size, length, data):
+        """Random small-alphabet batches, so rows repeat often."""
+        rows = arrays(np.int64, (batch_size, length), elements=st.integers(0, 2))
+        ids, roles = data.draw(rows), data.draw(rows)
+        u_ids, u_roles, index = train._distinct_rows(ids, roles)
+        np.testing.assert_array_equal(u_ids[index], ids)
+        np.testing.assert_array_equal(u_roles[index], roles)
+        assert n_distinct(u_ids, u_roles) == len(u_ids)
+        # first-occurrence order: each row's number is at most one past any before it
+        assert index[0] == 0 and index.max() == len(u_ids) - 1
+        assert (np.diff(np.maximum.accumulate(index)) <= 1).all()
+        # rows made distinct by a leading row number come back as they are
+        numbered = np.concatenate([np.arange(batch_size)[:, None], ids], axis=1)
+        u_ids, u_roles, index = train._distinct_rows(numbered, roles)
+        np.testing.assert_array_equal(index, np.arange(batch_size))
+        assert u_ids.tobytes() == numbered.tobytes() and u_roles.tobytes() == roles.tobytes()
 
 
 class TestConfigValidation:

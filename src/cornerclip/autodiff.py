@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for a small transformer: broadcasting arithmetic,
-a matmul whose right operand is 2-D, reductions, elementwise transcendentals,
-gather, softmax, GELU and layer-norm primitives, and a dense layer, the
-transformer MLP, multi-head self-attention, an L2 normalization and the
+reductions, elementwise transcendentals, gather, softmax, GELU and
+layer-norm primitives, and a dense layer (``matmul`` is one without a bias),
+the transformer MLP, multi-head self-attention, an L2 normalization and the
 bidirectional InfoNCE of image features against K text feature sets each
 fused into one node. Gradients are exact; the finite-difference harness in
 the test suite is the contract.
@@ -225,15 +225,21 @@ def _dense(x: Tensor, w: Tensor, b: Tensor | None = None):
     return y2, backward
 
 
-def matmul(a, b) -> Tensor:
-    """a @ b for a 2-D b: forward and both gradients are single GEMMs, see _dense."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    v, dense_bw = _dense(a, b)
+def linear(x, w, b=None) -> Tensor:
+    """Dense layer x @ w (+ b) over the last axis as one node, see _dense."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    parents = (x, w) if b is None else (x, w, _as_tensor(b))
+    y, dense_bw = _dense(*parents)
 
     def _bw(g):
         dense_bw(g.reshape(-1, g.shape[-1]))
 
-    return _result(v.reshape(a.value.shape[:-1] + b.value.shape[-1:]), (a, b), _bw)
+    return _result(y.reshape(x.value.shape[:-1] + w.value.shape[-1:]), parents, _bw)
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b for a 2-D b: linear without a bias."""
+    return linear(a, b)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
@@ -275,33 +281,36 @@ def _is_basic(idx) -> bool:
                for i in items)
 
 
+def _scatter_sum(shape, idx, g: np.ndarray) -> np.ndarray:
+    """np.add.at(np.zeros(shape), idx, g) for an index that may select an
+    element more than once, as one np.bincount over the flat positions idx
+    selects: it adds in np.add.at's order, so the bytes are the same."""
+    size = math.prod(shape)
+    flat = np.arange(size).reshape(shape)[idx]
+    return np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=size).reshape(shape)
+
+
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
     basic = _is_basic(idx)
 
     def _bw(g):
-        full = np.zeros_like(a.value)
         if basic:
+            full = np.zeros_like(a.value)
             full[idx] = g
         else:
-            np.add.at(full, idx, g)     # an advanced index may repeat an element
+            full = _scatter_sum(a.value.shape, idx, g)
         a.accumulate(full)
 
     return _result(a.value[idx], (a,), _bw)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: gather rows of `table` by integer index array.
-
-    Backward sums repeated ids with one `np.bincount` over the flat element
-    index `id * d + column`, which adds in `np.add.at(full, ids, g)`'s order:
-    the same bytes, several times faster."""
+    """Embedding lookup: gather rows of `table` by integer index array; the
+    backward sums the gradients of repeated ids with _scatter_sum."""
 
     def _bw(g):
-        n, d = table.value.shape[0], table.value[0].size
-        flat = (ids[..., None] * d + np.arange(d)).reshape(-1)
-        full = np.bincount(flat, weights=g.reshape(-1), minlength=n * d)
-        table.accumulate(full.reshape(table.value.shape))
+        table.accumulate(_scatter_sum(table.value.shape, ids, g))
 
     return _result(table.value[ids], (table,), _bw)
 
@@ -383,17 +392,6 @@ def contrastive(v, ts, tau) -> Tensor:
                 t.accumulate(dt_k)
 
     return _result(loss, (v, *ts, tau), _bw)
-
-
-def linear(x, w, b) -> Tensor:
-    """Dense layer x @ w + b over the last axis as one node, see _dense."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    y, dense_bw = _dense(x, w, b)
-
-    def _bw(g):
-        dense_bw(g.reshape(-1, g.shape[-1]))
-
-    return _result(y.reshape(x.value.shape[:-1] + w.value.shape[-1:]), (x, w, b), _bw)
 
 
 _GELU_A = 0.044715

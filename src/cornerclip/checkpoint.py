@@ -24,18 +24,6 @@ class CheckpointError(Exception):
     pass
 
 
-def _array_items(arrays: dict[str, np.ndarray]):
-    entries = []
-    offset = 0
-    for name in sorted(arrays):
-        # note: ascontiguousarray would promote 0-d arrays to 1-d
-        a = np.asarray(arrays[name], dtype=np.float64, order="C")
-        entries.append({"name": name, "shape": list(a.shape),
-                        "offset": offset, "nbytes": a.nbytes})
-        offset += a.nbytes
-    return entries
-
-
 def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
                     meta: dict) -> None:
     """Write params, optimizer state, step counter, and JSON-able metadata to a
@@ -46,7 +34,13 @@ def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
         arrays[f"adam.m.{name}"] = a
     for name, a in opt_state.v.items():
         arrays[f"adam.v.{name}"] = a
-    entries = _array_items(arrays)
+    entries, payload = [], bytearray()
+    for name in sorted(arrays):
+        # note: ascontiguousarray would promote 0-d arrays to 1-d
+        a = np.asarray(arrays[name], dtype=np.float64, order="C")
+        entries.append({"name": name, "shape": list(a.shape),
+                        "offset": len(payload), "nbytes": a.nbytes})
+        payload += a.tobytes()
     header = {
         "version": VERSION,
         "step": step,
@@ -56,17 +50,13 @@ def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
         "arrays": entries,
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
-    body = bytearray()
-    body += MAGIC
-    body += struct.pack("<Q", len(hbytes))
-    body += hbytes
-    for e in entries:
-        body += np.asarray(arrays[e["name"]], dtype=np.float64, order="C").tobytes()
-    body += struct.pack("<I", zlib.crc32(body))
+    head = MAGIC + struct.pack("<Q", len(hbytes)) + hbytes
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(body)
+            f.write(head)
+            f.write(payload)
+            f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -289,10 +289,9 @@ def _cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad --values: {exc}")
-    cfg = resolve_train_config(args)
+    spec = _setting(sweep_mod.SweepSpec, axis=args.axis, values=values,
+                    base=resolve_train_config(args), seeds=list(range(args.seeds)))
     records, vocab = _corpus_vocab(args.corpus)
-    spec = sweep_mod.SweepSpec(axis=args.axis, values=values, base=cfg,
-                               seeds=list(range(args.seeds)))
     rows = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)
     sweep_mod.emit_plot_data(rows, os.path.join(args.out_dir, "plot_data.csv"))
     failed = len(sweep_mod.read_failures(args.out_dir))

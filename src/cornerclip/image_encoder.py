@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transformer
-from .autodiff import Tensor, concat, l2_normalize, layer_norm, linear, matmul, take_rows
+from .autodiff import Tensor, concat, l2_normalize, linear, matmul, take_rows
 
 
 @dataclass
@@ -64,11 +64,8 @@ def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> 
     p("patch_bias", np.zeros(d))
     p("cls_emb", rng.normal(0.0, 0.02, size=(1, d)))
     p("pos_emb", rng.normal(0.0, 0.02, size=(config.n_patches + 1, d)))
-    for layer in range(config.depth):
-        transformer.init_block_params(rng, d, config.mlp_ratio, f"{prefix}L{layer}.", params)
-    p("lnf.g", np.ones(d))
-    p("lnf.b", np.zeros(d))
-    p("proj", rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)))
+    transformer.init_tower_params(rng, d, config.depth, config.mlp_ratio,
+                                  config.projection_dim, prefix, params)
     return params
 
 
@@ -139,11 +136,6 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
     cls = take_rows(params[f"{prefix}cls_emb"], np.zeros((B, 1), dtype=np.int64))
     x = concat([cls, x], axis=1) + params[f"{prefix}pos_emb"]
     L = config.n_patches + 1
-    bias = np.zeros((B, 1, L, L))
-    for layer in range(config.depth):
-        # the feature reads only the CLS row, so the last block computes just that
-        rows = 1 if layer == config.depth - 1 else None
-        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias,
-                                      rows=rows)
-    hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
-    return l2_normalize(matmul(hidden[:, 0, :], params[f"{prefix}proj"]))
+    feats, _ = transformer.tower(x, params, prefix, config.depth, config.heads,
+                                 np.zeros((B, 1, L, L)), 1)
+    return feats[:, 0]

@@ -46,8 +46,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}")
-        if not self.values or any(v < 0 for v in self.values):
-            raise ValueError("values must be nonempty and nonnegative")
+        if any(v < 0 for v in self.values):
+            raise ValueError(f"values must be nonnegative, got {self.values}")
+        for name, xs in (("values", self.values), ("seeds", self.seeds)):
+            if not xs or len(set(xs)) < len(xs):
+                raise ValueError(f"{name} must be nonempty and distinct, got {xs}")
 
 
 def cell_settings(axis: str, value: int, seed: int) -> dict:

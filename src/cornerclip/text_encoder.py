@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masks, transformer
-from .autodiff import Tensor, l2_normalize, layer_norm, matmul, take_rows
+from .autodiff import Tensor, take_rows
 from .tokenizer import CORNER_ID_BASE, ROLE_SEP, ROLE_TEXT, TokenSequence
 
 
@@ -62,11 +62,8 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
         tok[CORNER_ID_BASE + i] += 0.25 * (i + 1)
     params[f"{prefix}tok_emb"] = Tensor(tok)
     params[f"{prefix}pos_emb"] = Tensor(rng.normal(0.0, 0.02, size=(config.limit, d)))
-    for layer in range(config.depth):
-        transformer.init_block_params(rng, d, config.mlp_ratio, f"{prefix}L{layer}.", params)
-    params[f"{prefix}lnf.g"] = Tensor(np.ones(d))
-    params[f"{prefix}lnf.b"] = Tensor(np.zeros(d))
-    params[f"{prefix}proj"] = Tensor(rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)))
+    transformer.init_tower_params(rng, d, config.depth, config.mlp_ratio,
+                                  config.projection_dim, prefix, params)
     return params
 
 
@@ -94,15 +91,8 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         # weight, so a batch may be trimmed to its longest true length
         pos = pos[:L]
     x = take_rows(params[f"{prefix}tok_emb"], ids) + pos
-    n_pooled = config.m + 1
-    every_row = with_hidden or collect_attn is not None
-    for layer in range(config.depth):
-        rows = None if every_row or layer < config.depth - 1 else n_pooled
-        x = transformer.block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias,
-                                      collect_attn, rows)
-    hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
-    pooled = hidden[:, :n_pooled, :]
-    feats = l2_normalize(matmul(pooled, params[f"{prefix}proj"]))
+    feats, hidden = transformer.tower(x, params, prefix, config.depth, config.heads, bias,
+                                      config.m + 1, collect_attn, with_hidden)
     return feats, hidden if with_hidden else None
 
 

@@ -25,6 +25,7 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 CORNER_ID_BASE = 4
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+_SUBCAPTION_RE = re.compile(r"[^.]*\.|[^.]+$")
 
 
 def word_tokenize(text: str) -> list[str]:
@@ -37,19 +38,7 @@ def split_subcaptions(text: str) -> list[str]:
 
     A trailing fragment without a period is returned as a final sub-caption.
     """
-    out = []
-    buf = []
-    for ch in text:
-        buf.append(ch)
-        if ch == ".":
-            piece = "".join(buf).strip()
-            if piece:
-                out.append(piece)
-            buf = []
-    tail = "".join(buf).strip()
-    if tail:
-        out.append(tail)
-    return out
+    return [s for s in (m.strip() for m in _SUBCAPTION_RE.findall(text)) if s]
 
 
 def sample_consecutive(subcaps: list[str], k: int, rng: np.random.Generator) -> str:

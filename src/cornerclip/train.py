@@ -68,6 +68,7 @@ class TrainConfig:
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         self.text_config(vocab_size=0)      # the text tower's shape rules
+        ImageEncoderConfig(mode=self.image_mode)    # and the image tower's mode rule
 
     def text_config(self, vocab_size: int) -> TextEncoderConfig:
         return TextEncoderConfig(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, layer_norm, linear, mlp, self_attention
+from .autodiff import Tensor, l2_normalize, layer_norm, linear, matmul, mlp, self_attention
 
 
 def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
@@ -27,6 +27,17 @@ def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
     p("b1", np.zeros(dm))
     p("w2", rng.normal(0.0, dm ** -0.5, size=(dm, d)))
     p("b2", np.zeros(d))
+
+
+def init_tower_params(rng: np.random.Generator, d: int, depth: int, mlp_ratio: int,
+                      projection_dim: int, prefix: str, params: dict) -> None:
+    """Initialize a tower's blocks, final norm and projection into `params`
+    under `prefix`, drawing from `rng` after the tower's own embeddings."""
+    for layer in range(depth):
+        init_block_params(rng, d, mlp_ratio, f"{prefix}L{layer}.", params)
+    params[f"{prefix}lnf.g"] = Tensor(np.ones(d))
+    params[f"{prefix}lnf.b"] = Tensor(np.zeros(d))
+    params[f"{prefix}proj"] = Tensor(rng.normal(0.0, d ** -0.5, size=(d, projection_dim)))
 
 
 def attention(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray,
@@ -54,3 +65,17 @@ def block_forward(x: Tensor, params: dict, prefix: str, heads: int, bias: np.nda
     h = layer_norm(x, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
     h = mlp(h, *(params[f"{prefix}{n}"] for n in ("w1", "b1", "w2", "b2")))
     return x + h
+
+
+def tower(x: Tensor, params: dict, prefix: str, depth: int, heads: int, bias: np.ndarray,
+          pooled: int, collect: list | None = None, every_row: bool = False):
+    """A tower's blocks and final norm, then its first `pooled` rows projected and
+    L2-normalized: (features (B, pooled, p), final-norm hidden states) Tensors.
+    The features read only those rows, so the last block computes just them,
+    unless the caller reads every row: `every_row`, or probabilities into `collect`."""
+    every_row = every_row or collect is not None
+    for layer in range(depth):
+        rows = None if every_row or layer < depth - 1 else pooled
+        x = block_forward(x, params, f"{prefix}L{layer}.", heads, bias, collect, rows=rows)
+    hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
+    return l2_normalize(matmul(hidden[:, :pooled], params[f"{prefix}proj"])), hidden

@@ -118,6 +118,21 @@ def test_take_rows_backward_matches_add_at_bytes(table_shape, ids):
     assert table.grad.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("shape, idx", [
+    ((5, 4), (np.array([0, 2, 2, 4, 2]),)),                                # repeated rows
+    ((5, 3, 8), (np.array([0, 1, 0, 2, 4, 4, 3]), 1, slice(None))),       # a feature readback
+    ((62, 8), np.random.default_rng(5).integers(0, 62, size=(32, 15))),   # 2-D ids
+    ((1, 4), np.zeros((7, 1), dtype=np.int64)),                            # the ViT's CLS row
+    ((4, 3), (np.array([1, 0, 1]), np.array([2, 2, 0]))),                  # repeated pairs
+], ids=["rows", "readback", "2d-ids", "vit-cls", "pairs"])
+def test_scatter_sum_matches_add_at_bytes(shape, idx):
+    """The one bincount scatter adds in np.add.at's order: the same bytes."""
+    g = np.random.default_rng(7).normal(size=np.zeros(shape)[idx].shape)
+    expect = np.zeros(shape)
+    np.add.at(expect, idx, g)
+    assert ad._scatter_sum(shape, idx, g).tobytes() == expect.tobytes()
+
+
 def test_layer_norm_gradient():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
@@ -285,6 +300,19 @@ def test_linear_gradients_and_macs():
         y = ad.linear(Tensor(x), Tensor(w), Tensor(b)).value
     assert c[0] == 2 * 3 * 4 * 5
     np.testing.assert_allclose(y, x @ w + b, rtol=1e-12, atol=1e-12)
+
+
+def test_matmul_is_linear_without_a_bias():
+    """matmul(a, b) and linear(a, b) give the same bytes: value and both gradients."""
+    rng = np.random.default_rng(15)
+    a, b, coef = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 5))
+    results = []
+    for op in (ad.matmul, ad.linear):
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        y = op(ta, tb)
+        (y * coef).sum().backward()
+        results.append([t.tobytes() for t in (y.value, ta.grad, tb.grad)])
+    assert results[0] == results[1]
 
 
 def test_gelu_large_inputs_without_warnings():

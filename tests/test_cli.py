@@ -294,6 +294,7 @@ class TestConfigPrecedence:
         ("--text-width", "30", "width must be divisible by heads"),
         ("--projection-dim", "0", "projection_dim must be >= 1, got 0"),
         ("--mask-mode", "none", "unknown mask_mode 'none'"),
+        ("--image-mode", "resnet", "unknown mode 'resnet'"),
     ])
     def test_out_of_range_setting_is_usage_error(self, manifest, tmp_path, capsys,
                                                  flag, raw, message):
@@ -364,3 +365,21 @@ class TestSweepCommand:
                            "--out", str(tmp_path / "s"))
         assert code == 1
         assert "bad --values" in err
+
+    @pytest.mark.parametrize("values, seeds, message", [
+        ("2,2", "1", "values must be nonempty and distinct, got [2, 2]"),
+        ("2", "0", "seeds must be nonempty and distinct, got []"),
+        ("", "1", "values must be nonempty and distinct, got []"),
+        ("-1", "1", "values must be nonnegative, got [-1]"),
+    ], ids=["repeated-value", "no-seed", "no-value", "negative-value"])
+    def test_cells_out_of_range_are_usage_errors(self, manifest, tmp_path, capsys,
+                                                 values, seeds, message):
+        out_dir = tmp_path / "sweep"
+        code, _, err = run(capsys, "sweep", "--axis", "m_corners", "--values", values,
+                           "--seeds", seeds, "--corpus", manifest, "--out", str(out_dir),
+                           "--steps", "1", "--batch-size", "4", "--warmup-steps", "1",
+                           "--limit", "16", "--text-depth", "1", "--text-width", "16",
+                           "--text-heads", "2", "--projection-dim", "8")
+        assert code == 1
+        assert f"usage error: {message}" in err
+        assert not out_dir.exists()

@@ -34,6 +34,14 @@ class TestSpec:
         with pytest.raises(ValueError, match="values"):
             SweepSpec(axis="m_corners", values=[])
 
+    @pytest.mark.parametrize("values, seeds, field", [
+        ([2, 2], [0], "values"), ([1], [], "seeds"), ([1], [0, 0], "seeds"),
+    ], ids=["repeated-value", "no-seed", "repeated-seed"])
+    def test_repeated_or_missing_cells_refused(self, values, seeds, field):
+        """A repeated value or seed would run its cells twice; no seed, no cell."""
+        with pytest.raises(ValueError, match=f"{field} must be nonempty and distinct"):
+            SweepSpec(axis="m_corners", values=values, seeds=seeds)
+
     def test_cell_config_overrides(self, tiny_setup):
         _, _, base = tiny_setup
         spec = SweepSpec(axis="k_subcaptions", values=[0, 2], base=base)

@@ -35,7 +35,30 @@ def random_text(rng):
     return " ".join(sents)
 
 
+def split_subcaptions_loop(text):
+    """The character loop that split_subcaptions once was, kept as its reference."""
+    out = []
+    buf = []
+    for ch in text:
+        buf.append(ch)
+        if ch == ".":
+            piece = "".join(buf).strip()
+            if piece:
+                out.append(piece)
+            buf = []
+    tail = "".join(buf).strip()
+    if tail:
+        out.append(tail)
+    return out
+
+
 class TestSplitSubcaptions:
+    @given(st.text(st.one_of(st.sampled_from("ab.. \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"),
+                             st.characters())))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_character_loop(self, text):
+        assert split_subcaptions(text) == split_subcaptions_loop(text)
+
     def test_two_sentences(self):
         assert split_subcaptions("A cat. A dog.") == ["A cat.", "A dog."]
 

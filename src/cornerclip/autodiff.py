@@ -46,12 +46,11 @@ def _count_macs(n: int) -> None:
 class Tensor:
     """A node in the computation graph wrapping an ndarray value."""
 
-    __slots__ = ("value", "grad", "_own_grad", "_parents", "_backward", "requires_grad")
+    __slots__ = ("value", "grad", "_parents", "_backward", "requires_grad")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._own_grad = None   # the grad array this node allocated, if any
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad
@@ -63,13 +62,8 @@ class Tensor:
     def accumulate(self, g):
         # The first gradient is kept as given, uncopied: it may be shared with
         # another node (add fans one g out) or read-only (tsum's broadcast_to).
-        # So only an array this node allocated itself is ever added into in place.
-        if self.grad is None:
-            self.grad = g
-        elif self.grad is self._own_grad:
-            self.grad += g
-        else:
-            self.grad = self._own_grad = self.grad + g
+        # So it is never written, and each later one is summed out of place.
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         """Backpropagate from this (typically scalar) node into every node that

@@ -2,9 +2,9 @@
 
 Precedence for train/sweep settings: built-in defaults < config file
 (flat key=value lines, default path from $CORNERCLIP_CONFIG) < flags.
-Exit codes: 0 success, 1 usage error (a bad flag, or a train setting or a
-shape setting of tokenize, mask or flops out of its range), 2 runtime failure
-(a manifest with fewer records than batch_size too).
+Exit codes: 0 success, 1 usage error (a bad flag, or a train, sweep or
+gen-corpus setting or a shape setting of tokenize, mask or flops out of its
+range), 2 runtime failure (a manifest with fewer records than batch_size too).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import corpus, evaluation, masks, sweep as sweep_mod, text_encoder, train as train_mod
-from .image_encoder import ImageEncoderConfig
 from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_TEXT, Vocabulary, detokenize, tokenize
 from .train import TrainConfig
 
@@ -173,8 +172,8 @@ def build_parser() -> Parser:
 
 
 def _cmd_gen_corpus(args) -> int:
-    records = corpus.generate_synthetic_corpus(
-        args.seed, args.n, args.attributes, args.feature_dim, args.pool_size)
+    records = _setting(corpus.generate_synthetic_corpus,
+                       args.seed, args.n, args.attributes, args.feature_dim, args.pool_size)
     corpus.save_manifest(records, args.out)
     _emit(args, {"written": len(records), "path": args.out},
           f"wrote {len(records)} records to {args.out}")
@@ -244,25 +243,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _configs_from_meta(meta: dict):
-    """(text_cfg, image_cfg) of a checkpoint; refuses one older than their fields."""
-    configs = []
-    for section, cls in (("text_config", text_encoder.TextEncoderConfig),
-                         ("image_config", ImageEncoderConfig)):
-        stale = sorted(set(meta[section]) - {f.name for f in dataclasses.fields(cls)})
-        if stale:
-            raise ckpt.CheckpointError(
-                f"checkpoint {section} has fields {stale} that {cls.__name__} lacks: "
-                "the checkpoint predates the current format")
-        configs.append(cls(**meta[section]))
-    return configs
-
-
 def _cmd_eval(args) -> int:
     records = _records(args.corpus)
     params, _, _, meta = ckpt.load_checkpoint(args.checkpoint)
-    text_cfg, image_cfg = _configs_from_meta(meta)
-    vocab = train_mod.vocab_from_meta(meta)
+    text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
     ids, img, txt = evaluation.embed_eval_set(
         records, params, text_cfg, image_cfg, vocab, args.text_kind)
     gt = evaluation.RetrievalGroundTruth.one_to_one(len(records))

@@ -66,6 +66,7 @@ class ManifestRecord:
                 feat = np.asarray(None)
             check(feat.ndim == 1 and feat.dtype.kind in "iuf" and np.isfinite(feat).all(),
                   "image_feature must be a 1-D list of finite reals")
+            check(feat.size > 0, "image_feature must not be empty")
             self.image_feature = feat.astype(np.float64, copy=False)
         check(self.label is None or type(self.label) is int, "label must be an int")
         check(self.attributes is None or _strings(self.attributes),
@@ -75,6 +76,16 @@ class ManifestRecord:
         check(self.short_text or self.long_texts, "needs short_text or long_texts")
         check(self.image_path is not None or self.image_feature is not None,
               "needs image_path or image_feature")
+
+    @property
+    def short_caption(self) -> str:
+        """What the record trains and evaluates on as its short text."""
+        return self.short_text or self.long_texts[0]
+
+    @property
+    def long_caption(self) -> str:
+        """What the record is evaluated on as its full long text."""
+        return self.long_texts[0] if self.long_texts else self.short_text
 
     def to_json(self) -> str:
         d = {"id": self.id, "short_text": self.short_text, "long_texts": self.long_texts}
@@ -178,6 +189,8 @@ def generate_synthetic_corpus(
     (weight 1/(j+1) for position j). Attribute tuples are distinct across
     records whenever enough ordered tuples exist. Deterministic in `seed`.
     """
+    if feature_dim < 1:
+        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if n < 2:
         raise ValueError("n must be >= 2")
     if n_attributes < 2:

@@ -138,17 +138,15 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
                    batch_size: int = 64, image_feats: np.ndarray | None = None):
     """Unit-norm embedding arrays for a manifest.
 
-    text_kind "short" embeds the short texts; "long_full" embeds the ENTIRE
-    first long text (truncated to the limit) - evaluation never samples
-    sub-captions; given image_feats (a frozen run's), images are not embedded
-    again. Returns (ids, image array (n,p), text array (n,p)).
+    text_kind "short" embeds each record's `short_caption`; "long_full" its
+    `long_caption`, the ENTIRE first long text (truncated to the limit) -
+    evaluation never samples sub-captions; given image_feats (a frozen run's),
+    images are not embedded again. Returns (ids, image array (n,p), text array (n,p)).
     """
     if text_kind not in ("short", "long_full"):
         raise ValueError(f"unknown text_kind {text_kind!r}")
-    if text_kind == "short":
-        texts = [rec.short_text or rec.long_texts[0] for rec in records]
-    else:
-        texts = [rec.long_texts[0] if rec.long_texts else rec.short_text for rec in records]
+    texts = [rec.short_caption if text_kind == "short" else rec.long_caption
+             for rec in records]
     if image_feats is None:
         image_feats = image_encoder.embed_images(records, params, image_cfg, batch_size)
     return ([r.id for r in records], image_feats,
@@ -230,12 +228,12 @@ def short_text_groups(records: list[ManifestRecord]):
     """Deduplicated short texts with any-hit ground truth.
 
     Returns (unique_texts, image_to_texts): each image's paired-text set is
-    the single deduplicated text matching its short caption.
+    the single deduplicated text matching its `short_caption`.
     """
     unique: dict[str, int] = {}
     image_to_texts = []
     for rec in records:
-        image_to_texts.append([unique.setdefault(rec.short_text, len(unique))])
+        image_to_texts.append([unique.setdefault(rec.short_caption, len(unique))])
     return list(unique), image_to_texts
 
 

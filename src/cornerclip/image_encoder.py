@@ -14,10 +14,12 @@ import numpy as np
 from . import transformer
 from .autodiff import Tensor, concat, l2_normalize, linear, matmul, take_rows
 
+MODES = ("vit", "precomputed")
+
 
 @dataclass
 class ImageEncoderConfig:
-    mode: str = "precomputed"            # {"vit", "precomputed"}
+    mode: str = "precomputed"            # one of MODES
     projection_dim: int = 32
     # precomputed mode
     input_feature_dim: int = 16
@@ -31,8 +33,14 @@ class ImageEncoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.mode not in ("vit", "precomputed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # a vit run stores input_feature_dim 0: its tower reads no features
+        shape = (("image_size", "patch_size", "channels", "depth", "width", "heads",
+                  "mlp_ratio") if self.mode == "vit" else ("input_feature_dim",))
+        for name in ("projection_dim",) + shape:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.mode == "vit":
             if self.image_size % self.patch_size != 0:
                 raise ValueError("image_size must be divisible by patch_size")

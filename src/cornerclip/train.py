@@ -121,7 +121,7 @@ class RecordTexts:
 def prepare_texts(records: list[ManifestRecord], vocab: Vocabulary,
                   text_cfg: TextEncoderConfig, cfg: TrainConfig) -> list[RecordTexts]:
     """Per record, the step-invariant text work, done once per run."""
-    return [RecordTexts(tokenize(r.short_text, text_cfg.limit, text_cfg.m, vocab),
+    return [RecordTexts(tokenize(r.short_caption, text_cfg.limit, text_cfg.m, vocab),
                         [split_subcaptions(t) for t in r.long_texts]
                         if cfg.long_branch_active else [])
             for r in records]
@@ -362,6 +362,20 @@ def vocab_from_meta(meta: dict) -> Vocabulary:
     return Vocabulary(m_max=v["m_max"], token_to_id=dict(v["token_to_id"]))
 
 
+def model_from_meta(meta: dict):
+    """(text_cfg, image_cfg, vocab) of a checkpoint; refuses one older than their fields."""
+    configs = []
+    for section, cls in (("text_config", TextEncoderConfig),
+                         ("image_config", ImageEncoderConfig)):
+        stale = sorted(set(meta[section]) - {f.name for f in dataclasses.fields(cls)})
+        if stale:
+            raise ckpt.CheckpointError(
+                f"checkpoint {section} has fields {stale} that {cls.__name__} lacks: "
+                "the checkpoint predates the current format")
+        configs.append(cls(**meta[section]))
+    return (*configs, vocab_from_meta(meta))
+
+
 def continue_stream(path, keep):
     """Continue an append-only record file: keep its complete lines up to the
     first one `keep` rejects and cut the rest off in place, a torn last line
@@ -393,10 +407,10 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     if not records:
         raise ValueError("manifest has no usable records")
     _check_batch_fits(records, cfg)
-    # precomputed features take the first record's width (0 if it has none); every
-    # record is checked here, so a bad one fails before step 1, not when first drawn
+    # precomputed features take the first record's width (1 if it lacks one: check_records
+    # refuses it); every record is checked before step 1, not when a step first draws it
     first = records[0].image_feature
-    feature_dim = len(first) if cfg.image_mode == "precomputed" and first is not None else 0
+    feature_dim = 0 if cfg.image_mode == "vit" else 1 if first is None else len(first)
     text_cfg, image_cfg = make_configs(vocab, cfg, feature_dim)
     image_encoder.check_records(records, image_cfg)
     meta = checkpoint_meta(cfg, text_cfg, image_cfg, vocab)

@@ -263,6 +263,18 @@ def test_fan_out_gradient_is_not_aliased():
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
 
 
+def test_three_gradients_sum_without_writing_any():
+    rng = np.random.default_rng(13)
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    gs = [rng.normal(size=(2, 3)) for _ in range(3)]
+    kept = [g.copy() for g in gs]
+    for g in gs:
+        x.accumulate(g)
+    np.testing.assert_array_equal(x.grad, (kept[0] + kept[1]) + kept[2])
+    for g, k in zip(gs, kept):
+        np.testing.assert_array_equal(g, k)
+
+
 def check_inputs(loss, values, tol=1e-6, const=()):
     """Analytic gradients of the scalar loss(*tensors) for every input against
     central differences, one input at a time with the others held. Inputs

@@ -52,6 +52,21 @@ class TestBasicCommands:
         assert stats["n_images"] == 8
         assert stats["n_texts"] == 24  # one short + two long per record
 
+    @pytest.mark.parametrize("flag,raw,message", [
+        ("--feature-dim", "0", "feature_dim must be >= 1, got 0"),
+        ("--feature-dim", "-3", "feature_dim must be >= 1, got -3"),
+        ("--n", "1", "n must be >= 2"),
+        ("--attributes", "1", "n_attributes must be >= 2"),
+        ("--pool-size", "2", "pool_size must be >= n_attributes"),
+    ])
+    def test_gen_corpus_setting_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                                            flag, raw, message):
+        out = tmp_path / "corpus.jsonl"
+        code, _, err = run(capsys, "gen-corpus", flag, raw, "--out", str(out))
+        assert code == 1
+        assert f"usage error: {message}" in err
+        assert not out.exists()
+
     def test_tokenize(self, capsys):
         code, out, _ = run(capsys, "tokenize", "--text", "a cat.",
                            "--limit", "8", "--corners", "2", "--json")
@@ -294,7 +309,7 @@ class TestConfigPrecedence:
         ("--text-width", "30", "width must be divisible by heads"),
         ("--projection-dim", "0", "projection_dim must be >= 1, got 0"),
         ("--mask-mode", "none", "unknown mask_mode 'none'"),
-        ("--image-mode", "resnet", "unknown mode 'resnet'"),
+        ("--image-mode", "resnet", "mode must be one of ('vit', 'precomputed'), got 'resnet'"),
     ])
     def test_out_of_range_setting_is_usage_error(self, manifest, tmp_path, capsys,
                                                  flag, raw, message):

@@ -42,6 +42,14 @@ class TestManifestRecord:
         assert back.attributes == ["red", "round"]
         np.testing.assert_array_equal(back.image_feature, rec.image_feature)
 
+    def test_captions_fall_back_to_the_other_kind(self):
+        both = make_record(long_texts=["a cat. a mat.", "a dog."])
+        assert (both.short_caption, both.long_caption) == ("a cat.", "a cat. a mat.")
+        long_only = make_record(short_text="", long_texts=["a dog. a log."])
+        assert long_only.short_caption == long_only.long_caption == "a dog. a log."
+        short_only = make_record(long_texts=[])
+        assert short_only.short_caption == short_only.long_caption == "a cat."
+
     def test_json_is_one_line(self):
         assert "\n" not in make_record().to_json()
 
@@ -98,6 +106,7 @@ class TestManifestIO:
         ("label", True, "label must be an int"),
         ("attributes", "red", "attributes must be a list of strings"),
         ("attributes", ["red", 1], "attributes must be a list of strings"),
+        ("image_feature", [], "image_feature must not be empty"),
     ])
     def test_a_field_of_the_wrong_type_skips_its_line(self, tmp_path, caplog, field, value,
                                                       message):
@@ -180,3 +189,6 @@ class TestSyntheticCorpus:
             generate_synthetic_corpus(0, 4, 1, 8)
         with pytest.raises(ValueError, match="pool_size"):
             generate_synthetic_corpus(0, 4, 4, 8, pool_size=2)
+        for feature_dim in (0, -3):
+            with pytest.raises(ValueError, match=f"feature_dim must be >= 1, got {feature_dim}"):
+                generate_synthetic_corpus(0, 4, 2, feature_dim)

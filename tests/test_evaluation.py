@@ -277,6 +277,14 @@ class TestShortTextGroups:
         for rec, paired in zip(recs, image_to_texts):
             assert texts[paired[0]] == rec.short_text
 
+    def test_long_only_records_get_their_own_groups(self):
+        recs = generate_synthetic_corpus(0, 16, 2, 8)
+        for rec in recs[:2]:
+            rec.short_text = ""
+        texts, image_to_texts = ev.short_text_groups(recs)
+        assert image_to_texts[0] != image_to_texts[1]
+        assert [texts[g[0]] for g in image_to_texts[:2]] == [r.long_texts[0] for r in recs[:2]]
+
 
 @pytest.fixture(scope="module")
 def trained():

@@ -16,8 +16,19 @@ class TestConfig:
             ImageEncoderConfig(mode="vit", image_size=30, patch_size=8)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(ValueError, match=r"mode must be one of \('vit', 'precomputed'\), "
+                                             "got 'resnet'"):
             ImageEncoderConfig(mode="resnet")
+
+    @pytest.mark.parametrize("mode, field", [
+        ("precomputed", "projection_dim"), ("precomputed", "input_feature_dim"),
+        ("vit", "projection_dim"), ("vit", "image_size"), ("vit", "patch_size"),
+        ("vit", "channels"), ("vit", "depth"), ("vit", "width"), ("vit", "heads"),
+        ("vit", "mlp_ratio"),
+    ])
+    def test_field_below_one_is_named(self, mode, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            ImageEncoderConfig(mode=mode, **{field: 0})
 
 
 class TestPrecomputedMode:

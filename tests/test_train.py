@@ -157,6 +157,20 @@ class TestAssembleBatch:
         np.testing.assert_array_equal(b.long_ids, b.short_ids)
 
 
+    def test_long_only_record_trains_on_its_first_long_text(self, corpus16):
+        recs, vocab = corpus16
+        long_only = [dataclasses.replace(r, short_text="") if i < 2 else r
+                     for i, r in enumerate(recs)]
+        cfg = tiny_cfg()
+        text_cfg, _, _ = setup_model(recs, vocab, cfg)
+        texts = train.prepare_texts(long_only, vocab, text_cfg, cfg)
+        for rec, t in zip(long_only, texts):
+            want = tokenize(rec.short_text or rec.long_texts[0], text_cfg.limit, text_cfg.m,
+                            vocab)
+            np.testing.assert_array_equal(t.short.ids, want.ids)
+            np.testing.assert_array_equal(t.short.roles, want.roles)
+
+
 class TestGradients:
     def test_matches_finite_differences(self, corpus16):
         """On a drawn batch, and on one whose second pair repeats the first

@@ -73,6 +73,8 @@ class ManifestRecord:
               "attributes must be a list of strings")
         check(isinstance(self.short_text, str), "short_text must be a string")
         check(_strings(self.long_texts), "long_texts must be a list of strings")
+        for i, text in enumerate(self.long_texts):      # a blank one has no sub-caption
+            check(text.strip(), f"long_texts[{i}] is blank")
         check(self.short_text or self.long_texts, "needs short_text or long_texts")
         check(self.image_path is not None or self.image_feature is not None,
               "needs image_path or image_feature")

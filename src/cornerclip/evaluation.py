@@ -159,7 +159,7 @@ def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
     seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
     return np.concatenate([
         text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs[i:i + batch_size]),
-                                       params, text_cfg)[0].value[:, 0, :]
+                                       params, text_cfg, corners=False)[0].value[:, 0]
         for i in range(0, len(seqs), batch_size)])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import masks, transformer
 from .autodiff import Tensor, take_rows
-from .tokenizer import CORNER_ID_BASE, ROLE_SEP, ROLE_TEXT, TokenSequence
+from .tokenizer import CORNER_ID_BASE, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence
 
 
 @dataclass
@@ -69,12 +69,15 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
 
 def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
                       config: TextEncoderConfig, prefix: str = "text.",
-                      collect_attn: list | None = None, with_hidden: bool = False):
+                      collect_attn: list | None = None, with_hidden: bool = False,
+                      corners: bool = True):
     """Batched forward. Returns (features (B, 1+m, p), hidden (B, L, d) or None)
     Tensors; hidden is given only `with_hidden`.
 
     Features read only positions 0..m, so the last block computes just those
     rows, unless the caller reads every row: `with_hidden` or `collect_attn`.
+    `corners=False` gives the global feature alone, (B, 1, p): row 0 in the last
+    block and, under the corner mask, where nothing reads a corner, no positions 1..m.
     """
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     roles = np.atleast_2d(np.asarray(roles, dtype=np.int64))
@@ -83,16 +86,23 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         raise ValueError(f"sequence length {L} outside [m+1, limit {config.limit}]")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    # (B, 1, L, L) additive attention bias, built for the whole batch at once
-    bias = masks.mask_bias(masks.full_mask(roles, config.mask_mode))[:, None, :, :]
+    if not corners and (with_hidden or collect_attn is not None):
+        raise ValueError("corners=False reads neither hidden states nor attention")
     pos = params[f"{prefix}pos_emb"]
-    if L < config.limit:
+    if not corners and config.mask_mode == "corner" and config.m:
+        if np.any(roles[:, 1:config.m + 1] != ROLE_CORNER):
+            raise ValueError(f"positions 1..{config.m} must all be corners to drop them")
+        keep = np.r_[0, config.m + 1:L]
+        ids, roles, pos = ids[:, keep], roles[:, keep], pos[keep]
+    elif L < config.limit:
         # trailing PAD positions carry no information and attract no attention
         # weight, so a batch may be trimmed to its longest true length
         pos = pos[:L]
+    # (B, 1, L, L) additive attention bias, built for the whole batch at once
+    bias = masks.mask_bias(masks.full_mask(roles, config.mask_mode))[:, None, :, :]
     x = take_rows(params[f"{prefix}tok_emb"], ids) + pos
     feats, hidden = transformer.tower(x, params, prefix, config.depth, config.heads, bias,
-                                      config.m + 1, collect_attn, with_hidden)
+                                      config.m + 1 if corners else 1, collect_attn, with_hidden)
     return feats, hidden if with_hidden else None
 
 

@@ -194,7 +194,7 @@ def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
     v = (Tensor(batch.image_features) if batch.image_features is not None
          else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
     ids, roles, short_index = _distinct_rows(batch.short_ids, batch.short_roles)
-    short_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg)
+    short_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg, corners=False)
     t_short = short_feats[short_index, 0, :]
     if batch.long_ids is None:
         return objective.total_loss(v, t_short, tau), tau

@@ -28,6 +28,11 @@ class TestManifestRecord:
         with pytest.raises(ValueError, match="needs short_text or long_texts"):
             ManifestRecord(id="x", image_feature=[1.0])
 
+    @pytest.mark.parametrize("long_texts, index", [([""], 0), (["a cat.", " \n"], 1)])
+    def test_blank_long_text_refused_naming_its_index(self, long_texts, index):
+        with pytest.raises(ValueError, match=rf"record x: long_texts\[{index}\] is blank"):
+            ManifestRecord(id="x", long_texts=long_texts, image_feature=[1.0])
+
     def test_requires_image_source(self):
         with pytest.raises(ValueError, match="needs image_path or image_feature"):
             ManifestRecord(id="x", short_text="a cat.")
@@ -107,6 +112,7 @@ class TestManifestIO:
         ("attributes", "red", "attributes must be a list of strings"),
         ("attributes", ["red", 1], "attributes must be a list of strings"),
         ("image_feature", [], "image_feature must not be empty"),
+        ("long_texts", ["a cat.", "  "], "long_texts[1] is blank"),
     ])
     def test_a_field_of_the_wrong_type_skips_its_line(self, tmp_path, caplog, field, value,
                                                       message):

@@ -1,9 +1,14 @@
 """Text tower tests: init, normalization, corner isolation, attention dumps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cornerclip import objective
 from cornerclip import text_encoder as te
+from cornerclip.autodiff import Tensor, count_macs
+from cornerclip.evaluation import flops_estimate
 from cornerclip.tokenizer import CLS_ID, ROLE_PAD, Vocabulary, tokenize
 from cornerclip.text_encoder import TextEncoderConfig
 
@@ -152,6 +157,90 @@ class TestEncodeText:
         full, hidden = te.encode_text_graph(ids, roles, p, cfg, with_hidden=True)
         assert no_hidden is None and hidden.shape == (3, ids.shape[1], cfg.width)
         np.testing.assert_allclose(pooled.value, full.value, rtol=0, atol=1e-12)
+
+
+TEXTS = ("a cat.", "a cat sat on the mat. a dog ran far. birds fly high.", "birds fly high.")
+
+
+class TestGlobalOnly:
+    """`corners=False`: the global feature alone, with no corner position
+    under the corner mask and one pooled row in the last block."""
+
+    @pytest.mark.parametrize("mask_mode", ["corner", "full"])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_equals_row_0_of_the_full_pass(self, vocab, mask_mode, m):
+        cfg = small_config(vocab, m=m, mask_mode=mask_mode)
+        p = te.init_params(cfg, 13)
+        seqs = [tokenize(t, 16, m, vocab) for t in TEXTS]
+        # the mixed batch reaches the limit; each text alone is PAD-trimmed below it
+        for batch in [seqs] + [[s] for s in seqs]:
+            ids, roles = te.stack_trimmed(batch)
+            got = te.encode_text_graph(ids, roles, p, cfg, corners=False)[0].value
+            full = te.encode_text_graph(ids, roles, p, cfg)[0].value
+            assert got.shape == (len(batch), 1, cfg.projection_dim)
+            np.testing.assert_allclose(got[:, 0], full[:, 0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mask_mode", ["corner", "full"])
+    def test_short_loss_gradient_matches_finite_differences(self, vocab, mask_mode):
+        cfg = small_config(vocab, mask_mode=mask_mode, depth=1)
+        p = te.init_params(cfg, 17)
+        ids, roles = te.stack_trimmed([tokenize(t, 16, 2, vocab) for t in TEXTS])
+        v = Tensor(np.random.default_rng(3).normal(size=(len(TEXTS), cfg.projection_dim)))
+        tau = Tensor(np.float64(0.2))
+
+        def loss():
+            feats = te.encode_text_graph(ids, roles, p, cfg, corners=False)[0]
+            return objective.short_loss(v, feats[:, 0, :], tau)
+
+        names = ("text.tok_emb", "text.pos_emb", "text.L0.wk")
+        for name in names:
+            p[name].requires_grad = True
+        loss().backward()
+        rng = np.random.default_rng(4)
+        for name in names:
+            flat, grad = p[name].value.reshape(-1), p[name].grad.reshape(-1)
+            rows = np.unique(ids) if name == "text.tok_emb" else range(p[name].shape[0])
+            # one entry in each row the batch reads, the corner rows among them
+            for idx in (row * p[name].shape[1] + rng.integers(p[name].shape[1]) for row in rows):
+                old = flat[idx]
+                flat[idx] = old + 1e-6
+                up = loss().value
+                flat[idx] = old - 1e-6
+                down = loss().value
+                flat[idx] = old
+                fd = (up - down) / 2e-6
+                assert abs(fd - grad[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx)
+        if mask_mode == "corner":      # no corner position is read
+            assert not p["text.pos_emb"].grad[1:3].any()
+
+    @pytest.mark.parametrize("mask_mode", ["corner", "full"])
+    def test_macs_count_the_positions_and_rows_run(self, vocab, mask_mode):
+        cfg = small_config(vocab, mask_mode=mask_mode)
+        p = te.init_params(cfg, 19)
+        ids, roles = te.stack_trimmed([tokenize(t, 16, 2, vocab) for t in TEXTS[:2]])
+        B, L = ids.shape
+        with count_macs() as every:
+            te.encode_text_graph(ids, roles, p, cfg)
+        with count_macs() as global_only:
+            te.encode_text_graph(ids, roles, p, cfg, corners=False)
+        assert 2 * every[0] == B * flops_estimate(cfg, L)
+        # one pooled row over the positions run: the estimate of an m = 0 model
+        run = L - cfg.m if mask_mode == "corner" else L
+        assert 2 * global_only[0] == B * flops_estimate(dataclasses.replace(cfg, m=0), run)
+
+    def test_refusals(self, vocab):
+        cfg = small_config(vocab)
+        p = te.init_params(cfg, 23)
+        seq = tokenize("a cat.", 16, 2, vocab)
+        with pytest.raises(ValueError, match="neither hidden states nor attention"):
+            te.encode_text_graph(seq.ids, seq.roles, p, cfg, with_hidden=True, corners=False)
+        with pytest.raises(ValueError, match="neither hidden states nor attention"):
+            te.encode_text_graph(seq.ids, seq.roles, p, cfg, collect_attn=[], corners=False)
+        # a sequence tokenized without corners has text where the corners belong
+        bare = tokenize("a cat sat on the mat.", 16, 0, vocab)
+        te.encode_text_graph(bare.ids, bare.roles, p, cfg)
+        with pytest.raises(ValueError, match="positions 1..2 must all be corners"):
+            te.encode_text_graph(bare.ids, bare.roles, p, cfg, corners=False)
 
 
 class TestDumpAttention:

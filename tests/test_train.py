@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cornerclip import checkpoint as ckpt
+from cornerclip import corpus
 from cornerclip import evaluation, image_encoder, objective, text_encoder, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
@@ -112,6 +113,21 @@ class TestAssembleBatch:
         with pytest.raises(ValueError, match=f"record {short.id}: image_feature has 3 "
                                              "values, expected 8"):
             train.run_training(recs[:5] + [short] + recs[6:], vocab, tiny_cfg(steps=1))
+
+    def test_blank_long_text_never_reaches_a_step(self, tmp_path):
+        """A blank long text has no sub-caption to sample; its manifest line is
+        skipped at load, so a run cannot draw it mid-way."""
+        recs = generate_synthetic_corpus(1, 64, 4, 16)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        blank = {"id": "x", "short_text": "a photo of a red.",
+                 "long_texts": ["", "a red thing."], "image_feature": [1.0] * 16}
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([json.dumps(blank)] + [r.to_json() for r in recs[1:]]))
+        loaded = corpus.load_manifest(path)
+        assert [r.id for r in loaded] == [r.id for r in recs[1:]]
+        res = train.run_training(loaded, vocab, TrainConfig(steps=60, seed=1, warmup_steps=1))
+        assert len(res.metrics) == 60
 
     def test_too_small_manifest(self, corpus16):
         recs, vocab = corpus16
@@ -281,12 +297,13 @@ class TestGradients:
 
 def encode_every_row_loss(params, batch, text_cfg, image_cfg, cfg):
     """The reference for compute_loss: every text row encoded, as it is
-    drawn, and read back by a basic slice."""
+    drawn, and read back by a basic slice; the short pass, like
+    compute_loss's, reads only the global feature."""
     tau = objective.temperature(params["obj.s"])
     v = (Tensor(batch.image_features) if batch.image_features is not None
          else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
     short = text_encoder.encode_text_graph(batch.short_ids, batch.short_roles,
-                                           params, text_cfg)[0]
+                                           params, text_cfg, corners=False)[0]
     long = text_encoder.encode_text_graph(batch.long_ids, batch.long_roles,
                                           params, text_cfg)[0]
     corners = [long[:, 1 + k, :] for k in range(text_cfg.m)]

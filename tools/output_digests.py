@@ -1,21 +1,34 @@
 #!/usr/bin/env python3
-"""sha256 prefixes of the outputs of five fixed training runs and one resume.
+"""sha256 prefixes of the outputs of six fixed training runs and one resume,
+or their numbers, to compare two trees exactly or to the last bits.
 
     python3 tools/output_digests.py > digests.txt
+    python3 tools/output_digests.py --dump DIR
+    python3 tools/output_digests.py --against DIR
 
 Imports the package from src/ next to this directory, trains on
 `generate_synthetic_corpus(1, 256, 4, 16)` and prints, per run, the first
-16 hex digits of the sha256 of metrics.jsonl, ckpt_final.bin and the
+16 hex digits of the sha256 of metrics.jsonl, ckpt_final.bin, the
 long_full image, long_full text and short text features of the trained
-model. Run it on two checkouts and `diff` the outputs: equal lines mean
-the change left those bytes alone. Runs:
+model, and its eval numbers: recall@1 and @5 both ways over the long_full
+features and zero-shot accuracy. Run it on two checkouts and `diff` the
+outputs: equal lines mean the change left those bytes alone. Runs:
 
-- default: 40 steps of the default config, seed 1, a checkpoint every 20;
-- resume: the default run again from its step-20 checkpoint;
+- default: 200 steps of the default config, seed 1, a checkpoint every 100;
+- resume: the default run again from its step-100 checkpoint;
 - frozen: 40 steps with the image tower frozen;
 - cosine: 30 steps of the cosine schedule, 5 warmup steps;
 - vit and vit_frozen: 15 steps of the ViT tower on .npy pixels, trained
-  and frozen.
+  and frozen;
+- eval_long: 5 steps of the default config, evaluated on the benchmark's
+  eval_long corpus, `generate_synthetic_corpus(1 + 1_000_003, 4096, 4, 16)`.
+
+Where a change moves the last bits, digests differ everywhere; then
+`--dump DIR` on one tree writes each output that is numbers (the
+metrics.jsonl values, one row per step in key order, the features and the
+eval numbers) to DIR/<line>.npy, and `--against DIR` on the other prints
+per line the largest absolute and relative difference from that dump.
+Copy this file into the other tree to run the same runs there.
 
 BLAS is pinned to one thread so the bytes do not depend on the host's
 thread count. Temporary files are removed at exit.
@@ -26,7 +39,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -58,49 +73,95 @@ def vit_records(records, pixel_dir: Path):
         path = pixel_dir / f"{rec.id}.npy"
         np.save(path, np.tanh(projection @ rec.image_feature).reshape(IMAGE_SHAPE))
         out.append(corpus.ManifestRecord(id=rec.id, short_text=rec.short_text,
-                                         long_texts=rec.long_texts, image_path=str(path)))
+                                         long_texts=rec.long_texts, image_path=str(path),
+                                         label=rec.label, attributes=rec.attributes))
     return out
 
 
-def report(name, records, result, out_dir: Path):
-    lines = [(f"{name}.metrics", (out_dir / "metrics.jsonl").read_bytes()),
-             (f"{name}.ckpt_final", (out_dir / "ckpt_final.bin").read_bytes())]
-    for kind in ("long_full", "short"):
-        _, img, txt = evaluation.embed_eval_set(records, result.params, result.text_cfg,
-                                                result.image_cfg, result.vocab, kind)
-        if kind == "long_full":
-            lines.append((f"{name}.{kind}.img", np.ascontiguousarray(img).tobytes()))
-        lines.append((f"{name}.{kind}.txt", np.ascontiguousarray(txt).tobytes()))
-    for label, data in lines:
-        print(f"{label} {digest(data)}", flush=True)
+def outputs(name, records, result, out_dir: Path):
+    """(line, bytes digested, the numbers as a float array or None) per output of a run."""
+    model = (result.params, result.text_cfg, result.image_cfg, result.vocab)
+    _, img, txt = evaluation.embed_eval_set(records, *model, "long_full")
+    short = evaluation.embed_eval_set(records, *model, "short", image_feats=img)[2]
+    report = evaluation.evaluate_retrieval(
+        img, txt, evaluation.RetrievalGroundTruth.one_to_one(len(records)))
+    names, labels = evaluation.classification_task(records)
+    protos = evaluation.class_prototypes(names, evaluation.DEFAULT_TEMPLATES, result.params,
+                                         result.text_cfg, result.vocab)
+    scores = np.array([v for _, v in sorted(report.metrics.items())]
+                      + [evaluation.zero_shot_classify(img, labels, protos)])
+    metrics = (out_dir / "metrics.jsonl").read_bytes()
+    steps = np.array([[v for _, v in sorted(json.loads(line).items())]
+                      for line in metrics.splitlines()], dtype=np.float64)
+    numbers = {"long_full.img": img, "long_full.txt": txt, "short.txt": short, "eval": scores}
+    return ([(f"{name}.metrics", metrics, steps),
+             (f"{name}.ckpt_final", (out_dir / "ckpt_final.bin").read_bytes(), None)]
+            + [(f"{name}.{kind}", np.ascontiguousarray(v).tobytes(), v)
+               for kind, v in numbers.items()])
 
 
-def main():
+def largest_differences(values: np.ndarray, reference: np.ndarray) -> str:
+    """Largest |values - reference| and the largest of it over |reference|;
+    equal entries, NaNs included, differ by 0."""
+    if values.shape != reference.shape:
+        return f"shape {values.shape} against {reference.shape}"
+    diff = np.abs(values - reference)
+    diff[(values == reference) | (np.isnan(values) & np.isnan(reference))] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(diff == 0.0, 0.0, diff / np.abs(reference))
+    return f"max_abs {diff.max(initial=0.0):.3g} max_rel {rel.max(initial=0.0):.3g}"
+
+
+def emit(lines, dump: Path | None, against: Path | None) -> None:
+    for line, data, values in lines:
+        if against is None:
+            print(f"{line} {digest(data)}", flush=True)
+            if dump is not None and values is not None:
+                np.save(dump / f"{line}.npy", values)
+        elif values is not None:
+            print(f"{line} {largest_differences(values, np.load(against / f'{line}.npy'))}",
+                  flush=True)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--dump", type=Path, metavar="DIR",
+                       help="also write each output that is numbers to DIR/<line>.npy")
+    which.add_argument("--against", type=Path, metavar="DIR",
+                       help="print each line's largest difference from a --dump DIR")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
+
     records = corpus.generate_synthetic_corpus(1, 256, 4, 16)
     vocab = Vocabulary.build([r.short_text for r in records]
                              + [t for r in records for t in r.long_texts])
+    eval_long = corpus.generate_synthetic_corpus(1 + 1_000_003, 4096, 4, 16)
     work = Path(tempfile.mkdtemp(prefix="output_digests_"))
     try:
         vit = vit_records(records, work / "pixels")
         runs = [
-            ("default", records, train.TrainConfig(steps=40, seed=1, checkpoint_every=20)),
+            ("default", records, train.TrainConfig(steps=200, seed=1, checkpoint_every=100)),
             ("frozen", records, train.TrainConfig(steps=40, seed=1, freeze_image=True)),
             ("cosine", records, train.TrainConfig(steps=30, seed=1, lr_schedule="cosine",
                                                   warmup_steps=5)),
             ("vit", vit, train.TrainConfig(steps=15, seed=1, image_mode="vit")),
             ("vit_frozen", vit, train.TrainConfig(steps=15, seed=1, image_mode="vit",
                                                   freeze_image=True)),
+            ("eval_long", records, train.TrainConfig(steps=5, seed=1)),
         ]
         for name, recs, cfg in runs:
             out_dir = work / name
             result = train.run_training(recs, vocab, cfg, out_dir=str(out_dir))
-            report(name, recs, result, out_dir)
+            emit(outputs(name, eval_long if name == "eval_long" else recs, result, out_dir),
+                 args.dump, args.against)
             if name == "default":
                 resumed = work / "resume"
                 shutil.copytree(out_dir, resumed)
                 result = train.run_training(recs, vocab, cfg, out_dir=str(resumed),
-                                            resume_from=str(resumed / "ckpt_000020.bin"))
-                report("resume", recs, result, resumed)
+                                            resume_from=str(resumed / "ckpt_000100.bin"))
+                emit(outputs("resume", recs, result, resumed), args.dump, args.against)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

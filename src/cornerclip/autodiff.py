@@ -346,17 +346,19 @@ def softmax(x) -> Tensor:
 
 def contrastive(v, ts, tau) -> Tensor:
     """Bidirectional InfoNCE of image features v (N, p) against K text feature
-    sets ts[k] (N, p) as one node over one GEMM of v against the sets stacked:
-    the (K, 2) summed cross-entropies [i2t, t2i] of the diagonal of
-    z_k = v t_k^T / tau under its row softmax P_k and its column softmax Q_k.
-    An upstream g (K, 2) gives z_k the gradient g_k0 (P_k - I) + g_k1 (Q_k - I)."""
+    sets, each of ts one set (N, p) or k sets (N, k, p), as one node over one
+    GEMM of v against the sets t_k stacked: the (K, 2) summed cross-entropies
+    [i2t, t2i] of the diagonal of z_k = v t_k^T / tau under its row softmax P_k
+    and its column softmax Q_k. An upstream g (K, 2) gives z_k the gradient
+    g_k0 (P_k - I) + g_k1 (Q_k - I)."""
     v, tau, *ts = (_as_tensor(x) for x in (v, tau, *ts))
     N, p = v.shape
     for t in ts:
-        if t.shape != v.shape:
+        if t.value.ndim not in (2, 3) or (t.shape[0], t.shape[-1]) != (N, p):
             raise ValueError(f"text features {t.shape} do not match image features {v.shape}")
-    K = len(ts)
-    t2 = np.concatenate([t.value for t in ts])      # (K N, p)
+    blocks = [t.value.reshape(N, -1, p).transpose(1, 0, 2) for t in ts]    # (k, N, p)
+    t2 = np.concatenate(blocks).reshape(-1, p)      # (K N, p), set-major
+    K = len(t2) // N
     s = v.value @ t2.T                              # (N, K N)
     _count_macs(s.size * p)
     if not np.all(np.isfinite(s)):
@@ -380,10 +382,11 @@ def contrastive(v, ts, tau) -> Tensor:
         dz *= inv_tau                               # now the gradient of s
         if v.requires_grad:
             v.accumulate(dz.transpose(1, 0, 2).reshape(N, K * N) @ t2)
-        dt = dz.transpose(0, 2, 1).reshape(K * N, N) @ v.value
-        for t, dt_k in zip(ts, np.split(dt, K)):
+        dt = (dz.transpose(0, 2, 1).reshape(K * N, N) @ v.value).reshape(K, N, p)
+        splits = np.cumsum([len(b) for b in blocks])[:-1]
+        for t, dt_t in zip(ts, np.split(dt.transpose(1, 0, 2), splits, axis=1)):
             if t.requires_grad:
-                t.accumulate(dt_k)
+                t.accumulate(dt_t.reshape(t.shape))
 
     return _result(loss, (v, *ts, tau), _bw)
 

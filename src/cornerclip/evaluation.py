@@ -58,10 +58,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def has_nan(self) -> bool:
-        return any(isinstance(v, float) and not np.isfinite(v)
-                   for v in self.metrics.values())
-
 
 _RANK_BLOCK = 1 << 18    # score entries per row block: 2 MB of float64
 

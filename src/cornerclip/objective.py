@@ -4,9 +4,9 @@ The short loss is the standard bidirectional InfoNCE between image
 features and short-text global features. The long loss adds one
 bidirectional InfoNCE term per corner feature set on top of the global
 term, all sharing a single learnable temperature. The training total is
-their sum, reduced as a SUM over the batch, and one `autodiff.contrastive`
-node computes every term of it; mean-per-pair values are reported alongside
-for cross-batch comparability.
+their sum, reduced as a SUM over the batch; one `autodiff.contrastive` node
+computes every term of it, the long caption's (N, 1+m, p) block taken whole;
+mean-per-pair values are reported alongside for cross-batch comparability.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ class LossBreakdown:
         return out
 
 
-def total_loss(V, t_short, tau, t_g=None, corners=None) -> LossBreakdown:
-    """Short loss plus, when long-text features are given, the long loss, as
-    the sum of one contrastive node over every text feature set."""
-    long_sets = [] if t_g is None else [t_g, *(corners or [])]
-    terms = contrastive(V, [t_short, *long_sets], tau)
-    lng = float(terms.value[1:].sum()) if long_sets else None
+def total_loss(V, t_short, tau, t_long=None) -> LossBreakdown:
+    """Short loss plus, given the long-text block (N, 1+m, p), global feature
+    first, the long loss: the sum of one contrastive node over every set."""
+    terms = contrastive(V, [t_short] + ([] if t_long is None else [t_long]), tau)
+    lng = None if t_long is None else float(terms.value[1:].sum())
     return LossBreakdown(total=terms.sum(), short=float(terms.value[0].sum()), long=lng)

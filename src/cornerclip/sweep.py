@@ -3,9 +3,9 @@
 Each cell (axis value x seed) trains a fresh model and evaluates it; rows
 are appended to a CSV as cells complete, so an interrupted sweep resumes
 from the finished cells, provided its axis and base config are the ones
-recorded beside them. A cell that raises is recorded with its error in
-failures.jsonl and retried by the next run. Aggregates report mean and
-stddev over seeds.
+recorded beside them. A value out of range is refused before any cell runs;
+a cell that raises is recorded with its error in failures.jsonl and retried
+by the next run. Aggregates report mean and stddev over seeds.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class SweepSpec:
         for name, xs in (("values", self.values), ("seeds", self.seeds)):
             if not xs or len(set(xs)) < len(xs):
                 raise ValueError(f"{name} must be nonempty and distinct, got {xs}")
+        for value in self.values:       # a setting out of range raises before any cell runs
+            cell_config(self, value, self.seeds[0])
 
 
 def cell_settings(axis: str, value: int, seed: int) -> dict:

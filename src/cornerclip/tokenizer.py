@@ -20,9 +20,9 @@ ROLE_TEXT = 2
 ROLE_SEP = 3
 ROLE_PAD = 4
 
-# Reserved token ids; corner i has id CORNER_ID_BASE + i.
+# Reserved token ids; corner i < M_MAX has id CORNER_ID_BASE + i.
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
-CORNER_ID_BASE = 4
+CORNER_ID_BASE, M_MAX = 4, 8
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SUBCAPTION_RE = re.compile(r"[^.]*\.|[^.]+$")
@@ -57,7 +57,7 @@ class Vocabulary:
     """Token-to-id map: the reserved ids PAD_ID, UNK_ID, CLS_ID, SEP_ID and
     CORNER_ID_BASE + i for corner i < m_max, then the words in sorted order."""
 
-    m_max: int = 8
+    m_max: int = M_MAX
     token_to_id: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -23,7 +23,8 @@ from .autodiff import Tensor
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
 from .text_encoder import TextEncoderConfig
-from .tokenizer import TokenSequence, Vocabulary, sample_consecutive, split_subcaptions, tokenize
+from .tokenizer import (M_MAX, TokenSequence, Vocabulary, sample_consecutive,
+                        split_subcaptions, tokenize)
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +64,7 @@ class TrainConfig:
                 ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
                 ("lr_schedule", self.lr_schedule in ("constant", "cosine"), "constant or cosine"),
                 ("k_subcaptions", self.k_subcaptions >= 0, ">= 0"),
+                ("m", self.m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)"),
                 ("tau_init", tau[0] <= self.tau_init <= tau[1], f"in [{tau[0]}, {tau[1]}]"),
                 ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")):
             if not ok:
@@ -195,14 +197,11 @@ def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
          else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
     ids, roles, short_index = _distinct_rows(batch.short_ids, batch.short_roles)
     short_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg, corners=False)
-    t_short = short_feats[short_index, 0, :]
     if batch.long_ids is None:
-        return objective.total_loss(v, t_short, tau), tau
+        return objective.total_loss(v, short_feats[short_index], tau), tau
     ids, roles, long_index = _distinct_rows(batch.long_ids, batch.long_roles)
     long_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg)
-    t_g = long_feats[long_index, 0, :]
-    corners = [long_feats[long_index, 1 + k, :] for k in range(text_cfg.m)]
-    return objective.total_loss(v, t_short, tau, t_g=t_g, corners=corners), tau
+    return objective.total_loss(v, short_feats[short_index], tau, long_feats[long_index]), tau
 
 
 def trainable_names(params: dict, cfg: TrainConfig) -> list[str]:

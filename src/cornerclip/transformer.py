@@ -78,4 +78,5 @@ def tower(x: Tensor, params: dict, prefix: str, depth: int, heads: int, bias: np
         rows = None if every_row or layer < depth - 1 else pooled
         x = block_forward(x, params, f"{prefix}L{layer}.", heads, bias, collect, rows=rows)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
-    return l2_normalize(matmul(hidden[:, :pooled], params[f"{prefix}proj"])), hidden
+    top = hidden if hidden.shape[1] == pooled else hidden[:, :pooled]
+    return l2_normalize(matmul(top, params[f"{prefix}proj"])), hidden

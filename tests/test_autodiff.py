@@ -438,28 +438,59 @@ def test_self_attention_gradients(rows):
 
 
 def test_contrastive_gradients_values_and_macs():
-    """K = 3 sets of non-unit features under a non-uniform (K, 2) upstream
-    gradient, with a Tensor temperature and one set that needs no gradient."""
+    """K = 5 sets of non-unit features under a non-uniform (K, 2) upstream
+    gradient, with a Tensor temperature, one set that needs no gradient and
+    a block of two sets (N, 2, p), which count as its sets [:, 0], [:, 1]."""
     rng = np.random.default_rng(17)
-    N, p, K = 4, 5, 3
+    N, p, K = 4, 5, 5
     v, t0, t1, fixed = (rng.normal(size=(N, p)) for _ in range(4))
+    block = rng.normal(size=(N, 2, p))
     coef = rng.normal(size=(K, 2))
 
-    def loss(v, t0, t1, tau):
-        return (ad.contrastive(v, [t0, fixed, t1], tau) * coef).sum()
+    def loss(v, t0, t1, block, tau):
+        return (ad.contrastive(v, [t0, fixed, t1, block], tau) * coef).sum()
 
-    check_inputs(loss, [v, t0, t1, np.array(0.7)])
+    check_inputs(loss, [v, t0, t1, block, np.array(0.7)])
     const = Tensor(fixed)
     with ad.count_macs() as c:
-        out = ad.contrastive(Tensor(v, requires_grad=True), [t0, const, t1], 0.7)
+        out = ad.contrastive(Tensor(v, requires_grad=True), [t0, const, t1, block], 0.7)
     out.sum().backward()
     assert const.grad is None
     assert c[0] == N * K * N * p
-    for k, t in enumerate((t0, fixed, t1)):
+    for k, t in enumerate((t0, fixed, t1, block[:, 0], block[:, 1])):
         z = v @ t.T / 0.7
         for j, zd in enumerate((z, z.T)):
             lse = np.log(np.exp(zd).sum(axis=1))
             assert out.value[k, j] == pytest.approx((lse - np.diag(zd)).sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("needs_grad", [True, False], ids=["grad", "no-grad"])
+def test_contrastive_block_is_its_sets_in_turn(k, needs_grad):
+    """A block (N, k, p) between two single sets gives the same bytes as its k
+    sets passed one at a time: values, MACs and the gradients of v, tau, the
+    sets around it and the block, which needs a gradient or none."""
+    rng = np.random.default_rng(18)
+    N, p = 4, 5
+    v, first, last = (rng.normal(size=(N, p)) for _ in range(3))
+    block = rng.normal(size=(N, k, p))
+    coef = rng.normal(size=(k + 2, 2))
+
+    def run(sets):
+        leaves = [Tensor(x, requires_grad=True) for x in (v, first, np.array(0.7))]
+        with ad.count_macs() as c:
+            out = ad.contrastive(leaves[0], [leaves[1], *sets, last], leaves[2])
+        (out * coef).sum().backward()
+        return [out.value, c[0], *(t.grad for t in leaves)]
+
+    whole = Tensor(block, requires_grad=needs_grad)
+    sets = [Tensor(block[:, j], requires_grad=needs_grad) for j in range(k)]
+    for a, b in zip(run([whole]), run(sets)):
+        np.testing.assert_array_equal(a, b)
+    if needs_grad:
+        np.testing.assert_array_equal(whole.grad, np.stack([t.grad for t in sets], axis=1))
+    else:
+        assert whole.grad is None and all(t.grad is None for t in sets)
 
 
 @pytest.mark.parametrize("direction", ["i2t", "t2i"])

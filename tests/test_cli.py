@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cornerclip import checkpoint as ckpt
-from cornerclip import cli, evaluation, text_encoder
+from cornerclip import cli, evaluation, sweep, text_encoder
 from cornerclip.train import AdamState
 
 
@@ -305,6 +305,8 @@ class TestConfigPrecedence:
         ("--text-width", "0", "width must be >= 1, got 0"),
         ("--text-depth", "0", "depth must be >= 1, got 0"),
         ("--m", "-1", "m must be >= 0, got -1"),
+        ("--m", "9", "m must be <= 8 (the reserved corner ids), got 9"),
+        ("--m", "30", "m must be <= 8 (the reserved corner ids), got 30"),
         ("--limit", "3", "limit too small for corner tokens"),
         ("--text-width", "30", "width must be divisible by heads"),
         ("--projection-dim", "0", "projection_dim must be >= 1, got 0"),
@@ -345,10 +347,18 @@ class TestSweepCommand:
         assert (tmp_path / "sweep" / "plot_data.csv").exists()
         assert (tmp_path / "sweep" / "plot_data_agg.csv").exists()
 
-    def test_failed_cell_exits_2(self, manifest, tmp_path, capsys):
+    def test_failed_cell_exits_2(self, manifest, tmp_path, capsys, monkeypatch):
+        run_cell = sweep.run_cell
+
+        def fail_at_12(spec, value, *args):
+            if value == 12:
+                raise RuntimeError("injected failure of the limit-12 cell")
+            return run_cell(spec, value, *args)
+
+        monkeypatch.setattr(sweep, "run_cell", fail_at_12)
         out_dir = tmp_path / "sweep"
         code, out, err = run(capsys, "sweep", "--axis", "token_limit",
-                             "--values", "3,16", "--seeds", "1",
+                             "--values", "12,16", "--seeds", "1",
                              "--corpus", manifest, "--out", str(out_dir),
                              "--steps", "2", "--batch-size", "4",
                              "--warmup-steps", "1", "--text-depth", "1",
@@ -360,8 +370,8 @@ class TestSweepCommand:
         lines = (out_dir / "failures.jsonl").read_text().splitlines()
         assert len(lines) == 1
         failure = json.loads(lines[0])
-        assert (failure["axis"], failure["value"], failure["seed"]) == ("token_limit", 3, 0)
-        assert "limit too small" in failure["error"]
+        assert (failure["axis"], failure["value"], failure["seed"]) == ("token_limit", 12, 0)
+        assert "injected failure of the limit-12 cell" in failure["error"]
 
     def test_resume_with_a_changed_config_exits_2(self, manifest, tmp_path, capsys):
         out_dir = str(tmp_path / "sweep")
@@ -381,16 +391,21 @@ class TestSweepCommand:
         assert code == 1
         assert "bad --values" in err
 
-    @pytest.mark.parametrize("values, seeds, message", [
-        ("2,2", "1", "values must be nonempty and distinct, got [2, 2]"),
-        ("2", "0", "seeds must be nonempty and distinct, got []"),
-        ("", "1", "values must be nonempty and distinct, got []"),
-        ("-1", "1", "values must be nonnegative, got [-1]"),
-    ], ids=["repeated-value", "no-seed", "no-value", "negative-value"])
+    @pytest.mark.parametrize("axis, values, seeds, message", [
+        ("m_corners", "2,2", "1", "values must be nonempty and distinct, got [2, 2]"),
+        ("m_corners", "2", "0", "seeds must be nonempty and distinct, got []"),
+        ("m_corners", "", "1", "values must be nonempty and distinct, got []"),
+        ("m_corners", "-1", "1", "values must be nonnegative, got [-1]"),
+        ("token_limit", "16,3", "1", "limit too small for corner tokens"),
+        ("m_corners", "2,9", "1", "m must be <= 8 (the reserved corner ids), got 9"),
+    ], ids=["repeated-value", "no-seed", "no-value", "negative-value",
+            "limit-too-small", "m-beyond-reserved-ids"])
     def test_cells_out_of_range_are_usage_errors(self, manifest, tmp_path, capsys,
-                                                 values, seeds, message):
+                                                 axis, values, seeds, message):
+        """Refused before any cell trains, also a value whose cell config is
+        out of range while the others are not."""
         out_dir = tmp_path / "sweep"
-        code, _, err = run(capsys, "sweep", "--axis", "m_corners", "--values", values,
+        code, _, err = run(capsys, "sweep", "--axis", axis, "--values", values,
                            "--seeds", seeds, "--corpus", manifest, "--out", str(out_dir),
                            "--steps", "1", "--batch-size", "4", "--warmup-steps", "1",
                            "--limit", "16", "--text-depth", "1", "--text-width", "16",

@@ -328,7 +328,6 @@ class TestEmbedAndReports:
         rep = ev.evaluate_retrieval(np.eye(4), np.eye(4), gt)
         d = rep.to_dict()
         assert d["i2t_r@1"] == 1.0 and d["n_images"] == 4
-        assert not rep.has_nan()
 
     def test_export_embeddings(self, trained, tmp_path):
         recs, vocab, res = trained

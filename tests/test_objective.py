@@ -1,6 +1,7 @@
 """Contrastive loss tests against closed forms and brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,9 @@ class TestShortLoss:
             ob.short_loss(np.ones((2, 3)), np.ones((2, 4)), 1.0)
         with pytest.raises(ValueError, match=r"text features \(3, 3\) do not match"):
             ob.long_loss(np.ones((2, 3)), np.ones((2, 3)), [np.ones((3, 3))], 1.0)
+        for block in ((2, 2, 4), (3, 2, 3), (2, 1, 1, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"text features {block} do not match")):
+                ob.total_loss(np.ones((2, 3)), np.ones((2, 3)), 1.0, np.ones(block))
 
 
 class TestLongLoss:
@@ -157,7 +161,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(12)
         v = random_unit_vectors(rng, 1, 8)
         V = np.repeat(v, 4, axis=0)
-        bd = ob.total_loss(V, V, 0.9, t_g=V, corners=[V, V])
+        bd = ob.total_loss(V, V, 0.9, np.stack([V, V, V], axis=1))
         # short = 2*4*log 4, long = (1+2)*2*4*log 4
         assert abs(bd.short - 11.090) < 1e-3
         assert abs(bd.long - 33.271) < 1e-3
@@ -170,7 +174,7 @@ class TestTotalLoss:
         tg = random_unit_vectors(rng, 4, 6)
         c = [random_unit_vectors(rng, 4, 6)]
 
-        bd = ob.total_loss(V, T, 0.5, t_g=tg, corners=c)
+        bd = ob.total_loss(V, T, 0.5, np.stack([tg, *c], axis=1))
         bd.total.backward()
         g_total = V.grad.copy()
 

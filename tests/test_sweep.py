@@ -194,16 +194,23 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="no sweep_config.json"):
             sweep.run_sweep(spec, recs, vocab, str(out))
 
-    def test_failed_cells_are_recorded(self, tiny_setup, tmp_path):
+    def test_failed_cells_are_recorded(self, tiny_setup, tmp_path, monkeypatch):
         recs, vocab, base = tiny_setup
-        # a token limit of 3 leaves no room for [CLS], two corners and a word
-        spec = SweepSpec(axis="token_limit", values=[3, 16], base=base, seeds=[0])
+        run_cell = sweep.run_cell
+
+        def fail_at_12(spec, value, *args):
+            if value == 12:
+                raise RuntimeError("injected failure of the limit-12 cell")
+            return run_cell(spec, value, *args)
+
+        monkeypatch.setattr(sweep, "run_cell", fail_at_12)
+        spec = SweepSpec(axis="token_limit", values=[12, 16], base=base, seeds=[0])
         out = tmp_path / "sweep"
         rows = sweep.run_sweep(spec, recs, vocab, str(out))
         assert [int(r["value"]) for r in rows] == [16]
         failures = sweep.read_failures(str(out))
-        assert [(f["axis"], f["value"], f["seed"]) for f in failures] == [("token_limit", 3, 0)]
-        assert "limit too small" in failures[0]["error"]
+        assert [(f["axis"], f["value"], f["seed"]) for f in failures] == [("token_limit", 12, 0)]
+        assert "injected failure of the limit-12 cell" in failures[0]["error"]
 
         # a rerun skips the finished cell and retries the failed one
         rows = sweep.run_sweep(spec, recs, vocab, str(out))

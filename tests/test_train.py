@@ -21,7 +21,7 @@ from cornerclip import corpus
 from cornerclip import evaluation, image_encoder, objective, text_encoder, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
-from cornerclip.tokenizer import Vocabulary, tokenize
+from cornerclip.tokenizer import M_MAX, Vocabulary, tokenize
 from cornerclip.train import AdamState, TrainConfig
 
 
@@ -248,7 +248,9 @@ class TestGradients:
         InfoNCE and L2 normalization became one node each and the last blocks
         were cut to their pooled rows, 86 before every InfoNCE term of the
         step became one contrastive node, 65 before each block's MLP became
-        one mlp node. Unfusing a node again fails here."""
+        one mlp node, 57 before each text pass was read back by one getitem
+        and each tower projected its cut last block without a slice.
+        Unfusing a node again fails here."""
         recs = generate_synthetic_corpus(1, 64, 4, 16)
         vocab = Vocabulary.build([r.short_text for r in recs]
                                  + [t for r in recs for t in r.long_texts])
@@ -266,7 +268,7 @@ class TestGradients:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen - {id(t) for t in params.values()}) <= 57
+        assert len(seen - {id(t) for t in params.values()}) <= 53
 
     def test_features_do_not_depend_on_grad_mode(self):
         """Text and ViT features are the same bytes with every parameter
@@ -297,7 +299,7 @@ class TestGradients:
 
 def encode_every_row_loss(params, batch, text_cfg, image_cfg, cfg):
     """The reference for compute_loss: every text row encoded, as it is
-    drawn, and read back by a basic slice; the short pass, like
+    drawn, and passed to the loss as the tower's block; the short pass, like
     compute_loss's, reads only the global feature."""
     tau = objective.temperature(params["obj.s"])
     v = (Tensor(batch.image_features) if batch.image_features is not None
@@ -306,9 +308,7 @@ def encode_every_row_loss(params, batch, text_cfg, image_cfg, cfg):
                                            params, text_cfg, corners=False)[0]
     long = text_encoder.encode_text_graph(batch.long_ids, batch.long_roles,
                                           params, text_cfg)[0]
-    corners = [long[:, 1 + k, :] for k in range(text_cfg.m)]
-    return objective.total_loss(v, short[:, 0, :], tau, t_g=long[:, 0, :],
-                                corners=corners), tau
+    return objective.total_loss(v, short, tau, long), tau
 
 
 def n_distinct(ids, roles):
@@ -428,6 +428,7 @@ class TestConfigValidation:
         ("tau_init", 10.5, "in [0.01, 10.0]"),
         ("warmup_steps", -1, ">= 0"),
         ("checkpoint_every", -1, ">= 0"),
+        ("m", M_MAX + 1, f"<= {M_MAX} (the reserved corner ids)"),
     ])
     def test_bad_setting_names_field_and_value(self, field, value, rule):
         with pytest.raises(ValueError) as exc:
@@ -437,6 +438,7 @@ class TestConfigValidation:
     def test_range_ends_accepted(self):
         tiny_cfg(steps=1, weight_decay=0.0, tau_init=0.01, warmup_steps=0, checkpoint_every=0)
         tiny_cfg(tau_init=10.0)
+        tiny_cfg(m=M_MAX)
 
 
 class TestSchedule:

@@ -2,9 +2,9 @@
 
 Precedence for train/sweep settings: built-in defaults < config file
 (flat key=value lines, default path from $CORNERCLIP_CONFIG) < flags.
-Exit codes: 0 success, 1 usage error (a bad flag, or a train, sweep or
-gen-corpus setting or a shape setting of tokenize, mask or flops out of its
-range), 2 runtime failure (a manifest with fewer records than batch_size too).
+Exit codes: 0 success, 1 usage error (a bad flag, a used train --out-dir, or a
+train, sweep, gen-corpus or tokenize, mask or flops setting out of its range),
+2 runtime failure (a manifest with fewer records than batch_size too).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def build_parser() -> Parser:
     p = add("mask", help="print a corner attention mask as a 0/1 grid")
     p.add_argument("--len", type=int, required=True, dest="length")
     p.add_argument("--corners", type=int, required=True)
-    p.add_argument("--mode", choices=["corner", "full"], default="corner")
+    p.add_argument("--mode", choices=masks.MODES, default="corner")
 
     p = add("train", help="train on a manifest")
     p.add_argument("--corpus", required=True)
@@ -202,10 +202,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    if args.corners < 0:
-        raise UsageError(f"--corners must be >= 0, got {args.corners}")
-    if args.length < args.corners + 2:
-        raise UsageError("--len must be at least corners + 2")
+    _setting(text_encoder.TextEncoderConfig, vocab_size=0, limit=args.length, m=args.corners)
     roles = np.array([ROLE_CLS] + [ROLE_CORNER] * args.corners
                      + [ROLE_TEXT] * (args.length - args.corners - 1))
     mask = masks.full_mask(roles, args.mode)
@@ -234,6 +231,10 @@ def _cmd_train(args) -> int:
         _emit(args, dataclasses.asdict(cfg),
               "\n".join(f"{k} = {v}" for k, v in dataclasses.asdict(cfg).items()))
         return 0
+    if any(n == "metrics.jsonl" or n.startswith("ckpt_") and n.endswith(".bin")
+           for n in (os.listdir(args.out_dir) if os.path.isdir(args.out_dir) else ())):
+        raise UsageError(f"--out-dir {args.out_dir} already holds a run (metrics.jsonl or "
+                         "ckpt_*.bin); train into a new directory")
     records, vocab = _corpus_vocab(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
     last = result.metrics[-1]
@@ -291,15 +292,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_inspect(args) -> int:
     params, _, step, meta = ckpt.load_checkpoint(args.checkpoint)
+    sections = {s: meta[s] for s in ("train_config", "text_config", "image_config")}
     payload = {
         "step": step,
         "n_parameters": int(sum(t.value.size for t in params.values())),
         "arrays": {name: list(t.value.shape) for name, t in sorted(params.items())},
         "m": meta["text_config"]["m"],
         "mask_mode": meta["text_config"]["mask_mode"],
+        **sections,
     }
     text = "\n".join([f"step: {step}", f"parameters: {payload['n_parameters']}"]
-                     + [f"  {n}: {s}" for n, s in payload["arrays"].items()])
+                     + [f"  {n}: {s}" for n, s in payload["arrays"].items()]
+                     + [f"{s}: {json.dumps(v, sort_keys=True)}" for s, v in sections.items()])
     _emit(args, payload, text)
     return 0
 

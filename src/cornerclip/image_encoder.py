@@ -33,19 +33,13 @@ class ImageEncoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         # a vit run stores input_feature_dim 0: its tower reads no features
-        shape = (("image_size", "patch_size", "channels", "depth", "width", "heads",
-                  "mlp_ratio") if self.mode == "vit" else ("input_feature_dim",))
-        for name in ("projection_dim",) + shape:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.mode == "vit":
-            if self.image_size % self.patch_size != 0:
-                raise ValueError("image_size must be divisible by patch_size")
-            if self.width % self.heads != 0:
-                raise ValueError("width must be divisible by heads")
+        transformer.check_settings(self, [("mode", self.mode in MODES, f"one of {MODES}")]
+                                   + transformer.shape_rules(self) + [
+            *((n, getattr(self, n) >= 1, ">= 1") for n in ("image_size", "patch_size", "channels")),
+            ("image_size", self.patch_size >= 1 and self.image_size % self.patch_size == 0,
+             f"divisible by patch_size ({self.patch_size})"),
+            ("input_feature_dim", self.mode == "vit" or self.input_feature_dim >= 1, ">= 1")])
 
     @property
     def n_patches(self) -> int:
@@ -72,8 +66,7 @@ def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> 
     p("patch_bias", np.zeros(d))
     p("cls_emb", rng.normal(0.0, 0.02, size=(1, d)))
     p("pos_emb", rng.normal(0.0, 0.02, size=(config.n_patches + 1, d)))
-    transformer.init_tower_params(rng, d, config.depth, config.mlp_ratio,
-                                  config.projection_dim, prefix, params)
+    transformer.init_tower_params(rng, config, prefix, params)
     return params
 
 
@@ -144,6 +137,5 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
     cls = take_rows(params[f"{prefix}cls_emb"], np.zeros((B, 1), dtype=np.int64))
     x = concat([cls, x], axis=1) + params[f"{prefix}pos_emb"]
     L = config.n_patches + 1
-    feats, _ = transformer.tower(x, params, prefix, config.depth, config.heads,
-                                 np.zeros((B, 1, L, L)), 1)
+    feats, _ = transformer.tower(x, params, prefix, config, np.zeros((B, 1, L, L)), 1)
     return feats[:, 0]

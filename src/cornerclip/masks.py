@@ -13,6 +13,7 @@ import numpy as np
 from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT
 
 MASK_NEG = -1e9
+MODES = ("corner", "full")      # "full": every position reads every other (no corner rule)
 
 
 # _NEXT_OK[prev, cur]: role `cur` may directly follow role `prev`; rows and
@@ -67,7 +68,7 @@ def full_mask(roles: np.ndarray, mask_mode: str) -> np.ndarray:
 
     `roles` is one (L,) layout or a (B, L) batch; the mask is (L, L) or (B, L, L).
     """
-    if mask_mode not in ("corner", "full"):
+    if mask_mode not in MODES:
         raise ValueError(f"unknown mask_mode {mask_mode!r}")
     mask = build_corner_mask(roles)       # validates the layout in either mode
     if mask_mode == "full":

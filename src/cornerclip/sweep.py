@@ -17,7 +17,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-from . import evaluation
+from . import evaluation, transformer
 from .corpus import ManifestRecord
 from .evaluation import RetrievalGroundTruth
 from .tokenizer import Vocabulary
@@ -44,13 +44,11 @@ class SweepSpec:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}")
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"values must be nonnegative, got {self.values}")
-        for name, xs in (("values", self.values), ("seeds", self.seeds)):
-            if not xs or len(set(xs)) < len(xs):
-                raise ValueError(f"{name} must be nonempty and distinct, got {xs}")
+        transformer.check_settings(self, [
+            ("axis", self.axis in AXES, f"one of {AXES}"),
+            ("values", all(v >= 0 for v in self.values), "nonnegative")] + [
+            (name, len(set(xs)) == len(xs) > 0, "nonempty and distinct")
+            for name, xs in (("values", self.values), ("seeds", self.seeds))])
         for value in self.values:       # a setting out of range raises before any cell runs
             cell_config(self, value, self.seeds[0])
 

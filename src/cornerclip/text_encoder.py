@@ -15,7 +15,7 @@ import numpy as np
 
 from . import masks, transformer
 from .autodiff import Tensor, take_rows
-from .tokenizer import CORNER_ID_BASE, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence
+from .tokenizer import CORNER_ID_BASE, M_MAX, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence
 
 
 @dataclass
@@ -31,16 +31,11 @@ class TextEncoderConfig:
     mask_mode: str = "corner"
 
     def __post_init__(self):
-        for name, floor in (("heads", 1), ("width", 1), ("depth", 1), ("m", 0),
-                            ("mlp_ratio", 1), ("projection_dim", 1)):
-            if getattr(self, name) < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)!r}")
-        if self.width % self.heads != 0:
-            raise ValueError("width must be divisible by heads")
-        if self.limit < self.m + 2:
-            raise ValueError("limit too small for corner tokens")
-        if self.mask_mode not in ("corner", "full"):
-            raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
+        transformer.check_settings(self, transformer.shape_rules(self) + [
+            ("m", self.m >= 0, ">= 0"),
+            ("m", self.m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)"),
+            ("limit", self.limit >= self.m + 2, f">= m + 2 ({self.m + 2})"),
+            ("mask_mode", self.mask_mode in masks.MODES, f"one of {masks.MODES}")])
 
 
 @dataclass
@@ -62,8 +57,7 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
         tok[CORNER_ID_BASE + i] += 0.25 * (i + 1)
     params[f"{prefix}tok_emb"] = Tensor(tok)
     params[f"{prefix}pos_emb"] = Tensor(rng.normal(0.0, 0.02, size=(config.limit, d)))
-    transformer.init_tower_params(rng, d, config.depth, config.mlp_ratio,
-                                  config.projection_dim, prefix, params)
+    transformer.init_tower_params(rng, config, prefix, params)
     return params
 
 
@@ -101,7 +95,7 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
     # (B, 1, L, L) additive attention bias, built for the whole batch at once
     bias = masks.mask_bias(masks.full_mask(roles, config.mask_mode))[:, None, :, :]
     x = take_rows(params[f"{prefix}tok_emb"], ids) + pos
-    feats, hidden = transformer.tower(x, params, prefix, config.depth, config.heads, bias,
+    feats, hidden = transformer.tower(x, params, prefix, config, bias,
                                       config.m + 1 if corners else 1, collect_attn, with_hidden)
     return feats, hidden if with_hidden else None
 

@@ -102,7 +102,7 @@ def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if limit < m + 2:
-        raise ValueError("limit too small for corner tokens")
+        raise ValueError(f"limit must be >= m + 2 ({m + 2}), got {limit}")
     if m > vocab.m_max:
         raise ValueError(f"m={m} exceeds vocabulary m_max={vocab.m_max}")
     ids = [CLS_ID] + [CORNER_ID_BASE + i for i in range(m)]

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import image_encoder, objective, text_encoder
+from . import image_encoder, objective, text_encoder, transformer
 from .autodiff import Tensor
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
 from .text_encoder import TextEncoderConfig
-from .tokenizer import (M_MAX, TokenSequence, Vocabulary, sample_consecutive,
-                        split_subcaptions, tokenize)
+from .tokenizer import (TokenSequence, Vocabulary, sample_consecutive, split_subcaptions,
+                        tokenize)
 
 log = logging.getLogger(__name__)
 
@@ -56,39 +56,36 @@ class TrainConfig:
 
     def __post_init__(self):
         tau = (objective.TAU_MIN, objective.TAU_MAX)
-        for name, ok, rule in (
-                ("batch_size", self.batch_size >= 2, ">= 2"),
-                ("steps", self.steps >= 1, ">= 1"),
-                ("lr", 0 < self.lr < np.inf, "finite and > 0"),
-                ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
-                ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
-                ("lr_schedule", self.lr_schedule in ("constant", "cosine"), "constant or cosine"),
-                ("k_subcaptions", self.k_subcaptions >= 0, ">= 0"),
-                ("m", self.m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)"),
-                ("tau_init", tau[0] <= self.tau_init <= tau[1], f"in [{tau[0]}, {tau[1]}]"),
-                ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        self.text_config(vocab_size=0)      # the text tower's shape rules
-        ImageEncoderConfig(mode=self.image_mode)    # and the image tower's mode rule
-
-    def text_config(self, vocab_size: int) -> TextEncoderConfig:
-        return TextEncoderConfig(
-            vocab_size=vocab_size, limit=self.limit, m=self.m, depth=self.text_depth,
-            width=self.text_width, heads=self.text_heads,
-            projection_dim=self.projection_dim, mask_mode=self.mask_mode)
+        transformer.check_settings(self, (
+            ("batch_size", self.batch_size >= 2, ">= 2"),
+            ("steps", self.steps >= 1, ">= 1"),
+            ("lr", 0 < self.lr < np.inf, "finite and > 0"),
+            ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
+            ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
+            ("lr_schedule", self.lr_schedule in ("constant", "cosine"), "constant or cosine"),
+            ("k_subcaptions", self.k_subcaptions >= 0, ">= 0"),
+            ("tau_init", tau[0] <= self.tau_init <= tau[1], f"in [{tau[0]}, {tau[1]}]"),
+            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")))
+        make_configs(Vocabulary(), self, 1)     # the shape fields obey the towers' rules
 
     @property
     def long_branch_active(self) -> bool:
         return self.use_long_texts and self.k_subcaptions > 0
 
 
+# TrainConfig's shape fields, each with the tower config field it sets: the towers
+# are derived from these tables alone, and the meta stores the fields there only
+TEXT_SHAPE = {"limit": "limit", "m": "m", "mask_mode": "mask_mode", "text_depth": "depth",
+              "text_width": "width", "text_heads": "heads", "projection_dim": "projection_dim"}
+IMAGE_SHAPE = {"image_mode": "mode", "projection_dim": "projection_dim"}
+
+
 def make_configs(vocab: Vocabulary, cfg: TrainConfig, feature_dim: int):
-    text_cfg = cfg.text_config(len(vocab))
-    image_cfg = ImageEncoderConfig(
-        mode=cfg.image_mode, projection_dim=cfg.projection_dim,
-        input_feature_dim=feature_dim)
-    return text_cfg, image_cfg
+    """The run's (text, image) tower configs."""
+    text, image = ({field: getattr(cfg, name) for name, field in table.items()}
+                   for table in (TEXT_SHAPE, IMAGE_SHAPE))
+    return (TextEncoderConfig(vocab_size=len(vocab), **text),
+            ImageEncoderConfig(input_feature_dim=feature_dim, **image))
 
 
 def build_model(text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
@@ -299,7 +296,7 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
         "lr": float(lr),
         "n_long_fallback": batch.n_long_fallback,
     }
-    metrics.update(breakdown.per_pair(cfg.batch_size, cfg.m))
+    metrics.update(breakdown.per_pair(cfg.batch_size, text_cfg.m))
     log.debug("step %d: loss=%.4f (%.3fs)", step, metrics["loss_total"],
               time.perf_counter() - t0)
     return metrics
@@ -328,11 +325,22 @@ class TrainResult:
 def checkpoint_meta(cfg: TrainConfig, text_cfg: TextEncoderConfig,
                     image_cfg: ImageEncoderConfig, vocab: Vocabulary) -> dict:
     return {
-        "train_config": dataclasses.asdict(cfg),
+        "train_config": {k: v for k, v in dataclasses.asdict(cfg).items()
+                         if k not in TEXT_SHAPE and k not in IMAGE_SHAPE},
         "text_config": dataclasses.asdict(text_cfg),
         "image_config": dataclasses.asdict(image_cfg),
         "vocab": {"m_max": vocab.m_max, "token_to_id": vocab.token_to_id},
     }
+
+
+def _refuse_stale(meta: dict, current: dict) -> None:
+    """Refuse a meta whose sections hold fields that `current`, the current format, lacks."""
+    for section, fields in current.items():
+        stale = sorted(set(meta[section]) - set(fields))
+        if stale:
+            raise ckpt.CheckpointError(
+                f"checkpoint {section} has fields {stale} that the current format does "
+                "not store there: the checkpoint predates the current format")
 
 
 RESUMABLE = ("steps", "checkpoint_every")    # the train_config fields a resume may change
@@ -346,6 +354,7 @@ def check_resume_meta(stored: dict, expected: dict) -> None:
     if sorted(stored) != sorted(expected):
         raise ckpt.CheckpointError(f"checkpoint meta sections mismatch: stored "
                                    f"{sorted(stored)}, expected {sorted(expected)}")
+    _refuse_stale(stored, expected)
     for section, want in expected.items():
         got = stored[section]
         prefix = "" if section == "train_config" else f"{section}."
@@ -363,16 +372,9 @@ def vocab_from_meta(meta: dict) -> Vocabulary:
 
 def model_from_meta(meta: dict):
     """(text_cfg, image_cfg, vocab) of a checkpoint; refuses one older than their fields."""
-    configs = []
-    for section, cls in (("text_config", TextEncoderConfig),
-                         ("image_config", ImageEncoderConfig)):
-        stale = sorted(set(meta[section]) - {f.name for f in dataclasses.fields(cls)})
-        if stale:
-            raise ckpt.CheckpointError(
-                f"checkpoint {section} has fields {stale} that {cls.__name__} lacks: "
-                "the checkpoint predates the current format")
-        configs.append(cls(**meta[section]))
-    return (*configs, vocab_from_meta(meta))
+    towers = {"text_config": TextEncoderConfig, "image_config": ImageEncoderConfig}
+    _refuse_stale(meta, {s: [f.name for f in dataclasses.fields(c)] for s, c in towers.items()})
+    return (*(c(**meta[s]) for s, c in towers.items()), vocab_from_meta(meta))
 
 
 def continue_stream(path, keep):

@@ -7,6 +7,22 @@ import numpy as np
 from .autodiff import Tensor, l2_normalize, layer_norm, linear, matmul, mlp, self_attention
 
 
+def check_settings(config, rules) -> None:
+    """Refuse the first (name, ok, rule) triple of `rules` that does not hold, as
+    `name must be rule, got value`: the one form of every config's range rules."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
+def shape_rules(config) -> list:
+    """The range rules of a tower's shape, shared by the text tower and the ViT."""
+    return [(name, getattr(config, name) >= 1, ">= 1")
+            for name in ("depth", "width", "heads", "mlp_ratio", "projection_dim")] + [
+        ("width", config.heads >= 1 and config.width % config.heads == 0,
+         f"divisible by heads ({config.heads})")]
+
+
 def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
                       prefix: str, params: dict) -> None:
     """Initialize one block's parameters into `params` under `prefix`."""
@@ -29,15 +45,15 @@ def init_block_params(rng: np.random.Generator, d: int, mlp_ratio: int,
     p("b2", np.zeros(d))
 
 
-def init_tower_params(rng: np.random.Generator, d: int, depth: int, mlp_ratio: int,
-                      projection_dim: int, prefix: str, params: dict) -> None:
-    """Initialize a tower's blocks, final norm and projection into `params`
-    under `prefix`, drawing from `rng` after the tower's own embeddings."""
-    for layer in range(depth):
-        init_block_params(rng, d, mlp_ratio, f"{prefix}L{layer}.", params)
+def init_tower_params(rng: np.random.Generator, config, prefix: str, params: dict) -> None:
+    """Initialize the blocks, final norm and projection of a tower shaped by `config`
+    into `params` under `prefix`, drawing from `rng` after its own embeddings."""
+    d = config.width
+    for layer in range(config.depth):
+        init_block_params(rng, d, config.mlp_ratio, f"{prefix}L{layer}.", params)
     params[f"{prefix}lnf.g"] = Tensor(np.ones(d))
     params[f"{prefix}lnf.b"] = Tensor(np.zeros(d))
-    params[f"{prefix}proj"] = Tensor(rng.normal(0.0, d ** -0.5, size=(d, projection_dim)))
+    params[f"{prefix}proj"] = Tensor(rng.normal(0.0, d ** -0.5, size=(d, config.projection_dim)))
 
 
 def attention(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray,
@@ -67,16 +83,16 @@ def block_forward(x: Tensor, params: dict, prefix: str, heads: int, bias: np.nda
     return x + h
 
 
-def tower(x: Tensor, params: dict, prefix: str, depth: int, heads: int, bias: np.ndarray,
-          pooled: int, collect: list | None = None, every_row: bool = False):
-    """A tower's blocks and final norm, then its first `pooled` rows projected and
-    L2-normalized: (features (B, pooled, p), final-norm hidden states) Tensors.
+def tower(x: Tensor, params: dict, prefix: str, config, bias: np.ndarray, pooled: int,
+          collect: list | None = None, every_row: bool = False):
+    """A tower's blocks and final norm, shaped by `config`, then its first `pooled` rows
+    projected and L2-normalized: (features (B, pooled, p), final-norm hidden states).
     The features read only those rows, so the last block computes just them,
     unless the caller reads every row: `every_row`, or probabilities into `collect`."""
     every_row = every_row or collect is not None
-    for layer in range(depth):
-        rows = None if every_row or layer < depth - 1 else pooled
-        x = block_forward(x, params, f"{prefix}L{layer}.", heads, bias, collect, rows=rows)
+    for layer in range(config.depth):
+        rows = None if every_row or layer < config.depth - 1 else pooled
+        x = block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias, collect, rows)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
     top = hidden if hidden.shape[1] == pooled else hidden[:, :pooled]
     return l2_normalize(matmul(top, params[f"{prefix}proj"])), hidden

@@ -6,6 +6,7 @@ import pytest
 
 from cornerclip import checkpoint as ckpt
 from cornerclip import cli, evaluation, sweep, text_encoder
+from cornerclip import train as train_mod
 from cornerclip.train import AdamState
 
 
@@ -103,21 +104,25 @@ class TestMaskCommand:
     def test_negative_corners_rejected(self, capsys):
         code, out, err = run(capsys, "mask", "--len", "5", "--corners", "-1")
         assert code == 1
-        assert "usage error: --corners must be >= 0, got -1" in err
+        assert "usage error: m must be >= 0, got -1" in err
         assert out == ""
 
 
 @pytest.mark.parametrize("argv,message", [
     (["tokenize", "--text", "a b c", "--corners", "-1"], "m must be >= 0, got -1"),
-    (["tokenize", "--text", "a b c", "--limit", "2"], "limit too small for corner tokens"),
+    (["tokenize", "--text", "a b c", "--limit", "2"], "limit must be >= m + 2 (4), got 2"),
     (["tokenize", "--text", "a b c", "--corners", "9"], "m=9 exceeds vocabulary m_max=8"),
     (["flops", "--limit", "16", "--heads", "0"], "heads must be >= 1, got 0"),
     (["flops", "--limit", "16", "--dim", "30", "--heads", "4"],
      "width must be divisible by heads"),
-    (["flops", "--limit", "3"], "limit too small for corner tokens"),
+    (["flops", "--limit", "3"], "limit must be >= m + 2 (4), got 3"),
     (["flops", "--limit", "16", "--mlp-ratio", "-1"], "mlp_ratio must be >= 1, got -1"),
+    (["flops", "--limit", "16", "--corners", "9"],
+     "m must be <= 8 (the reserved corner ids), got 9"),
+    (["mask", "--len", "12", "--corners", "9"],
+     "m must be <= 8 (the reserved corner ids), got 9"),
 ], ids=["tokenize-corners", "tokenize-limit", "tokenize-m-max", "flops-heads",
-        "flops-width", "flops-limit", "flops-mlp-ratio"])
+        "flops-width", "flops-limit", "flops-mlp-ratio", "flops-m-max", "mask-m-max"])
 def test_out_of_range_shape_setting_is_usage_error(capsys, argv, message):
     """Shape settings of the debug commands are refused as usage errors,
     exit 1, as the same settings of train are."""
@@ -182,8 +187,78 @@ class TestTrainEvalCommands:
         code, _, err = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path)
         assert code == 2
         assert ("checkpoint image_config has fields ['preset', 'trainable_projection'] "
-                "that ImageEncoderConfig lacks: the checkpoint predates the current format"
-                in err)
+                "that the current format does not store there: the checkpoint predates the "
+                "current format" in err)
+
+    SMALL = ("--batch-size", "4", "--limit", "16", "--text-depth", "1", "--text-width", "16",
+             "--text-heads", "2", "--projection-dim", "8")
+
+    def test_a_checkpoint_of_the_previous_layout(self, manifest, tmp_path, capsys):
+        """The layout that also stored the eight shape fields in train_config:
+        eval reads it as it reads the current one, inspect shows its sections
+        as stored, and a resume refuses it as older than the current format."""
+        out_dir = tmp_path / "run"
+        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
+                   "--steps", "2", *self.SMALL)[0] == 0
+        path = out_dir / "ckpt_final.bin"
+        params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
+        text, image = meta["text_config"], meta["image_config"]
+        assert "m" not in meta["train_config"] and text["m"] == 2
+        old_train = {**meta["train_config"], "limit": text["limit"], "m": text["m"],
+                     "mask_mode": text["mask_mode"], "text_depth": text["depth"],
+                     "text_width": text["width"], "text_heads": text["heads"],
+                     "projection_dim": text["projection_dim"], "image_mode": image["mode"]}
+        old = tmp_path / "old.bin"
+        ckpt.save_checkpoint(old, params, AdamState(m=m, v=v, step=opt_step), step,
+                             {**meta, "train_config": old_train})
+
+        reports = [run(capsys, "eval", "--corpus", manifest, "--checkpoint", str(p), "--json")
+                   for p in (path, old)]
+        assert reports[0][0] == reports[1][0] == 0 and reports[0][1] == reports[1][1]
+        for p, train_config in ((path, meta["train_config"]), (old, old_train)):
+            code, out, _ = run(capsys, "inspect", "--checkpoint", str(p), "--json")
+            shown = json.loads(out)
+            assert code == 0 and shown["m"] == 2 and shown["mask_mode"] == "corner"
+            assert (shown["train_config"], shown["text_config"], shown["image_config"]) == \
+                (train_config, text, image)
+        code, out, _ = run(capsys, "inspect", "--checkpoint", str(old))
+        assert code == 0 and "train_config: {" in out and '"text_width": 16' in out
+
+        records, vocab = cli._corpus_vocab(manifest)
+        args = cli.build_parser().parse_args(["train", "--corpus", manifest, "--out-dir", "u",
+                                              "--steps", "4", *self.SMALL])
+        with pytest.raises(ckpt.CheckpointError, match=(
+                r"^checkpoint train_config has fields \['image_mode', 'limit', 'm', "
+                r"'mask_mode', 'projection_dim', 'text_depth', 'text_heads', 'text_width'\] "
+                r"that the current format does not store there: the checkpoint predates "
+                r"the current format$")):
+            train_mod.run_training(records, vocab, cli.resolve_train_config(args),
+                                   resume_from=str(old))
+
+    def test_train_refuses_a_used_out_dir(self, manifest, tmp_path, capsys):
+        """A fresh run into a directory that holds a run's metrics or checkpoints
+        would cut that run's metrics and leave its checkpoints beside its own
+        for a later resume to splice: a usage error naming the directory, with
+        nothing written."""
+        out_dir = tmp_path / "run"
+        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
+                   "--steps", "6", "--checkpoint-every", "2", *self.SMALL)[0] == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(before) == ["ckpt_000002.bin", "ckpt_000004.bin", "ckpt_000006.bin",
+                                  "ckpt_final.bin", "metrics.jsonl"]
+        code, out, err = run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
+                             "--steps", "3", "--lr", "0.01", *self.SMALL)
+        assert code == 1 and out == ""
+        assert f"usage error: --out-dir {out_dir} already holds a run" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+        # either kind of file marks a used directory; any other file does not
+        for name, code in (("metrics.jsonl", 1), ("ckpt_000002.bin", 1), ("notes.txt", 0)):
+            used = tmp_path / f"has_{name}"
+            used.mkdir()
+            (used / name).write_text("")
+            assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(used),
+                       "--steps", "1", *self.SMALL)[0] == code, name
 
     def test_feature_width_mismatch_names_the_record(self, tmp_path, capsys):
         def manifest(name, widths):
@@ -307,10 +382,10 @@ class TestConfigPrecedence:
         ("--m", "-1", "m must be >= 0, got -1"),
         ("--m", "9", "m must be <= 8 (the reserved corner ids), got 9"),
         ("--m", "30", "m must be <= 8 (the reserved corner ids), got 30"),
-        ("--limit", "3", "limit too small for corner tokens"),
+        ("--limit", "3", "limit must be >= m + 2 (4), got 3"),
         ("--text-width", "30", "width must be divisible by heads"),
         ("--projection-dim", "0", "projection_dim must be >= 1, got 0"),
-        ("--mask-mode", "none", "unknown mask_mode 'none'"),
+        ("--mask-mode", "none", "mask_mode must be one of ('corner', 'full'), got 'none'"),
         ("--image-mode", "resnet", "mode must be one of ('vit', 'precomputed'), got 'resnet'"),
     ])
     def test_out_of_range_setting_is_usage_error(self, manifest, tmp_path, capsys,
@@ -396,7 +471,7 @@ class TestSweepCommand:
         ("m_corners", "2", "0", "seeds must be nonempty and distinct, got []"),
         ("m_corners", "", "1", "values must be nonempty and distinct, got []"),
         ("m_corners", "-1", "1", "values must be nonnegative, got [-1]"),
-        ("token_limit", "16,3", "1", "limit too small for corner tokens"),
+        ("token_limit", "16,3", "1", "limit must be >= m + 2 (4), got 3"),
         ("m_corners", "2,9", "1", "m must be <= 8 (the reserved corner ids), got 9"),
     ], ids=["repeated-value", "no-seed", "no-value", "negative-value",
             "limit-too-small", "m-beyond-reserved-ids"])

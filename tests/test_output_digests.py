@@ -11,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = ("default", "resume", "frozen", "cosine", "vit", "vit_frozen", "eval_long")
-OUTPUTS = ("metrics", "ckpt_final", "long_full.img", "long_full.txt", "short.txt", "eval")
+OUTPUTS = ("metrics", "ckpt_final.arrays", "ckpt_final.meta", "long_full.img", "long_full.txt",
+           "short.txt", "eval")
 
 
 @pytest.mark.slow
@@ -20,7 +21,7 @@ def test_output_digests_runs_and_resume_matches():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 42 and all(re.fullmatch(r"\S+ [0-9a-f]{16}", x) for x in lines), lines
+    assert len(lines) == 49 and all(re.fullmatch(r"\S+ [0-9a-f]{16}", x) for x in lines), lines
     digests = dict(x.split() for x in lines)
     assert list(digests) == [f"{r}.{o}" for r in RUNS for o in OUTPUTS]
     for o in OUTPUTS:

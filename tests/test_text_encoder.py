@@ -9,7 +9,7 @@ from cornerclip import objective
 from cornerclip import text_encoder as te
 from cornerclip.autodiff import Tensor, count_macs
 from cornerclip.evaluation import flops_estimate
-from cornerclip.tokenizer import CLS_ID, ROLE_PAD, Vocabulary, tokenize
+from cornerclip.tokenizer import CLS_ID, M_MAX, ROLE_PAD, Vocabulary, tokenize
 from cornerclip.text_encoder import TextEncoderConfig
 
 
@@ -31,12 +31,12 @@ class TestConfig:
             TextEncoderConfig(vocab_size=10, width=30, heads=4)
 
     def test_limit_floor(self):
-        with pytest.raises(ValueError, match="limit too small"):
+        with pytest.raises(ValueError, match=r"^limit must be >= m \+ 2 \(4\), got 3$"):
             TextEncoderConfig(vocab_size=10, limit=3, m=2)
 
     @pytest.mark.parametrize("field,value,rule", [
         ("heads", 0, ">= 1"), ("width", 0, ">= 1"), ("depth", 0, ">= 1"), ("m", -1, ">= 0"),
-        ("mlp_ratio", 0, ">= 1"),
+        ("mlp_ratio", 0, ">= 1"), ("m", M_MAX + 1, f"<= {M_MAX} (the reserved corner ids)"),
     ])
     def test_bad_shape_names_field_and_value(self, field, value, rule):
         with pytest.raises(ValueError) as exc:

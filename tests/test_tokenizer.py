@@ -158,7 +158,7 @@ class TestTokenize:
 
     def test_limit_too_small(self):
         v = Vocabulary.build(["a."])
-        with pytest.raises(ValueError, match="limit too small"):
+        with pytest.raises(ValueError, match=r"^limit must be >= m \+ 2 \(4\), got 3$"):
             tokenize("a.", 3, 2, v)
 
     def test_negative_corner_count_refused(self):

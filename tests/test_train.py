@@ -618,6 +618,42 @@ class TestCheckpointing:
         with pytest.raises(ckpt.CheckpointError, match="meta sections mismatch"):
             train.check_resume_meta({**stored, "m": 2}, stored)
 
+    @pytest.mark.parametrize("image_mode,records", [("precomputed", "corpus16"),
+                                                    ("vit", "pixel_corpus")])
+    def test_each_setting_is_stored_in_one_section(self, request, tmp_path, image_mode,
+                                                   records):
+        """train_config holds the TrainConfig fields that set no tower field;
+        the shape fields are stored only in the tower sections, which hold
+        their configs whole, so no tower field is in train_config either."""
+        recs, vocab = request.getfixturevalue(records)
+        cfg = tiny_cfg(steps=1, image_mode=image_mode)
+        train.run_training(recs, vocab, cfg, out_dir=str(tmp_path / "run"))
+        meta = ckpt.load_checkpoint(tmp_path / "run" / "ckpt_final.bin")[3]
+        in_towers = {"limit": ["text_config.limit"], "m": ["text_config.m"],
+                     "mask_mode": ["text_config.mask_mode"],
+                     "text_depth": ["text_config.depth"], "text_width": ["text_config.width"],
+                     "text_heads": ["text_config.heads"], "image_mode": ["image_config.mode"],
+                     # both towers project into the one joint space
+                     "projection_dim": ["text_config.projection_dim",
+                                        "image_config.projection_dim"]}
+        for f in dataclasses.fields(TrainConfig):
+            value = getattr(cfg, f.name)
+            if f.name in in_towers:
+                assert f.name not in meta["train_config"], f.name
+                for home in in_towers[f.name]:
+                    section, name = home.split(".")
+                    assert meta[section][name] == value, home
+            else:
+                assert meta["train_config"][f.name] == value, f.name
+        assert set(meta["train_config"]) == ({f.name for f in dataclasses.fields(TrainConfig)}
+                                             - set(in_towers))
+        for section, tower in (("text_config", text_encoder.TextEncoderConfig),
+                               ("image_config", image_encoder.ImageEncoderConfig)):
+            fields = {f.name for f in dataclasses.fields(tower)}
+            assert set(meta[section]) == fields, section
+            assert not fields & set(meta["train_config"]), section
+        assert meta["image_config"]["mode"] == image_mode
+
     def test_vocab_round_trip(self, corpus16, tmp_path):
         recs, vocab = corpus16
         cfg = tiny_cfg(steps=1)
@@ -754,7 +790,7 @@ class TestResume:
         cfg = tiny_cfg(steps=2)
         train.run_training(recs, vocab, cfg, out_dir=str(tmp_path / "run"))
         other = tiny_cfg(steps=4, m=3)
-        with pytest.raises(ckpt.CheckpointError, match="'m' mismatch"):
+        with pytest.raises(ckpt.CheckpointError, match="'text_config.m' mismatch"):
             train.run_training(recs, vocab, other,
                                resume_from=str(tmp_path / "run" / "ckpt_final.bin"))
 
@@ -768,7 +804,9 @@ class TestResume:
             vocab = Vocabulary.build([r.short_text for r in recs] + ["zebra."])
         else:
             cfg = tiny_cfg(steps=4, **{field: value})
-        with pytest.raises(ckpt.CheckpointError, match=f"'[a-z_.]*{field}[a-z_.]*' mismatch"):
+        stored_as = {"text_width": "text_config.width"}.get(field, field)
+        with pytest.raises(ckpt.CheckpointError,
+                           match=f"'[a-z_.]*{stored_as}[a-z_.]*' mismatch"):
             train.run_training(recs, vocab, cfg,
                                resume_from=str(tmp_path / "run" / "ckpt_final.bin"))
 

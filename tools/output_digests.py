@@ -8,11 +8,13 @@ or their numbers, to compare two trees exactly or to the last bits.
 
 Imports the package from src/ next to this directory, trains on
 `generate_synthetic_corpus(1, 256, 4, 16)` and prints, per run, the first
-16 hex digits of the sha256 of metrics.jsonl, ckpt_final.bin, the
+16 hex digits of the sha256 of metrics.jsonl, ckpt_final.bin's arrays (its
+header without the meta, then the payload) and its meta apart, the
 long_full image, long_full text and short text features of the trained
 model, and its eval numbers: recall@1 and @5 both ways over the long_full
 features and zero-shot accuracy. Run it on two checkouts and `diff` the
-outputs: equal lines mean the change left those bytes alone. Runs:
+outputs: equal lines mean the change left those bytes alone, and a change
+to the meta alone shows as its meta lines alone. Runs:
 
 - default: 200 steps of the default config, seed 1, a checkpoint every 100;
 - resume: the default run again from its step-100 checkpoint;
@@ -43,6 +45,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
+import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -51,7 +54,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cornerclip import corpus, evaluation, train  # noqa: E402
+from cornerclip import checkpoint, corpus, evaluation, train  # noqa: E402
 from cornerclip.tokenizer import Vocabulary  # noqa: E402
 
 IMAGE_SHAPE = (32, 32, 3)
@@ -94,10 +97,21 @@ def outputs(name, records, result, out_dir: Path):
     steps = np.array([[v for _, v in sorted(json.loads(line).items())]
                       for line in metrics.splitlines()], dtype=np.float64)
     numbers = {"long_full.img": img, "long_full.txt": txt, "short.txt": short, "eval": scores}
-    return ([(f"{name}.metrics", metrics, steps),
-             (f"{name}.ckpt_final", (out_dir / "ckpt_final.bin").read_bytes(), None)]
+    return ([(f"{name}.metrics", metrics, steps)]
+            + checkpoint_parts(f"{name}.ckpt_final", (out_dir / "ckpt_final.bin").read_bytes())
             + [(f"{name}.{kind}", np.ascontiguousarray(v).tobytes(), v)
                for kind, v in numbers.items()])
+
+
+def checkpoint_parts(line, blob: bytes):
+    """A checkpoint's arrays (its header without the meta, then the payload)
+    and its meta, as two outputs."""
+    start = len(checkpoint.MAGIC) + 8
+    end = start + struct.unpack("<Q", blob[len(checkpoint.MAGIC):start])[0]
+    header = json.loads(blob[start:end])
+    meta = json.dumps(header.pop("meta"), sort_keys=True).encode()
+    arrays = json.dumps(header, sort_keys=True).encode() + blob[end:-4]
+    return [(f"{line}.arrays", arrays, None), (f"{line}.meta", meta, None)]
 
 
 def largest_differences(values: np.ndarray, reference: np.ndarray) -> str:

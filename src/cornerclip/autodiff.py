@@ -12,6 +12,10 @@ A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
 and no backward closure, so ``backward`` never visits them. ``mlp`` also
 saves nothing then: it writes its GELU in place into its first GEMM's output.
+
+A graph is backpropagated once. ``backward`` releases each node's gradient,
+closure and parents as soon as the node's backward has run, so only leaves
+keep gradients, and a second ``backward`` through the same graph raises.
 """
 
 from __future__ import annotations
@@ -67,7 +71,14 @@ class Tensor:
 
     def backward(self):
         """Backpropagate from this (typically scalar) node into every node that
-        requires a gradient."""
+        requires a gradient, consuming the graph on the way.
+
+        Once a node's backward has run, the node drops its gradient, its
+        closure (and with it what the closure saved) and its parents, so each
+        intermediate is freed as soon as nothing downstream needs it. Leaves
+        keep their gradients; non-leaf nodes keep only their values. A graph
+        is backpropagated once: going through a consumed node again raises
+        RuntimeError."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack = [(self, False)]
@@ -84,9 +95,14 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:      # a leaf keeps its gradient
+                continue
+            g, node.grad = node.grad, None
+            if g is not None:
+                node._backward(g)
+            node._backward, node._parents = _consumed, ()
 
     # -- operators ---------------------------------------------------------
 
@@ -110,6 +126,12 @@ class Tensor:
 
     def detach(self):
         return Tensor(self.value.copy())
+
+
+def _consumed(g):
+    """The backward of a node whose graph was already backpropagated."""
+    raise RuntimeError("backward through a graph that was already backpropagated: "
+                       "build the graph again")
 
 
 def _as_tensor(x) -> Tensor:

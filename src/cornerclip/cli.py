@@ -250,12 +250,17 @@ def _cmd_eval(args) -> int:
     text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
     ids, img, txt = evaluation.embed_eval_set(
         records, params, text_cfg, image_cfg, vocab, args.text_kind)
-    gt = evaluation.RetrievalGroundTruth.one_to_one(len(records))
-    report = evaluation.evaluate_retrieval(img, txt, gt, task=args.text_kind)
+    if args.text_kind == "short":
+        # records share short captions: rank each distinct caption once, any-hit
+        report = evaluation.short_retrieval(records, params, text_cfg, image_cfg, vocab, img)
+    else:
+        gt = evaluation.RetrievalGroundTruth.one_to_one(len(records))
+        report = evaluation.evaluate_retrieval(img, txt, gt, task=args.text_kind)
     if args.export_embeddings:
         evaluation.export_embeddings(args.export_embeddings, ids, img, txt)
-    _emit(args, report.to_dict(),
-          "\n".join(f"{k}: {v}" for k, v in report.to_dict().items()))
+    payload = {**report.to_dict(),
+               "directions": sorted({k.split("_")[0] for k in report.metrics})}
+    _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items()))
     return 0
 
 

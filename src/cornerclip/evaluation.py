@@ -151,12 +151,15 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
 
 def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
                 vocab: Vocabulary, batch_size: int = 64) -> np.ndarray:
-    """Unit-norm global text features (n, p), batch_size PAD-trimmed texts per pass."""
-    seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts]
-    return np.concatenate([
-        text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs[i:i + batch_size]),
-                                       params, text_cfg, corners=False)[0].value[:, 0]
-        for i in range(0, len(seqs), batch_size)])
+    """Unit-norm global text features (n, p), batch_size PAD-trimmed texts per pass,
+    each batch tokenized as it is encoded."""
+    def features(batch):
+        seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in batch]
+        return text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs), params,
+                                              text_cfg, corners=False)[0].value[:, 0]
+
+    return np.concatenate([features(texts[i:i + batch_size])
+                           for i in range(0, len(texts), batch_size)])
 
 
 def _score_blocks(image_feats: np.ndarray, text_feats: np.ndarray):
@@ -233,18 +236,30 @@ def short_text_groups(records: list[ManifestRecord]):
     return list(unique), image_to_texts
 
 
-def short_retrieval_r1(records: list[ManifestRecord], params: dict,
-                       text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
-                       vocab: Vocabulary, image_feats: np.ndarray | None = None) -> float:
-    """i2t R@1 over the deduplicated short-text candidate set; image_feats, if given,
-    are the records' `image_encoder.embed_images`."""
+def short_retrieval(records: list[ManifestRecord], params: dict,
+                    text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
+                    vocab: Vocabulary, image_feats: np.ndarray | None = None,
+                    ks=(1, 5)) -> EvalReport:
+    """i2t recall@k for each k in ks over the deduplicated short-text candidate set,
+    any-hit; image_feats, if given, are the records' `image_encoder.embed_images`.
+    There is no t2i: a caption that several records share has no single image."""
     if image_feats is None:
         image_feats = image_encoder.embed_images(records, params, image_cfg)
     texts, image_to_texts = short_text_groups(records)
     text_feats = embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts))
     ranks = _ranks(_score_blocks(image_feats, text_feats),
                    (len(image_feats), len(texts)), image_to_texts)["i2t"]
-    return int(np.count_nonzero(ranks == 0)) / len(records)
+    return EvalReport(task="short", n_images=len(image_feats), n_texts=len(texts),
+                      metrics={f"i2t_r@{k}": int(np.count_nonzero(ranks < k)) / len(ranks)
+                               for k in ks})
+
+
+def short_retrieval_r1(records: list[ManifestRecord], params: dict,
+                       text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
+                       vocab: Vocabulary, image_feats: np.ndarray | None = None) -> float:
+    """i2t R@1 of `short_retrieval`."""
+    return short_retrieval(records, params, text_cfg, image_cfg, vocab, image_feats,
+                           ks=(1,)).metrics["i2t_r@1"]
 
 
 def flops_estimate(config: TextEncoderConfig, L_effective: int) -> int:

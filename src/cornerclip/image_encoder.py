@@ -13,6 +13,7 @@ import numpy as np
 
 from . import transformer
 from .autodiff import Tensor, concat, l2_normalize, linear, matmul, take_rows
+from .settings import check_settings
 
 MODES = ("vit", "precomputed")
 
@@ -34,8 +35,8 @@ class ImageEncoderConfig:
 
     def __post_init__(self):
         # a vit run stores input_feature_dim 0: its tower reads no features
-        transformer.check_settings(self, [("mode", self.mode in MODES, f"one of {MODES}")]
-                                   + transformer.shape_rules(self) + [
+        check_settings(self, [("mode", self.mode in MODES, f"one of {MODES}")]
+                       + transformer.shape_rules(self) + [
             *((n, getattr(self, n) >= 1, ">= 1") for n in ("image_size", "patch_size", "channels")),
             ("image_size", self.patch_size >= 1 and self.image_size % self.patch_size == 0,
              f"divisible by patch_size ({self.patch_size})"),

@@ -17,9 +17,10 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-from . import evaluation, transformer
+from . import evaluation
 from .corpus import ManifestRecord
 from .evaluation import RetrievalGroundTruth
+from .settings import check_settings
 from .tokenizer import Vocabulary
 from .train import TrainConfig, continue_stream, run_training
 
@@ -44,7 +45,7 @@ class SweepSpec:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def __post_init__(self):
-        transformer.check_settings(self, [
+        check_settings(self, [
             ("axis", self.axis in AXES, f"one of {AXES}"),
             ("values", all(v >= 0 for v in self.values), "nonnegative")] + [
             (name, len(set(xs)) == len(xs) > 0, "nonempty and distinct")

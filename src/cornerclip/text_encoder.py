@@ -15,6 +15,7 @@ import numpy as np
 
 from . import masks, transformer
 from .autodiff import Tensor, take_rows
+from .settings import check_settings, text_layout_rules
 from .tokenizer import CORNER_ID_BASE, M_MAX, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence
 
 
@@ -31,11 +32,12 @@ class TextEncoderConfig:
     mask_mode: str = "corner"
 
     def __post_init__(self):
-        transformer.check_settings(self, transformer.shape_rules(self) + [
-            ("m", self.m >= 0, ">= 0"),
-            ("m", self.m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)"),
-            ("limit", self.limit >= self.m + 2, f">= m + 2 ({self.m + 2})"),
-            ("mask_mode", self.mask_mode in masks.MODES, f"one of {masks.MODES}")])
+        # the corner-id cap before the layout rules: an m above it is refused as
+        # such whatever the limit
+        check_settings(self, transformer.shape_rules(self)
+                       + [("m", self.m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)")]
+                       + text_layout_rules(self)
+                       + [("mask_mode", self.mask_mode in masks.MODES, f"one of {masks.MODES}")])
 
 
 @dataclass

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
+
+from .settings import check_settings, text_layout_rules
 
 # Per-position role tags.
 ROLE_CLS = 0
@@ -99,10 +102,8 @@ class TokenSequence:
 
 def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
     """Produce [CLS], COR_1..COR_m, words + [SEP] per sub-caption, pad to limit."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if limit < m + 2:
-        raise ValueError(f"limit must be >= m + 2 ({m + 2}), got {limit}")
+    layout = SimpleNamespace(limit=limit, m=m)
+    check_settings(layout, text_layout_rules(layout))
     if m > vocab.m_max:
         raise ValueError(f"m={m} exceeds vocabulary m_max={vocab.m_max}")
     ids = [CLS_ID] + [CORNER_ID_BASE + i for i in range(m)]

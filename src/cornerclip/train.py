@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import image_encoder, objective, text_encoder, transformer
+from . import image_encoder, objective, text_encoder
 from .autodiff import Tensor
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
+from .settings import check_settings
 from .text_encoder import TextEncoderConfig
 from .tokenizer import (TokenSequence, Vocabulary, sample_consecutive, split_subcaptions,
                         tokenize)
@@ -56,7 +57,7 @@ class TrainConfig:
 
     def __post_init__(self):
         tau = (objective.TAU_MIN, objective.TAU_MAX)
-        transformer.check_settings(self, (
+        check_settings(self, (
             ("batch_size", self.batch_size >= 2, ">= 2"),
             ("steps", self.steps >= 1, ">= 1"),
             ("lr", 0 < self.lr < np.inf, "finite and > 0"),
@@ -268,24 +269,34 @@ def _decays(arr: np.ndarray) -> bool:
 def train_step(params: dict, opt: AdamState, batch: Batch,
                text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                cfg: TrainConfig, step: int) -> dict:
-    """One AdamW update (decoupled weight decay); returns the step metrics."""
+    """One AdamW update (decoupled weight decay); returns the step metrics.
+
+    The moments `opt.m`, `opt.v` and each parameter's `value` are updated in
+    place, through two scratch arrays per parameter: copy a `value` to keep it.
+    """
     t0 = time.perf_counter()
     grads, breakdown, tau_val = gradients(params, batch, text_cfg, image_cfg, cfg)
     opt.step += 1
     lr = lr_at(cfg, step)
+    c1, c2 = 1 - ADAM_BETA1 ** opt.step, 1 - ADAM_BETA2 ** opt.step
     gnorm_sq = 0.0
     for name in sorted(grads):
-        g = grads[name]
-        gnorm_sq += float((g * g).sum())
-        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1 - ADAM_BETA1) * g
-        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1 - ADAM_BETA2) * g * g
-        mhat = opt.m[name] / (1 - ADAM_BETA1 ** opt.step)
-        vhat = opt.v[name] / (1 - ADAM_BETA2 ** opt.step)
-        p = params[name]
-        update = mhat / (np.sqrt(vhat) + ADAM_EPS)
-        if cfg.weight_decay and _decays(p.value):
-            update = update + cfg.weight_decay * p.value
-        p.value = p.value - lr * update
+        g, m, v, p = grads[name], opt.m[name], opt.v[name], params[name].value
+        # explicit out= throughout: a ufunc on a 0-d array (obj.s) returns a scalar
+        a, b = np.empty_like(g), np.empty_like(g)
+        gnorm_sq += float(np.multiply(g, g, out=a).sum())
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=a), g, out=a)
+        np.divide(m, c1, out=a)                             # mhat
+        np.sqrt(np.divide(v, c2, out=b), out=b)             # sqrt(vhat)
+        b += ADAM_EPS
+        a /= b                                              # the Adam update
+        if cfg.weight_decay and _decays(p):
+            a += np.multiply(p, cfg.weight_decay, out=b)
+        a *= lr
+        p -= a
     metrics = {
         "step": step,
         "loss_total": float(breakdown.total.value),

@@ -7,14 +7,6 @@ import numpy as np
 from .autodiff import Tensor, l2_normalize, layer_norm, linear, matmul, mlp, self_attention
 
 
-def check_settings(config, rules) -> None:
-    """Refuse the first (name, ok, rule) triple of `rules` that does not hold, as
-    `name must be rule, got value`: the one form of every config's range rules."""
-    for name, ok, rule in rules:
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
-
-
 def shape_rules(config) -> list:
     """The range rules of a tower's shape, shared by the text tower and the ViT."""
     return [(name, getattr(config, name) >= 1, ">= 1")

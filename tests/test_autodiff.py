@@ -263,6 +263,93 @@ def test_fan_out_gradient_is_not_aliased():
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
 
 
+def reachable(root):
+    """Every node reachable from root through its parents, root first."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def keep_graph_backward(root):
+    """Backward as it ran before it consumed the graph: the same reverse
+    topological order, every node's gradient, closure and parents kept."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    root.grad = np.ones_like(root.value)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def step_graph():
+    """A default-config model on a 64-record corpus, and a function that builds
+    its step-1 loss graph with every parameter requiring a gradient."""
+    recs = generate_synthetic_corpus(1, 64, 4, 16)
+    vocab = Vocabulary.build([r.short_text for r in recs]
+                             + [t for r in recs for t in r.long_texts])
+    cfg = train.TrainConfig(seed=1)
+    text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
+    params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+    batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(1, 1), image_cfg)
+
+    def loss():
+        for t in params.values():
+            t.requires_grad = True
+        return train.compute_loss(params, batch, text_cfg, image_cfg, cfg)[0].total
+
+    return params, loss
+
+
+def test_backward_consumes_the_graph():
+    """After backward no non-leaf node of the step graph keeps a gradient, a
+    closure or parents, the leaves' gradients are the bytes of the backward
+    that kept the whole graph, and a second backward raises."""
+    params, step_loss = step_graph()
+    keep_graph_backward(step_loss())
+    expected = {name: t.grad.copy() for name, t in params.items()}
+    for t in params.values():
+        t.grad = None
+
+    loss = step_loss()
+    nodes = reachable(loss)
+    inner = [n for n in nodes if n._backward is not None]
+    assert len(inner) >= 40 and all(n._parents for n in inner)
+    loss.backward()
+    for node in inner:
+        assert node.grad is None and node._parents == () and node._backward is ad._consumed
+        assert node.value is not None
+    leaves = {id(n) for n in nodes if n._backward is None and n.requires_grad}
+    assert leaves == set(map(id, params.values()))
+    for name, t in params.items():
+        assert t.grad.tobytes() == expected[name].tobytes(), name
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        loss.backward()
+    assert all(t.grad.tobytes() == expected[n].tobytes() for n, t in params.items())
+
+
+def test_backward_into_a_consumed_node_raises():
+    """A new graph built on a node of a consumed graph cannot reach past it."""
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = x * 2.0
+    y.sum().backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        (y * 3.0).sum().backward()
+
+
 def test_three_gradients_sum_without_writing_any():
     rng = np.random.default_rng(13)
     x = Tensor(np.zeros((2, 3)), requires_grad=True)

@@ -193,6 +193,31 @@ class TestTrainEvalCommands:
     SMALL = ("--batch-size", "4", "--limit", "16", "--text-depth", "1", "--text-width", "16",
              "--text-heads", "2", "--projection-dim", "8")
 
+    def test_short_eval_ranks_each_distinct_caption_once(self, tmp_path, capsys):
+        """Records share short captions: eval --text-kind short ranks the distinct
+        ones, any-hit and image to text only, as short_retrieval_r1 does."""
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert run(capsys, "gen-corpus", "--seed", "1", "--n", "16", "--attributes", "2",
+                   "--pool-size", "3", "--feature-dim", "8", "--out", corpus)[0] == 0
+        out_dir = tmp_path / "run"
+        assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir),
+                   "--steps", "2", *self.SMALL)[0] == 0
+        path = str(out_dir / "ckpt_final.bin")
+        code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path,
+                           "--text-kind", "short", "--json")
+        assert code == 0
+        report = json.loads(out)
+        records = cli._records(corpus)
+        params, _, _, meta = ckpt.load_checkpoint(path)
+        text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
+        texts, _ = evaluation.short_text_groups(records)
+        assert report["directions"] == ["i2t"] and "t2i_r@1" not in report
+        assert report["n_images"] == 16 and report["n_texts"] == len(texts) < 16
+        assert report["i2t_r@1"] == evaluation.short_retrieval_r1(
+            records, params, text_cfg, image_cfg, vocab)
+        code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path, "--json")
+        assert code == 0 and json.loads(out)["directions"] == ["i2t", "t2i"]
+
     def test_a_checkpoint_of_the_previous_layout(self, manifest, tmp_path, capsys):
         """The layout that also stored the eight shape fields in train_config:
         eval reads it as it reads the current one, inspect shows its sections

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,6 +311,25 @@ class TestEmbedAndReports:
             np.testing.assert_allclose(np.linalg.norm(img, axis=1), 1.0, atol=1e-9)
             np.testing.assert_allclose(np.linalg.norm(txt, axis=1), 1.0, atol=1e-9)
 
+    def test_embed_texts_tokenizes_one_batch_at_a_time(self, trained, monkeypatch):
+        """Each batch is tokenized as it is encoded, and the features are the
+        bytes of tokenizing every text up front."""
+        recs, vocab, res = trained
+        texts = [r.long_caption for r in recs]
+        cfg = res.text_cfg
+        seqs = [ev.tokenize(t, cfg.limit, cfg.m, vocab) for t in texts]
+        upfront = np.concatenate([
+            te.encode_text_graph(*te.stack_trimmed(seqs[i:i + 3]), res.params, cfg,
+                                 corners=False)[0].value[:, 0] for i in range(0, 8, 3)])
+        tokenized, at_encode = [], []
+        tokenize, encode = ev.tokenize, te.encode_text_graph
+        monkeypatch.setattr(ev, "tokenize", lambda *a: (tokenized.append(1), tokenize(*a))[1])
+        monkeypatch.setattr(te, "encode_text_graph", lambda *a, **kw: (
+            at_encode.append(len(tokenized)), encode(*a, **kw))[1])
+        feats = ev.embed_texts(texts, res.params, cfg, vocab, batch_size=3)
+        assert at_encode == [3, 6, 8]
+        assert feats.tobytes() == upfront.tobytes()
+
     def test_unknown_text_kind(self, trained):
         recs, vocab, res = trained
         with pytest.raises(ValueError, match="unknown text_kind"):
@@ -364,6 +384,26 @@ class TestShortRetrieval:
         r1 = ev.short_retrieval_r1(recs, params, text_cfg, image_cfg, vocab)
         assert sum(rows) == len(texts) == 16
         assert r1 == expected
+
+    def test_report_ranks_distinct_captions_image_to_text(self):
+        """short_retrieval's recall@k is the any-hit oracle's over the distinct
+        captions, its R@1 is short_retrieval_r1, and it has no t2i."""
+        recs = generate_synthetic_corpus(0, 32, 2, 8, pool_size=3)
+        vocab = Vocabulary.build([r.short_text for r in recs])
+        cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
+                                projection_dim=8, use_long_texts=False)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
+        params = train.build_model(text_cfg, image_cfg, 0)
+        texts, image_to_texts = ev.short_text_groups(recs)
+        img = image_encoder.embed_images(recs, params, image_cfg)
+        S = img @ ev.embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts)).T
+        gt = SimpleNamespace(image_to_texts=image_to_texts)     # many images per text
+        report = ev.short_retrieval(recs, params, text_cfg, image_cfg, vocab, ks=(1, 2))
+        assert (report.task, report.n_images, report.n_texts) == ("short", 32, len(texts))
+        assert len(texts) < 32
+        assert report.metrics == {f"i2t_r@{k}": oracle_recall(S, gt, k, "i2t") for k in (1, 2)}
+        assert report.metrics["i2t_r@1"] == ev.short_retrieval_r1(
+            recs, params, text_cfg, image_cfg, vocab)
 
     def test_non_finite_image_features_rejected(self):
         recs = generate_synthetic_corpus(0, 8, 2, 8)

@@ -3,6 +3,10 @@
 Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
 (sorted keys) with shape metadata and byte offsets, raw C-order float64
 payload, then a trailing CRC32 of everything before it.
+
+The state is never copied as a whole: a save streams each array's own buffer
+to the file, and a load checks the CRC in fixed-size chunks before it reads
+each array straight into a new array of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .autodiff import Tensor
 
 MAGIC = b"CCCKPT01"
 VERSION = 1
+CHUNK = 1 << 16          # bytes per read of the load's checksum pass
 
 
 class CheckpointError(Exception):
@@ -34,13 +39,14 @@ def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
         arrays[f"adam.m.{name}"] = a
     for name, a in opt_state.v.items():
         arrays[f"adam.v.{name}"] = a
-    entries, payload = [], bytearray()
-    for name in sorted(arrays):
-        # note: ascontiguousarray would promote 0-d arrays to 1-d
-        a = np.asarray(arrays[name], dtype=np.float64, order="C")
-        entries.append({"name": name, "shape": list(a.shape),
-                        "offset": len(payload), "nbytes": a.nbytes})
-        payload += a.tobytes()
+    # note: ascontiguousarray would promote 0-d arrays to 1-d
+    arrays = {name: np.asarray(arrays[name], dtype=np.float64, order="C")
+              for name in sorted(arrays)}
+    entries, offset = [], 0
+    for name, a in arrays.items():
+        entries.append({"name": name, "shape": list(a.shape), "offset": offset,
+                        "nbytes": a.nbytes})
+        offset += a.nbytes
     header = {
         "version": VERSION,
         "step": step,
@@ -55,8 +61,12 @@ def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
     try:
         with open(tmp, "wb") as f:
             f.write(head)
-            f.write(payload)
-            f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
+            crc = zlib.crc32(head)
+            for a in arrays.values():
+                buf = memoryview(a).cast("B")
+                f.write(buf)
+                crc = zlib.crc32(buf, crc)
+            f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -66,38 +76,54 @@ def save_checkpoint(path, params: dict[str, Tensor], opt_state, step: int,
         raise
 
 
+def _verify(f, size: int) -> None:
+    """Check the magic and the trailing CRC of the open file `f` of `size` bytes,
+    reading it CHUNK bytes at a time into one buffer."""
+    if size < len(MAGIC) + 12 or f.read(len(MAGIC)) != MAGIC:
+        raise CheckpointError("not a checkpoint file (bad magic)")
+    f.seek(0)
+    buf = memoryview(bytearray(CHUNK))
+    crc, left = 0, size - 4
+    while left:
+        n = f.readinto(buf[:min(left, CHUNK)])
+        if not n:
+            break
+        crc, left = zlib.crc32(buf[:n], crc), left - n
+    if left or struct.unpack("<I", f.read(4))[0] != crc:
+        raise CheckpointError("checkpoint corrupted (checksum mismatch)")
+
+
 def load_checkpoint(path):
     """Return (params, opt_state_arrays, step, meta); verifies checksum and version.
 
     Optimizer arrays come back as ``(m: dict, v: dict, opt_step: int)`` raw
-    material; the training engine rebuilds its state object from them.
+    material; the training engine rebuilds its state object from them. Each
+    array is its own allocation, aligned as numpy aligns it, so every later
+    sum over it runs in the order it ran before the save.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(MAGIC) + 12 or blob[:len(MAGIC)] != MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != crc_stored:
-        raise CheckpointError("checkpoint corrupted (checksum mismatch)")
-    hlen = struct.unpack("<Q", blob[8:16])[0]
-    header = json.loads(blob[16:16 + hlen].decode())
-    if header["version"] != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {header['version']}")
-    if not header["has_opt_state"]:
-        raise CheckpointError("checkpoint carries no optimizer state")
-    payload = blob[16 + hlen:-4]
     params: dict[str, Tensor] = {}
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
-    for e in header["arrays"]:
-        raw = payload[e["offset"]:e["offset"] + e["nbytes"]]
-        a = np.frombuffer(raw, dtype=np.float64).reshape(e["shape"]).copy()
-        name = e["name"]
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = a
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = a
-        else:
-            params[name] = Tensor(a)
+    with open(path, "rb") as f:
+        _verify(f, os.fstat(f.fileno()).st_size)
+        f.seek(len(MAGIC))
+        hlen = struct.unpack("<Q", f.read(8))[0]
+        header = json.loads(f.read(hlen).decode())
+        if header["version"] != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {header['version']}")
+        if not header["has_opt_state"]:
+            raise CheckpointError("checkpoint carries no optimizer state")
+        base = len(MAGIC) + 8 + hlen
+        for e in header["arrays"]:
+            a = np.empty(e["shape"], dtype=np.float64)
+            f.seek(base + e["offset"])
+            if f.readinto(memoryview(a).cast("B")) != e["nbytes"]:
+                raise CheckpointError("checkpoint corrupted (checksum mismatch)")
+            name = e["name"]
+            if name.startswith("adam.m."):
+                adam_m[name[len("adam.m."):]] = a
+            elif name.startswith("adam.v."):
+                adam_v[name[len("adam.v."):]] = a
+            else:
+                params[name] = Tensor(a)
     return params, (adam_m, adam_v, header["opt_step"]), header["step"], header["meta"]
-

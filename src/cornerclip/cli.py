@@ -248,12 +248,17 @@ def _cmd_eval(args) -> int:
     records = _records(args.corpus)
     params, _, _, meta = ckpt.load_checkpoint(args.checkpoint)
     text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
-    ids, img, txt = evaluation.embed_eval_set(
-        records, params, text_cfg, image_cfg, vocab, args.text_kind)
     if args.text_kind == "short":
-        # records share short captions: rank each distinct caption once, any-hit
+        # records share short captions: rank each distinct caption once, any-hit;
+        # only an export reads the per-record captions' features
+        img = None
+        if args.export_embeddings:
+            ids, img, txt = evaluation.embed_eval_set(
+                records, params, text_cfg, image_cfg, vocab, "short")
         report = evaluation.short_retrieval(records, params, text_cfg, image_cfg, vocab, img)
     else:
+        ids, img, txt = evaluation.embed_eval_set(
+            records, params, text_cfg, image_cfg, vocab, args.text_kind)
         gt = evaluation.RetrievalGroundTruth.one_to_one(len(records))
         report = evaluation.evaluate_retrieval(img, txt, gt, task=args.text_kind)
     if args.export_embeddings:

@@ -212,7 +212,9 @@ def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
 
     This is the only place parameters are marked, and only until it returns:
     exactly the trainable ones require a gradient, so backward never enters a
-    frozen tower, and every other forward pass builds no graph.
+    frozen tower, and every other forward pass builds no graph. The returned
+    arrays are the leaves' own gradients, which may be shared with other
+    arrays of the graph: read them, never write them.
     """
     names = trainable_names(params, cfg)
     trainable = set(names)
@@ -231,7 +233,7 @@ def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
     grads = {}
     for name in names:
         g = params[name].grad
-        grads[name] = np.zeros_like(params[name].value) if g is None else g.copy()
+        grads[name] = np.zeros_like(params[name].value) if g is None else g
     return grads, breakdown, float(np.asarray(tau.value).reshape(-1)[0])
 
 
@@ -340,7 +342,7 @@ def checkpoint_meta(cfg: TrainConfig, text_cfg: TextEncoderConfig,
                          if k not in TEXT_SHAPE and k not in IMAGE_SHAPE},
         "text_config": dataclasses.asdict(text_cfg),
         "image_config": dataclasses.asdict(image_cfg),
-        "vocab": {"m_max": vocab.m_max, "token_to_id": vocab.token_to_id},
+        "vocab": {"token_to_id": vocab.token_to_id},    # m_max is its [COR_k] entries
     }
 
 
@@ -377,8 +379,10 @@ def check_resume_meta(stored: dict, expected: dict) -> None:
 
 
 def vocab_from_meta(meta: dict) -> Vocabulary:
-    v = meta["vocab"]
-    return Vocabulary(m_max=v["m_max"], token_to_id=dict(v["token_to_id"]))
+    """The checkpoint's vocabulary; m_max is the count of its [COR_k] tokens (an
+    older meta's own `m_max` beside them is not read)."""
+    table = dict(meta["vocab"]["token_to_id"])
+    return Vocabulary(m_max=sum(t.startswith("[COR_") for t in table), token_to_id=table)
 
 
 def model_from_meta(meta: dict):

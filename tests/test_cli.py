@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cornerclip import checkpoint as ckpt
@@ -217,6 +218,65 @@ class TestTrainEvalCommands:
             records, params, text_cfg, image_cfg, vocab)
         code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path, "--json")
         assert code == 0 and json.loads(out)["directions"] == ["i2t", "t2i"]
+
+    def test_short_eval_encodes_the_records_captions_only_to_export(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """eval --text-kind short ranks the distinct captions, so it encodes
+        those alone; the 64 per-record captions are encoded for an export only,
+        and the report is the same either way."""
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert run(capsys, "gen-corpus", "--seed", "1", "--n", "64", "--attributes", "2",
+                   "--pool-size", "3", "--feature-dim", "8", "--out", corpus)[0] == 0
+        out_dir = tmp_path / "run"
+        assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir),
+                   "--steps", "1", *self.SMALL)[0] == 0
+        n_distinct = len(evaluation.short_text_groups(cli._records(corpus))[0])
+        assert n_distinct < 64
+        encoded, embed_texts = [], evaluation.embed_texts
+
+        def counting(texts, *args, **kwargs):
+            encoded.append(len(texts))
+            return embed_texts(texts, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "embed_texts", counting)
+        argv = ("eval", "--corpus", corpus, "--checkpoint", str(out_dir / "ckpt_final.bin"),
+                "--text-kind", "short")
+        code, report, _ = run(capsys, *argv)
+        assert code == 0 and sum(encoded) == n_distinct
+        encoded.clear()
+        dump = tmp_path / "emb.npz"
+        assert run(capsys, *argv, "--export-embeddings", str(dump)) == (0, report, "")
+        assert sum(encoded) == 64 + n_distinct
+        with np.load(dump) as saved:
+            assert saved["text"].shape[0] == 64
+
+    def test_a_checkpoint_that_stores_m_max(self, manifest, tmp_path, capsys):
+        """The layout whose vocab section also stored m_max, which its [COR_k]
+        entries already say: eval and inspect read it as they read the current
+        one, and a resume refuses it as older than the current format."""
+        out_dir = tmp_path / "run"
+        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
+                   "--steps", "2", *self.SMALL)[0] == 0
+        path = out_dir / "ckpt_final.bin"
+        params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
+        assert meta["vocab"] == {"token_to_id": meta["vocab"]["token_to_id"]}
+        old = tmp_path / "old.bin"
+        ckpt.save_checkpoint(old, params, AdamState(m=m, v=v, step=opt_step), step,
+                             {**meta, "vocab": {**meta["vocab"], "m_max": 8}})
+        for command in ("eval", "inspect"):
+            outputs = [run(capsys, command, "--checkpoint", str(p), "--json",
+                           *(("--corpus", manifest) if command == "eval" else ()))
+                       for p in (path, old)]
+            assert outputs[0][0] == 0 and outputs[0] == outputs[1], command
+
+        records, vocab = cli._corpus_vocab(manifest)
+        args = cli.build_parser().parse_args(["train", "--corpus", manifest, "--out-dir", "u",
+                                              "--steps", "4", *self.SMALL])
+        with pytest.raises(ckpt.CheckpointError, match=(
+                r"^checkpoint vocab has fields \['m_max'\] that the current format does "
+                r"not store there: the checkpoint predates the current format$")):
+            train_mod.run_training(records, vocab, cli.resolve_train_config(args),
+                                   resume_from=str(old))
 
     def test_a_checkpoint_of_the_previous_layout(self, manifest, tmp_path, capsys):
         """The layout that also stored the eight shape fields in train_config:

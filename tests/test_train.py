@@ -41,6 +41,21 @@ def tiny_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def traced_peak(fn):
+    """(fn(), the traced peak of the call above what was traced before it, in bytes)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def setup_model(recs, vocab, cfg):
     text_cfg, image_cfg = train.make_configs(vocab, cfg, recs[0].image_feature.shape[0])
     params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
@@ -256,18 +271,19 @@ class TestGradients:
         params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
         batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(1, 1),
                                      image_cfg)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            train.gradients(params, batch, text_cfg, image_cfg, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: train.gradients(params, batch, text_cfg, image_cfg, cfg))[1]
         assert peak <= 12.5 * 2 ** 20
+
+    def test_gradients_are_the_leaves_own(self, corpus16):
+        """`gradients` hands out each leaf's own gradient array, not a copy."""
+        recs, vocab = corpus16
+        cfg = tiny_cfg()
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
+        batch = train.assemble_batch(recs, vocab, text_cfg, cfg,
+                                     train.step_rng(0, 1), image_cfg)
+        grads, _, _ = train.gradients(params, batch, text_cfg, image_cfg, cfg)
+        with_grad = [n for n in grads if params[n].grad is not None]
+        assert with_grad and all(grads[n] is params[n].grad for n in with_grad)
 
     def test_step_graph_stays_fused(self):
         """Nodes reachable from one default-config step's loss, the parameter
@@ -633,6 +649,48 @@ class TestCheckpointing:
         with pytest.raises(ckpt.CheckpointError, match="checksum"):
             ckpt.load_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["header cut", "arrays cut", "crc cut",
+                                        "header byte flipped"])
+    def test_damaged_file_refused(self, corpus16, tmp_path, damage):
+        """A file cut inside its JSON header, its arrays or its CRC, or with one
+        header bit flipped so the header still parses, fails the checksum."""
+        recs, vocab = corpus16
+        train.run_training(recs, vocab, tiny_cfg(steps=1), out_dir=str(tmp_path / "run"))
+        path = tmp_path / "run" / "ckpt_final.bin"
+        blob = path.read_bytes()
+        hlen = struct.unpack("<Q", blob[8:16])[0]
+        digit = blob.index(b'"step": 1') + len(b'"step": ')      # "1" -> "3"
+        path.write_bytes({
+            "header cut": blob[:16 + hlen // 2],
+            "arrays cut": blob[:(16 + hlen + len(blob)) // 2],
+            "crc cut": blob[:-2],
+            "header byte flipped": blob[:digit] + b"3" + blob[digit + 1:],
+        }[damage])
+        with pytest.raises(ckpt.CheckpointError, match=r"^checkpoint corrupted \(checksum "
+                                                       r"mismatch\)$"):
+            ckpt.load_checkpoint(path)
+
+    def test_save_and_load_move_the_state_once(self, tmp_path):
+        """Traced peaks on the default config's 2.6 MB checkpoint. A save that
+        built the payload from copies of every array peaked at 2.73 MiB, a load
+        that held the file and its slices at once at 9.98 MiB; streamed, a save
+        holds no array's copy and a load little beyond the arrays it returns."""
+        recs = generate_synthetic_corpus(1, 256, 4, 16)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        cfg = TrainConfig(seed=1)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
+        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        opt = AdamState.create(params, train.trainable_names(params, cfg))
+        meta = train.checkpoint_meta(cfg, text_cfg, image_cfg, vocab)
+        path = tmp_path / "ckpt.bin"
+        _, saved = traced_peak(lambda: ckpt.save_checkpoint(path, params, opt, 0, meta))
+        assert path.stat().st_size > 2.5e6
+        assert saved <= 0.5 * 2 ** 20
+        (loaded, (m, v, _), _, _), peak = traced_peak(lambda: ckpt.load_checkpoint(path))
+        arrays = [t.value for t in loaded.values()] + [*m.values(), *v.values()]
+        assert peak <= sum(a.nbytes for a in arrays) + ckpt.CHUNK + 0.5 * 2 ** 20
+
     def test_failed_write_keeps_previous_checkpoint(self, corpus16, tmp_path, monkeypatch):
         recs, vocab = corpus16
         run_dir = tmp_path / "run"
@@ -740,9 +798,15 @@ class TestCheckpointing:
         cfg = tiny_cfg(steps=1)
         train.run_training(recs, vocab, cfg, out_dir=str(tmp_path / "run"))
         _, _, _, meta = ckpt.load_checkpoint(tmp_path / "run" / "ckpt_final.bin")
+        assert meta["vocab"] == {"token_to_id": vocab.token_to_id}    # m_max: its [COR_k]
         back = train.vocab_from_meta(meta)
         assert back.token_to_id == vocab.token_to_id
         assert back.m_max == vocab.m_max
+        small = Vocabulary(m_max=3)
+        for stored in ({"token_to_id": small.token_to_id},
+                       {"m_max": 3, "token_to_id": small.token_to_id}):  # an older meta
+            back = train.vocab_from_meta({"vocab": stored})
+            assert (back.m_max, back.token_to_id) == (3, small.token_to_id)
 
 
 class TestResume:

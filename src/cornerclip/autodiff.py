@@ -11,7 +11,7 @@ the test suite is the contract.
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
 and no backward closure, so ``backward`` never visits them. ``mlp`` also
-saves nothing then: it writes its GELU in place into its first GEMM's output.
+saves nothing then.
 
 A graph is backpropagated once. ``backward`` releases each node's gradient,
 closure and parents as soon as the node's backward has run, so only leaves
@@ -434,8 +434,9 @@ def _gelu_gate(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gelu_grad(v: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g times d(v s)/dv = s + v s (1 - s) 2c (1 + 3 * 0.044715 v^2)."""
+def _gelu_slope(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d(v s)/dv = s + v s (1 - s) 2c (1 + 3 * 0.044715 v^2), the slope a GELU's
+    backward multiplies its upstream gradient by."""
     d = v * v
     d *= 3.0 * _GELU_A
     d += 1.0
@@ -444,7 +445,6 @@ def _gelu_grad(v: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     d *= s
     d *= 1.0 - s
     d += s
-    d *= g
     return d
 
 
@@ -454,22 +454,23 @@ def gelu(x) -> Tensor:
     s = _gelu_gate(x.value)
 
     def _bw(g):
-        x.accumulate(_gelu_grad(x.value, s, g))
+        x.accumulate(_gelu_slope(x.value, s) * g)
 
     return _result(x.value * s, (x,), _bw)
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """The transformer MLP, linear -> GELU -> linear, as one node over the two
-    GEMMs of _dense. When an input requires a gradient, it keeps the
-    pre-activation v, the gate s and the activation h = v s for a backward
-    that runs those of linear, gelu and linear. When none does, it saves
-    nothing: h is written in place into v, and the result is a constant."""
+    GEMMs of _dense. The activation h = v s is written in place into the
+    pre-activation v. When an input requires a gradient, the node keeps h and
+    the GELU's slope at v, all its backward reads of the GELU, and drops the
+    gate s; when none does, it saves nothing and the result is a constant."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     v, first_bw = _dense(x, w1, b1)
     s = _gelu_gate(v)
     grad = any(t.requires_grad for t in (x, w1, b1, w2, b2))
-    y, second_bw = _dense(Tensor(v * s if grad else np.multiply(v, s, out=v)), w2, b2)
+    slope = _gelu_slope(v, s) if grad else None
+    y, second_bw = _dense(Tensor(np.multiply(v, s, out=v)), w2, b2)
     y = y.reshape(x.value.shape[:-1] + y.shape[-1:])
     if not grad:
         return Tensor(y)
@@ -478,7 +479,9 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         second_bw(g2)               # w2 and b2 only: h is not a graph node
         if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            first_bw(_gelu_grad(v, s, g2 @ w2.value.T))
+            dh = g2 @ w2.value.T
+            dh *= slope
+            first_bw(dh)
 
     return Tensor(y, (x, w1, b1, w2, b2), _bw, requires_grad=True)
 

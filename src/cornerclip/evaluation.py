@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import image_encoder, text_encoder
+from . import image_encoder, text_encoder, transformer
 from .autodiff import count_macs
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
@@ -131,7 +131,7 @@ def recall_at_k(S: np.ndarray, gt: RetrievalGroundTruth, k: int, direction: str)
 def embed_eval_set(records: list[ManifestRecord], params: dict,
                    text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                    vocab: Vocabulary, text_kind: str = "long_full",
-                   batch_size: int = 64, image_feats: np.ndarray | None = None):
+                   image_feats: np.ndarray | None = None):
     """Unit-norm embedding arrays for a manifest.
 
     text_kind "short" embeds each record's `short_caption`; "long_full" its
@@ -144,22 +144,22 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
     texts = [rec.short_caption if text_kind == "short" else rec.long_caption
              for rec in records]
     if image_feats is None:
-        image_feats = image_encoder.embed_images(records, params, image_cfg, batch_size)
-    return ([r.id for r in records], image_feats,
-            embed_texts(texts, params, text_cfg, vocab, batch_size))
+        image_feats = image_encoder.embed_images(records, params, image_cfg)
+    return [r.id for r in records], image_feats, embed_texts(texts, params, text_cfg, vocab)
 
 
 def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
-                vocab: Vocabulary, batch_size: int = 64) -> np.ndarray:
-    """Unit-norm global text features (n, p), batch_size PAD-trimmed texts per pass,
-    each batch tokenized as it is encoded."""
+                vocab: Vocabulary) -> np.ndarray:
+    """Unit-norm global text features (n, p), transformer.EMBED_ROWS PAD-trimmed
+    texts per pass, each batch tokenized as it is encoded."""
+    rows = transformer.EMBED_ROWS
+
     def features(batch):
         seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in batch]
         return text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs), params,
                                               text_cfg, corners=False)[0].value[:, 0]
 
-    return np.concatenate([features(texts[i:i + batch_size])
-                           for i in range(0, len(texts), batch_size)])
+    return np.concatenate([features(texts[i:i + rows]) for i in range(0, len(texts), rows)])
 
 
 def _score_blocks(image_feats: np.ndarray, text_feats: np.ndarray):
@@ -196,7 +196,7 @@ def class_prototypes(class_names: list[str], templates: list[str], params: dict,
     if not templates:
         raise ValueError("need at least one template")
     prompts = [t.format(name) for name in class_names for t in templates]
-    embs = embed_texts(prompts, params, text_cfg, vocab, batch_size=len(prompts))
+    embs = embed_texts(prompts, params, text_cfg, vocab)
     means = embs.reshape(len(class_names), len(templates), -1).mean(axis=1)
     return means / np.linalg.norm(means, axis=1, keepdims=True)
 
@@ -246,7 +246,7 @@ def short_retrieval(records: list[ManifestRecord], params: dict,
     if image_feats is None:
         image_feats = image_encoder.embed_images(records, params, image_cfg)
     texts, image_to_texts = short_text_groups(records)
-    text_feats = embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts))
+    text_feats = embed_texts(texts, params, text_cfg, vocab)
     ranks = _ranks(_score_blocks(image_feats, text_feats),
                    (len(image_feats), len(texts)), image_to_texts)["i2t"]
     return EvalReport(task="short", n_images=len(image_feats), n_texts=len(texts),

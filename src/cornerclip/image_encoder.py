@@ -105,15 +105,14 @@ def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
     return np.stack([np.load(rec.image_path) for rec in records])
 
 
-def embed_images(records, params: dict, config: ImageEncoderConfig,
-                 batch_size: int = 64) -> np.ndarray:
+def embed_images(records, params: dict, config: ImageEncoderConfig) -> np.ndarray:
     """Unit-norm image features (n, p) of manifest records, computed in record
-    order batch_size records per pass, so they depend on nothing but the records,
-    the parameters and batch_size."""
+    order transformer.EMBED_ROWS records per pass, so they depend on nothing but
+    the records and the parameters."""
+    rows = transformer.EMBED_ROWS
     return np.concatenate([
-        encode_image_graph(image_inputs(records[i:i + batch_size], config), params,
-                           config).value
-        for i in range(0, len(records), batch_size)])
+        encode_image_graph(image_inputs(records[i:i + rows], config), params, config).value
+        for i in range(0, len(records), rows)])
 
 
 def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig,

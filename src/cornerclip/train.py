@@ -275,6 +275,8 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
 
     The moments `opt.m`, `opt.v` and each parameter's `value` are updated in
     place, through two scratch arrays per parameter: copy a `value` to keep it.
+    Each parameter's gradient is released right after its update, so no
+    parameter holds a `grad` when the step returns.
     """
     t0 = time.perf_counter()
     grads, breakdown, tau_val = gradients(params, batch, text_cfg, image_cfg, cfg)
@@ -283,7 +285,8 @@ def train_step(params: dict, opt: AdamState, batch: Batch,
     c1, c2 = 1 - ADAM_BETA1 ** opt.step, 1 - ADAM_BETA2 ** opt.step
     gnorm_sq = 0.0
     for name in sorted(grads):
-        g, m, v, p = grads[name], opt.m[name], opt.v[name], params[name].value
+        g, m, v, p = grads.pop(name), opt.m[name], opt.v[name], params[name].value
+        params[name].grad = None
         # explicit out= throughout: a ufunc on a 0-d array (obj.s) returns a scalar
         a, b = np.empty_like(g), np.empty_like(g)
         gnorm_sq += float(np.multiply(g, g, out=a).sum())
@@ -443,7 +446,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     # a frozen tower gives each record the same feature at every step: compute
     # them once, in fixed record-order chunks, so a resumed run gets the same
     # features as an uninterrupted one
-    image_features = (image_encoder.embed_images(records, params, image_cfg, cfg.batch_size)
+    image_features = (image_encoder.embed_images(records, params, image_cfg)
                       if cfg.freeze_image else None)
     texts = prepare_texts(records, vocab, text_cfg, cfg)
     metrics_file = None

@@ -6,6 +6,11 @@ import numpy as np
 
 from .autodiff import Tensor, l2_normalize, layer_norm, linear, matmul, mlp, self_attention
 
+# Rows per pass of every no-grad embedding (evaluation.embed_texts and
+# image_encoder.embed_images). A row's features are the same bytes at any chunk
+# size; 16 rows keep a pass's working set small at the speed of larger chunks.
+EMBED_ROWS = 16
+
 
 def shape_rules(config) -> list:
     """The range rules of a tower's shape, shared by the text tower and the ViT."""

@@ -473,6 +473,41 @@ def test_mlp_gradients_are_those_of_the_unfused_layers_bit_for_bit():
         np.testing.assert_array_equal(g_fused, g_chain, err_msg=f"input {i}")
 
 
+def _closure_arrays(fn):
+    """Every array a backward closure reaches through closure cells, nested
+    closures and the values of the Tensors it holds."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.value)
+        elif callable(obj):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+    return found
+
+
+def test_mlp_node_keeps_the_activation_and_the_slope_only():
+    """A grad-mode mlp node's backward holds exactly two (rows, hidden) arrays:
+    the activation h its second GEMM reads and the GELU's slope, not the
+    pre-activation v or the gate s."""
+    rng = np.random.default_rng(24)
+    x, w1, b1, w2, b2 = (rng.normal(size=shape)
+                         for shape in ((2, 5, 4), (4, 7), (7,), (7, 4), (4,)))
+    node = ad.mlp(Tensor(x, requires_grad=True), w1, b1, w2, b2)
+    owners = {id(a if a.base is None else a.base): a
+              for a in _closure_arrays(node._backward) if a.size == 10 * 7}
+    assert len(owners) == 2
+    v = x.reshape(10, 4) @ w1 + b1
+    h = ad.gelu(Tensor(v)).value
+    assert sorted(a.shape for a in owners.values()) == [(10, 7), (10, 7)]
+    assert any(a.tobytes() == h.tobytes() for a in owners.values())
+
+
 def test_mlp_large_inputs_without_warnings():
     """Pre-activations down to about -1e3 overflow exp(-2u) silently, in both modes."""
     x, w1, b1, w2, b2 = _mlp_inputs(np.random.default_rng(21))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cornerclip import evaluation as ev
 from cornerclip import text_encoder as te
-from cornerclip import image_encoder, train
+from cornerclip import image_encoder, train, transformer
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
 from cornerclip.evaluation import RetrievalGroundTruth
 from cornerclip.image_encoder import ImageEncoderConfig
@@ -300,12 +300,12 @@ def trained():
 
 
 class TestEmbedAndReports:
-    def test_embed_shapes_and_norms(self, trained):
+    def test_embed_shapes_and_norms(self, trained, monkeypatch):
         recs, vocab, res = trained
+        monkeypatch.setattr(transformer, "EMBED_ROWS", 3)
         for kind in ("short", "long_full"):
             ids, img, txt = ev.embed_eval_set(recs, res.params, res.text_cfg,
-                                              res.image_cfg, vocab, kind,
-                                              batch_size=3)
+                                              res.image_cfg, vocab, kind)
             assert ids == [r.id for r in recs]
             assert img.shape == txt.shape == (8, 8)
             np.testing.assert_allclose(np.linalg.norm(img, axis=1), 1.0, atol=1e-9)
@@ -326,7 +326,8 @@ class TestEmbedAndReports:
         monkeypatch.setattr(ev, "tokenize", lambda *a: (tokenized.append(1), tokenize(*a))[1])
         monkeypatch.setattr(te, "encode_text_graph", lambda *a, **kw: (
             at_encode.append(len(tokenized)), encode(*a, **kw))[1])
-        feats = ev.embed_texts(texts, res.params, cfg, vocab, batch_size=3)
+        monkeypatch.setattr(transformer, "EMBED_ROWS", 3)
+        feats = ev.embed_texts(texts, res.params, cfg, vocab)
         assert at_encode == [3, 6, 8]
         assert feats.tobytes() == upfront.tobytes()
 
@@ -396,7 +397,7 @@ class TestShortRetrieval:
         params = train.build_model(text_cfg, image_cfg, 0)
         texts, image_to_texts = ev.short_text_groups(recs)
         img = image_encoder.embed_images(recs, params, image_cfg)
-        S = img @ ev.embed_texts(texts, params, text_cfg, vocab, batch_size=len(texts)).T
+        S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
         gt = SimpleNamespace(image_to_texts=image_to_texts)     # many images per text
         report = ev.short_retrieval(recs, params, text_cfg, image_cfg, vocab, ks=(1, 2))
         assert (report.task, report.n_images, report.n_texts) == ("short", 32, len(texts))

@@ -1,8 +1,9 @@
 """Evaluate a trained model and sweep one axis of the recipe.
 
-Evaluation is zero-shot throughout: retrieval ranks the full caption set
-by cosine similarity (R@1/R@5 both directions), and classification scores
-images against prompt-template class prototypes.  The sweep harness then
+Evaluation is zero-shot throughout, and one report holds all of it:
+retrieval ranks the full long captions by cosine similarity (R@1/R@5 both
+directions), images rank the distinct short captions (R@1/R@5), and
+classification scores images against prompt-template class prototypes.  The sweep harness then
 retrains from scratch for each value of one axis -- here the number of
 corner tokens -- and tabulates metrics per seed, with FLOPs from the
 closed-form estimator.
@@ -26,18 +27,15 @@ base = train.TrainConfig(batch_size=16, steps=120, warmup_steps=20, seed=0,
 
 # --- single evaluation -------------------------------------------------------
 result = train.run_training(records, vocab, base)
-_, img, txt = evaluation.embed_eval_set(records, result.params, result.text_cfg,
-                                        result.image_cfg, vocab, "long_full")
-gt = evaluation.RetrievalGroundTruth.one_to_one(len(records))
-report = evaluation.evaluate_retrieval(img, txt, gt, task="long")
-print("long-text retrieval:", report.to_json())
-
-names, labels = evaluation.classification_task(records)
-protos = evaluation.class_prototypes(names, evaluation.DEFAULT_TEMPLATES,
-                                     result.params, result.text_cfg, vocab)
-acc = evaluation.zero_shot_classify(img, labels, protos)
-print(f"zero-shot classification over {len(names)} classes: "
-      f"Acc@1 = {acc:.3f} (chance {1 / len(names):.3f})")
+report = evaluation.evaluate(records, result.params, result.text_cfg,
+                             result.image_cfg, vocab)
+n_classes = len(evaluation.classification_task(records)[0])
+print(f"long R@1 = {report['long_i2t_r@1']:.3f} (image to text, {report['n_texts']} "
+      f"long captions)")
+print(f"short R@1 = {report['short_r@1']:.3f} (image to text, "
+      f"{report['n_short_texts']} distinct short captions)")
+print(f"cls Acc@1 = {report['cls_acc@1']:.3f} over {n_classes} classes "
+      f"(chance {1 / n_classes:.3f})")
 
 flops = evaluation.flops_estimate(result.text_cfg, result.text_cfg.limit)
 print(f"text-encoder forward pass: {flops:,} FLOPs at L={result.text_cfg.limit}")

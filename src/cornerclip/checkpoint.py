@@ -6,7 +6,8 @@ payload, then a trailing CRC32 of everything before it.
 
 The state is never copied as a whole: a save streams each array's own buffer
 to the file, and a load checks the CRC in fixed-size chunks before it reads
-each array straight into a new array of its own.
+each array straight into a new array of its own (the parameters alone, for a
+model that is only run).
 """
 
 from __future__ import annotations
@@ -93,17 +94,13 @@ def _verify(f, size: int) -> None:
         raise CheckpointError("checkpoint corrupted (checksum mismatch)")
 
 
-def load_checkpoint(path):
-    """Return (params, opt_state_arrays, step, meta); verifies checksum and version.
-
-    Optimizer arrays come back as ``(m: dict, v: dict, opt_step: int)`` raw
-    material; the training engine rebuilds its state object from them. Each
-    array is its own allocation, aligned as numpy aligns it, so every later
-    sum over it runs in the order it ran before the save.
-    """
+def _read(path, optimizer: bool):
+    """(params, adam m arrays, adam v arrays, header) of a checkpoint, the moments
+    read only given `optimizer`, after the checksum pass over the whole file. Each
+    array is its own allocation, aligned as numpy aligns it, so every later sum
+    over it runs in the order it ran before the save."""
     params: dict[str, Tensor] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
+    moments: dict[str, dict[str, np.ndarray]] = {"adam.m.": {}, "adam.v.": {}}
     with open(path, "rb") as f:
         _verify(f, os.fstat(f.fileno()).st_size)
         f.seek(len(MAGIC))
@@ -115,15 +112,32 @@ def load_checkpoint(path):
             raise CheckpointError("checkpoint carries no optimizer state")
         base = len(MAGIC) + 8 + hlen
         for e in header["arrays"]:
+            kind, name = e["name"][:len("adam.m.")], e["name"]
+            if kind in moments and not optimizer:
+                continue
             a = np.empty(e["shape"], dtype=np.float64)
             f.seek(base + e["offset"])
             if f.readinto(memoryview(a).cast("B")) != e["nbytes"]:
                 raise CheckpointError("checkpoint corrupted (checksum mismatch)")
-            name = e["name"]
-            if name.startswith("adam.m."):
-                adam_m[name[len("adam.m."):]] = a
-            elif name.startswith("adam.v."):
-                adam_v[name[len("adam.v."):]] = a
+            if kind in moments:
+                moments[kind][name[len(kind):]] = a
             else:
                 params[name] = Tensor(a)
-    return params, (adam_m, adam_v, header["opt_step"]), header["step"], header["meta"]
+    return params, moments["adam.m."], moments["adam.v."], header
+
+
+def load_checkpoint(path):
+    """Return (params, opt_state_arrays, step, meta); verifies checksum and version.
+
+    Optimizer arrays come back as ``(m: dict, v: dict, opt_step: int)`` raw
+    material; the training engine rebuilds its state object from them.
+    """
+    params, m, v, header = _read(path, optimizer=True)
+    return params, (m, v, header["opt_step"]), header["step"], header["meta"]
+
+
+def load_parameters(path):
+    """Return (params, step, meta): `load_checkpoint` without reading the optimizer
+    state, for a model that is only run; the file is verified as a whole."""
+    params, _, _, header = _read(path, optimizer=False)
+    return params, header["step"], header["meta"]

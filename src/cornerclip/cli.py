@@ -146,8 +146,8 @@ def build_parser() -> Parser:
     p = add("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--text-kind", choices=["short", "long_full"], default="long_full")
-    p.add_argument("--export-embeddings", help="write an embedding dump (npz)")
+    p.add_argument("--export-embeddings",
+                   help="write the ids and the image, long and short text features (npz)")
 
     p = add("flops", help="text-encoder FLOPs estimate")
     p.add_argument("--limit", type=int, required=True)
@@ -246,26 +246,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     records = _records(args.corpus)
-    params, _, _, meta = ckpt.load_checkpoint(args.checkpoint)
+    params, _, meta = ckpt.load_parameters(args.checkpoint)
     text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
-    if args.text_kind == "short":
-        # records share short captions: rank each distinct caption once, any-hit;
-        # only an export reads the per-record captions' features
-        img = None
-        if args.export_embeddings:
-            ids, img, txt = evaluation.embed_eval_set(
-                records, params, text_cfg, image_cfg, vocab, "short")
-        report = evaluation.short_retrieval(records, params, text_cfg, image_cfg, vocab, img)
-    else:
-        ids, img, txt = evaluation.embed_eval_set(
-            records, params, text_cfg, image_cfg, vocab, args.text_kind)
-        gt = evaluation.RetrievalGroundTruth.one_to_one(len(records))
-        report = evaluation.evaluate_retrieval(img, txt, gt, task=args.text_kind)
+    ids, img, txt = evaluation.embed_eval_set(records, params, text_cfg, image_cfg, vocab)
+    report = evaluation.evaluate(records, params, text_cfg, image_cfg, vocab, img, txt)
     if args.export_embeddings:
-        evaluation.export_embeddings(args.export_embeddings, ids, img, txt)
-    payload = {**report.to_dict(),
-               "directions": sorted({k.split("_")[0] for k in report.metrics})}
-    _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items()))
+        # the per-record short captions; the report ranks the distinct ones
+        short = evaluation.embed_texts([r.short_caption for r in records], params,
+                                       text_cfg, vocab)
+        np.savez(args.export_embeddings, ids=np.array(ids), image=img, text=txt, short=short)
+    _emit(args, report, "\n".join(f"{k}: {v}" for k, v in report.items()))
     return 0
 
 
@@ -301,7 +291,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    params, _, step, meta = ckpt.load_checkpoint(args.checkpoint)
+    params, step, meta = ckpt.load_parameters(args.checkpoint)
     sections = {s: meta[s] for s in ("train_config", "text_config", "image_config")}
     payload = {
         "step": step,

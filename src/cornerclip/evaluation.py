@@ -8,7 +8,6 @@ every metric is invariant to positive rescaling of the similarity matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +49,6 @@ class EvalReport:
     metrics: dict = field(default_factory=dict)
     n_images: int = 0
     n_texts: int = 0
-
-    def to_dict(self) -> dict:
-        return {"task": self.task, "n_images": self.n_images,
-                "n_texts": self.n_texts, **self.metrics}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 _RANK_BLOCK = 1 << 18    # score entries per row block: 2 MB of float64
@@ -150,16 +142,16 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
 
 def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
                 vocab: Vocabulary) -> np.ndarray:
-    """Unit-norm global text features (n, p), transformer.EMBED_ROWS PAD-trimmed
-    texts per pass, each batch tokenized as it is encoded."""
-    rows = transformer.EMBED_ROWS
+    """Unit-norm global text features (n, p), PAD-trimmed texts in the passes of
+    `transformer.embed_chunks`, each batch tokenized as it is encoded."""
 
     def features(batch):
         seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in batch]
         return text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs), params,
                                               text_cfg, corners=False)[0].value[:, 0]
 
-    return np.concatenate([features(texts[i:i + rows]) for i in range(0, len(texts), rows)])
+    return np.concatenate([features(texts[rows])
+                           for rows in transformer.embed_chunks(len(texts))])
 
 
 def _score_blocks(image_feats: np.ndarray, text_feats: np.ndarray):
@@ -262,6 +254,31 @@ def short_retrieval_r1(records: list[ManifestRecord], params: dict,
                            ks=(1,)).metrics["i2t_r@1"]
 
 
+def evaluate(records: list[ManifestRecord], params: dict, text_cfg: TextEncoderConfig,
+             image_cfg: ImageEncoderConfig, vocab: Vocabulary,
+             image_feats: np.ndarray | None = None,
+             text_feats: np.ndarray | None = None) -> dict:
+    """A model's report on a manifest: long_{i2t,t2i}_r@{1,5} over the records'
+    long_full texts, short_r@{1,5} image to text over the distinct short captions,
+    cls_acc@1 of the prompt prototypes when the records carry labels, and the counts
+    n_images, n_texts, n_short_texts. Given image_feats (a frozen run's), or both
+    long_full arrays of `embed_eval_set`, those are not embedded again."""
+    if text_feats is None:
+        _, image_feats, text_feats = embed_eval_set(records, params, text_cfg, image_cfg,
+                                                    vocab, "long_full", image_feats)
+    long = evaluate_retrieval(image_feats, text_feats,
+                              RetrievalGroundTruth.one_to_one(len(records)))
+    short = short_retrieval(records, params, text_cfg, image_cfg, vocab, image_feats)
+    report = {"n_images": long.n_images, "n_texts": long.n_texts, "n_short_texts": short.n_texts,
+              **{f"long_{k}": v for k, v in long.metrics.items()},
+              **{k.replace("i2t", "short"): v for k, v in short.metrics.items()}}
+    if all(rec.label is not None for rec in records):
+        names, labels = classification_task(records)
+        protos = class_prototypes(names, DEFAULT_TEMPLATES, params, text_cfg, vocab)
+        report["cls_acc@1"] = zero_shot_classify(image_feats, labels, protos)
+    return report
+
+
 def flops_estimate(config: TextEncoderConfig, L_effective: int) -> int:
     """Forward-pass FLOPs (2 per multiply-accumulate) of the text encoder.
 
@@ -291,9 +308,3 @@ def measured_text_flops(config: TextEncoderConfig, params: dict,
     with count_macs() as counter:
         text_encoder.encode_text_graph(seq.ids, seq.roles, params, config)
     return 2 * counter[0]
-
-
-def export_embeddings(path, ids: list[str], image_feats: np.ndarray,
-                      text_feats: np.ndarray) -> None:
-    """Array dump with record ids, loadable via numpy."""
-    np.savez(path, ids=np.array(ids), image=image_feats, text=text_feats)

@@ -107,12 +107,11 @@ def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
 
 def embed_images(records, params: dict, config: ImageEncoderConfig) -> np.ndarray:
     """Unit-norm image features (n, p) of manifest records, computed in record
-    order transformer.EMBED_ROWS records per pass, so they depend on nothing but
-    the records and the parameters."""
-    rows = transformer.EMBED_ROWS
+    order in the passes of `transformer.embed_chunks`, so they depend on nothing
+    but the records and the parameters."""
     return np.concatenate([
-        encode_image_graph(image_inputs(records[i:i + rows], config), params, config).value
-        for i in range(0, len(records), rows)])
+        encode_image_graph(image_inputs(records[rows], config), params, config).value
+        for rows in transformer.embed_chunks(len(records))])
 
 
 def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig,

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import evaluation
 from .corpus import ManifestRecord
-from .evaluation import RetrievalGroundTruth
 from .settings import check_settings
 from .tokenizer import Vocabulary
 from .train import TrainConfig, continue_stream, run_training
@@ -30,11 +29,10 @@ AXES = ("k_subcaptions", "token_limit", "m_corners")
 FAILURES_FILE = "failures.jsonl"
 CONFIG_FILE = "sweep_config.json"      # the axis and base config of the rows beside it
 
-ROW_FIELDS = [
-    "axis", "value", "seed", "long_i2t_r@1", "long_i2t_r@5",
-    "long_t2i_r@1", "long_t2i_r@5", "short_r@1", "cls_acc@1",
-    "flops", "wall_time_s",
-]
+# the columns of a row that `evaluation.evaluate` reports, by its names
+METRIC_FIELDS = ["long_i2t_r@1", "long_i2t_r@5", "long_t2i_r@1", "long_t2i_r@5",
+                 "short_r@1", "cls_acc@1"]
+ROW_FIELDS = ["axis", "value", "seed", *METRIC_FIELDS, "flops", "wall_time_s"]
 
 
 @dataclass
@@ -71,27 +69,12 @@ def run_cell(spec: SweepSpec, value: int, seed: int,
     cfg = cell_config(spec, value, seed)
     t0 = time.perf_counter()
     result = run_training(records, vocab, cfg)
-    _, img, txt = evaluation.embed_eval_set(
-        records, result.params, result.text_cfg, result.image_cfg, vocab, "long_full",
-        image_feats=result.image_features)
-    gt = RetrievalGroundTruth.one_to_one(len(records))
-    report = evaluation.evaluate_retrieval(img, txt, gt, task="long")
-    short_r1 = evaluation.short_retrieval_r1(records, result.params, result.text_cfg,
-                                             result.image_cfg, vocab, img)
-    names, labels = evaluation.classification_task(records)
-    protos = evaluation.class_prototypes(
-        names, evaluation.DEFAULT_TEMPLATES, result.params, result.text_cfg, vocab)
-    acc = evaluation.zero_shot_classify(img, labels, protos)
-    flops = evaluation.flops_estimate(result.text_cfg, result.text_cfg.limit)
+    report = evaluation.evaluate(records, result.params, result.text_cfg, result.image_cfg,
+                                 vocab, result.image_features)
     return {
         "axis": spec.axis, "value": value, "seed": seed,
-        "long_i2t_r@1": report.metrics["i2t_r@1"],
-        "long_i2t_r@5": report.metrics["i2t_r@5"],
-        "long_t2i_r@1": report.metrics["t2i_r@1"],
-        "long_t2i_r@5": report.metrics["t2i_r@5"],
-        "short_r@1": short_r1,
-        "cls_acc@1": acc,
-        "flops": flops,
+        **{name: report[name] for name in METRIC_FIELDS},
+        "flops": evaluation.flops_estimate(result.text_cfg, result.text_cfg.limit),
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
 
@@ -103,7 +86,9 @@ def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
     from a sweep of the same axis and base config (see `_keep_config`).
 
     Cells that raise are left out of the rows and written, with their error,
-    to failures.jsonl, which each run rewrites (see `read_failures`)."""
+    to failures.jsonl, which each run rewrites (see `read_failures`). Every row
+    holds cls_acc@1, so records without a label are refused before any cell runs."""
+    evaluation.classification_task(records)
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "rows.csv")
     kept, f = continue_stream(rows_path, lambda line: True)

@@ -122,16 +122,6 @@ def stack_trimmed(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     return (np.stack([s.ids[:L] for s in seqs]), np.stack([s.roles[:L] for s in seqs]))
 
 
-def dump_attention(seq: TokenSequence, params: dict, config: TextEncoderConfig,
-                   layer: int, prefix: str = "text.") -> np.ndarray:
-    """Head-averaged (L, L) attention weights for one layer; rows sum to 1."""
-    if not 0 <= layer < config.depth:
-        raise ValueError(f"layer {layer} out of range [0, {config.depth})")
-    collect: list = []
-    encode_text_graph(seq.ids, seq.roles, params, config, prefix, collect_attn=collect)
-    return collect[layer][0].mean(axis=0)
-
-
 def content_positions(seq: TokenSequence) -> np.ndarray:
     """Indices of TEXT and SEP positions."""
     return np.where((seq.roles == ROLE_TEXT) | (seq.roles == ROLE_SEP))[0]

@@ -7,9 +7,19 @@ import numpy as np
 from .autodiff import Tensor, l2_normalize, layer_norm, linear, matmul, mlp, self_attention
 
 # Rows per pass of every no-grad embedding (evaluation.embed_texts and
-# image_encoder.embed_images). A row's features are the same bytes at any chunk
-# size; 16 rows keep a pass's working set small at the speed of larger chunks.
+# image_encoder.embed_images). A row's features are the same bytes in any pass of
+# 2 rows or more; 16 rows keep a pass's working set small at the speed of more.
 EMBED_ROWS = 16
+
+
+def embed_chunks(n: int) -> list[slice]:
+    """The row slices of a no-grad embedding's passes over n rows: EMBED_ROWS each,
+    a one-row tail folded into the pass before it, since a one-row pass runs
+    numpy's matrix-vector products, which sum in another order."""
+    starts = list(range(0, n, EMBED_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def shape_rules(config) -> list:

@@ -162,7 +162,7 @@ class TestTrainEvalCommands:
                            "--checkpoint", ckpt_path, "--json")
         assert code == 0
         report = json.loads(out)
-        assert "i2t_r@1" in report and report["n_images"] == 8
+        assert "long_i2t_r@1" in report and report["n_images"] == 8
 
         code, out, _ = run(capsys, "inspect", "--checkpoint", ckpt_path, "--json")
         assert code == 0
@@ -195,8 +195,8 @@ class TestTrainEvalCommands:
              "--text-heads", "2", "--projection-dim", "8")
 
     def test_short_eval_ranks_each_distinct_caption_once(self, tmp_path, capsys):
-        """Records share short captions: eval --text-kind short ranks the distinct
-        ones, any-hit and image to text only, as short_retrieval_r1 does."""
+        """Records share short captions: eval's short_r@k ranks the distinct ones,
+        any-hit and image to text only, as short_retrieval_r1 does."""
         corpus = str(tmp_path / "corpus.jsonl")
         assert run(capsys, "gen-corpus", "--seed", "1", "--n", "16", "--attributes", "2",
                    "--pool-size", "3", "--feature-dim", "8", "--out", corpus)[0] == 0
@@ -204,51 +204,84 @@ class TestTrainEvalCommands:
         assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir),
                    "--steps", "2", *self.SMALL)[0] == 0
         path = str(out_dir / "ckpt_final.bin")
-        code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path,
-                           "--text-kind", "short", "--json")
+        code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path, "--json")
         assert code == 0
         report = json.loads(out)
         records = cli._records(corpus)
-        params, _, _, meta = ckpt.load_checkpoint(path)
+        params, _, meta = ckpt.load_parameters(path)
         text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
         texts, _ = evaluation.short_text_groups(records)
-        assert report["directions"] == ["i2t"] and "t2i_r@1" not in report
-        assert report["n_images"] == 16 and report["n_texts"] == len(texts) < 16
-        assert report["i2t_r@1"] == evaluation.short_retrieval_r1(
+        assert sorted(k for k in report if k.startswith("short")) == ["short_r@1", "short_r@5"]
+        assert report["n_images"] == report["n_texts"] == 16
+        assert report["n_short_texts"] == len(texts) < 16
+        assert report["short_r@1"] == evaluation.short_retrieval_r1(
             records, params, text_cfg, image_cfg, vocab)
-        code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path, "--json")
-        assert code == 0 and json.loads(out)["directions"] == ["i2t", "t2i"]
 
     def test_short_eval_encodes_the_records_captions_only_to_export(self, tmp_path, capsys,
                                                                    monkeypatch):
-        """eval --text-kind short ranks the distinct captions, so it encodes
-        those alone; the 64 per-record captions are encoded for an export only,
-        and the report is the same either way."""
+        """eval ranks the distinct short captions, so it encodes the 64 per-record
+        ones for an export only, as its `short` array beside the ids and the
+        long_full image and text features; the report is the same either way."""
         corpus = str(tmp_path / "corpus.jsonl")
         assert run(capsys, "gen-corpus", "--seed", "1", "--n", "64", "--attributes", "2",
                    "--pool-size", "3", "--feature-dim", "8", "--out", corpus)[0] == 0
         out_dir = tmp_path / "run"
         assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir),
                    "--steps", "1", *self.SMALL)[0] == 0
-        n_distinct = len(evaluation.short_text_groups(cli._records(corpus))[0])
-        assert n_distinct < 64
+        records = cli._records(corpus)
+        captions = [r.short_caption for r in records]
+        assert len(evaluation.short_text_groups(records)[0]) < 64
         encoded, embed_texts = [], evaluation.embed_texts
 
-        def counting(texts, *args, **kwargs):
-            encoded.append(len(texts))
+        def recording(texts, *args, **kwargs):
+            encoded.append(list(texts))
             return embed_texts(texts, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "embed_texts", counting)
-        argv = ("eval", "--corpus", corpus, "--checkpoint", str(out_dir / "ckpt_final.bin"),
-                "--text-kind", "short")
+        monkeypatch.setattr(evaluation, "embed_texts", recording)
+        path = str(out_dir / "ckpt_final.bin")
+        argv = ("eval", "--corpus", corpus, "--checkpoint", path)
         code, report, _ = run(capsys, *argv)
-        assert code == 0 and sum(encoded) == n_distinct
+        assert code == 0 and captions not in encoded
+        without = list(encoded)
         encoded.clear()
         dump = tmp_path / "emb.npz"
         assert run(capsys, *argv, "--export-embeddings", str(dump)) == (0, report, "")
-        assert sum(encoded) == 64 + n_distinct
+        assert encoded == without + [captions]
+
+        monkeypatch.setattr(evaluation, "embed_texts", embed_texts)
+        params, _, meta = ckpt.load_parameters(path)
+        text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
+        ids, img, txt = evaluation.embed_eval_set(records, params, text_cfg, image_cfg, vocab)
         with np.load(dump) as saved:
-            assert saved["text"].shape[0] == 64
+            assert sorted(saved.files) == ["ids", "image", "short", "text"]
+            assert saved["ids"].tolist() == ids
+            assert saved["image"].tobytes() == img.tobytes()
+            assert saved["text"].tobytes() == txt.tobytes()
+            assert saved["short"].tobytes() == embed_texts(captions, params, text_cfg,
+                                                           vocab).tobytes()
+
+    def test_eval_and_the_sweep_report_through_one_path(self, manifest, tmp_path, capsys):
+        """For one trained model, eval prints evaluation.evaluate's report, and a
+        sweep cell of the same config and seed holds the same metrics bit for bit."""
+        flags = ("--steps", "2", "--seed", "0", *self.SMALL)
+        out_dir = tmp_path / "run"
+        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
+                   *flags)[0] == 0
+        path = str(out_dir / "ckpt_final.bin")
+        code, out, _ = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path,
+                           "--json")
+        assert code == 0
+        report = json.loads(out)
+        records, vocab = cli._corpus_vocab(manifest)
+        params, _, meta = ckpt.load_parameters(path)
+        assert report == evaluation.evaluate(records, params, *train_mod.model_from_meta(meta))
+
+        cfg = cli.resolve_train_config(cli.build_parser().parse_args(
+            ["train", "--corpus", manifest, "--out-dir", "u", *flags]))
+        spec = sweep.SweepSpec(axis="m_corners", values=[cfg.m], base=cfg, seeds=[cfg.seed])
+        row = sweep.run_cell(spec, cfg.m, cfg.seed, records, vocab)
+        assert [np.float64(report[k]).tobytes() for k in sweep.METRIC_FIELDS] == \
+            [np.float64(row[k]).tobytes() for k in sweep.METRIC_FIELDS]
 
     def test_a_checkpoint_that_stores_m_max(self, manifest, tmp_path, capsys):
         """The layout whose vocab section also stored m_max, which its [COR_k]

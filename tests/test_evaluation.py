@@ -1,5 +1,6 @@
 """Retrieval/classification metrics against brute-force oracles, plus FLOPs."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornerclip import checkpoint as ckpt
+from cornerclip import cli
 from cornerclip import evaluation as ev
 from cornerclip import text_encoder as te
 from cornerclip import image_encoder, train, transformer
-from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
+from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus, save_manifest
 from cornerclip.evaluation import RetrievalGroundTruth
 from cornerclip.image_encoder import ImageEncoderConfig
 from cornerclip.tokenizer import Vocabulary
@@ -287,15 +290,17 @@ class TestShortTextGroups:
         assert [texts[g[0]] for g in image_to_texts[:2]] == [r.long_texts[0] for r in recs[:2]]
 
 
+TRAINED_CFG = train.TrainConfig(batch_size=4, steps=2, warmup_steps=1, limit=16,
+                                text_depth=1, text_width=16, text_heads=2,
+                                projection_dim=8, k_subcaptions=2)
+
+
 @pytest.fixture(scope="module")
 def trained():
     recs = generate_synthetic_corpus(0, 8, 2, 8)
     texts = [r.short_text for r in recs] + [t for r in recs for t in r.long_texts]
     vocab = Vocabulary.build(texts)
-    cfg = train.TrainConfig(batch_size=4, steps=2, warmup_steps=1, limit=16,
-                            text_depth=1, text_width=16, text_heads=2,
-                            projection_dim=8, k_subcaptions=2)
-    res = train.run_training(recs, vocab, cfg)
+    res = train.run_training(recs, vocab, TRAINED_CFG)
     return recs, vocab, res
 
 
@@ -347,19 +352,59 @@ class TestEmbedAndReports:
     def test_report_round_trip(self):
         gt = RetrievalGroundTruth.one_to_one(4)
         rep = ev.evaluate_retrieval(np.eye(4), np.eye(4), gt)
-        d = rep.to_dict()
-        assert d["i2t_r@1"] == 1.0 and d["n_images"] == 4
+        assert rep.metrics["i2t_r@1"] == 1.0 and rep.n_images == 4
 
-    def test_export_embeddings(self, trained, tmp_path):
+    def test_export_embeddings(self, trained, tmp_path, capsys):
+        """`cornerclip eval --export-embeddings` saves the ids and the long_full
+        image and text features it ranked, and the per-record short captions'."""
         recs, vocab, res = trained
+        manifest, path = tmp_path / "corpus.jsonl", tmp_path / "ckpt.bin"
+        save_manifest(recs, manifest)
+        ckpt.save_checkpoint(path, res.params, res.opt, 2, train.checkpoint_meta(
+            TRAINED_CFG, res.text_cfg, res.image_cfg, vocab))
+        dump = tmp_path / "emb.npz"
+        assert cli.dispatch(["eval", "--corpus", str(manifest), "--checkpoint", str(path),
+                             "--export-embeddings", str(dump)]) == 0
+        capsys.readouterr()
         ids, img, txt = ev.embed_eval_set(recs, res.params, res.text_cfg,
-                                          res.image_cfg, vocab, "short")
-        path = tmp_path / "emb.npz"
-        ev.export_embeddings(path, ids, img, txt)
-        back = np.load(path)
-        assert back["ids"].tolist() == ids
-        np.testing.assert_array_equal(back["image"], img)
-        np.testing.assert_array_equal(back["text"], txt)
+                                          res.image_cfg, vocab)
+        with np.load(dump) as back:
+            assert back["ids"].tolist() == ids
+            np.testing.assert_array_equal(back["image"], img)
+            np.testing.assert_array_equal(back["text"], txt)
+            np.testing.assert_array_equal(back["short"], ev.embed_texts(
+                [r.short_caption for r in recs], res.params, res.text_cfg, vocab))
+
+
+class TestEvaluate:
+    def test_report_holds_long_short_and_classification(self, trained):
+        """The report is the long_full retrieval report, the short-caption one and
+        the zero-shot accuracy side by side, under the sweep's column names."""
+        recs, vocab, res = trained
+        model = (res.params, res.text_cfg, res.image_cfg, vocab)
+        _, img, txt = ev.embed_eval_set(recs, *model, "long_full")
+        long = ev.evaluate_retrieval(img, txt, RetrievalGroundTruth.one_to_one(len(recs)))
+        short = ev.short_retrieval(recs, *model, img)
+        names, labels = ev.classification_task(recs)
+        acc = ev.zero_shot_classify(img, labels, ev.class_prototypes(
+            names, ev.DEFAULT_TEMPLATES, res.params, res.text_cfg, vocab))
+        assert ev.evaluate(recs, *model) == {
+            "n_images": 8, "n_texts": 8, "n_short_texts": short.n_texts,
+            "long_i2t_r@1": long.metrics["i2t_r@1"], "long_i2t_r@5": long.metrics["i2t_r@5"],
+            "long_t2i_r@1": long.metrics["t2i_r@1"], "long_t2i_r@5": long.metrics["t2i_r@5"],
+            "short_r@1": short.metrics["i2t_r@1"], "short_r@5": short.metrics["i2t_r@5"],
+            "cls_acc@1": acc}
+        assert ev.evaluate(recs, *model, img) == ev.evaluate(recs, *model, img, txt) == \
+            ev.evaluate(recs, *model)
+
+    def test_records_without_labels_have_no_classification(self, trained):
+        recs, vocab, res = trained
+        unlabeled = [dataclasses.replace(r, label=None, attributes=None) for r in recs]
+        model = (res.params, res.text_cfg, res.image_cfg, vocab)
+        report = ev.evaluate(unlabeled, *model)
+        assert "cls_acc@1" not in report
+        assert report == {k: v for k, v in ev.evaluate(recs, *model).items()
+                          if k != "cls_acc@1"}
 
 
 class TestShortRetrieval:

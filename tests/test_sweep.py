@@ -144,6 +144,19 @@ class TestRunSweep:
         assert before == after
         assert len(rows2) == 4
 
+    def test_unlabeled_records_refused_before_any_cell(self, tiny_setup, tmp_path,
+                                                       monkeypatch):
+        """Every row holds cls_acc@1: records without a label stop the sweep
+        before a cell trains or a file is written."""
+        recs, vocab, base = tiny_setup
+        unlabeled = [dataclasses.replace(r, label=None) for r in recs]
+        monkeypatch.setattr(sweep, "run_cell", lambda *a: pytest.fail("a cell ran"))
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match=f"record {recs[0].id} carries no label"):
+            sweep.run_sweep(SweepSpec(axis="m_corners", values=[2], base=base, seeds=[0]),
+                            unlabeled, vocab, str(out))
+        assert not out.exists()
+
     def test_partial_file_resumes_missing_cells_only(self, tiny_setup, tmp_path):
         recs, vocab, base = tiny_setup
         spec = SweepSpec(axis="m_corners", values=[0, 2], base=base, seeds=[0])

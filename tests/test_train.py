@@ -668,25 +668,32 @@ class TestCheckpointing:
             ckpt.load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", ["header cut", "arrays cut", "crc cut",
-                                        "header byte flipped"])
+                                        "header byte flipped", "optimizer byte flipped"])
     def test_damaged_file_refused(self, corpus16, tmp_path, damage):
         """A file cut inside its JSON header, its arrays or its CRC, or with one
-        header bit flipped so the header still parses, fails the checksum."""
+        header bit flipped so the header still parses, fails the checksum; so
+        does a flipped byte of the optimizer state, which `load_parameters`
+        reads no array of, since both reads verify the whole file."""
         recs, vocab = corpus16
         train.run_training(recs, vocab, tiny_cfg(steps=1), out_dir=str(tmp_path / "run"))
         path = tmp_path / "run" / "ckpt_final.bin"
         blob = path.read_bytes()
         hlen = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16:16 + hlen])
         digit = blob.index(b'"step": 1') + len(b'"step": ')      # "1" -> "3"
+        adam = 16 + hlen + next(e["offset"] for e in header["arrays"]
+                                if e["name"].startswith("adam."))
         path.write_bytes({
             "header cut": blob[:16 + hlen // 2],
             "arrays cut": blob[:(16 + hlen + len(blob)) // 2],
             "crc cut": blob[:-2],
             "header byte flipped": blob[:digit] + b"3" + blob[digit + 1:],
+            "optimizer byte flipped": blob[:adam] + bytes([blob[adam] ^ 1]) + blob[adam + 1:],
         }[damage])
-        with pytest.raises(ckpt.CheckpointError, match=r"^checkpoint corrupted \(checksum "
-                                                       r"mismatch\)$"):
-            ckpt.load_checkpoint(path)
+        for read in (ckpt.load_checkpoint, ckpt.load_parameters):
+            with pytest.raises(ckpt.CheckpointError, match=r"^checkpoint corrupted \(checksum "
+                                                           r"mismatch\)$"):
+                read(path)
 
     def test_save_and_load_move_the_state_once(self, tmp_path):
         """Traced peaks on the default config's 2.6 MB checkpoint. A save that
@@ -708,6 +715,26 @@ class TestCheckpointing:
         (loaded, (m, v, _), _, _), peak = traced_peak(lambda: ckpt.load_checkpoint(path))
         arrays = [t.value for t in loaded.values()] + [*m.values(), *v.values()]
         assert peak <= sum(a.nbytes for a in arrays) + ckpt.CHUNK + 0.5 * 2 ** 20
+
+    def test_parameters_read_skips_the_optimizer_state(self, tmp_path):
+        """eval and inspect read the parameters alone: on the default config's
+        checkpoint a full load peaks at 2.54 MiB, 1.65 MiB of it the AdamW
+        moments; the parameters-only read (0.87 MiB) returns the same
+        parameters, step and meta within 1 MiB."""
+        recs = generate_synthetic_corpus(1, 256, 4, 16)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        res = train.run_training(recs, vocab, TrainConfig(seed=1, steps=2),
+                                 out_dir=str(tmp_path / "run"))
+        path = tmp_path / "run" / "ckpt_final.bin"
+        (params, step, meta), peak = traced_peak(lambda: ckpt.load_parameters(path))
+        assert peak <= 2 ** 20
+        full, _, full_step, full_meta = ckpt.load_checkpoint(path)
+        assert (step, meta) == (full_step, full_meta) and list(params) == list(full)
+        for name, t in params.items():
+            assert t.value.tobytes() == full[name].value.tobytes() == \
+                res.params[name].value.tobytes()
+            assert t.value.shape == full[name].value.shape
 
     def test_failed_write_keeps_previous_checkpoint(self, corpus16, tmp_path, monkeypatch):
         recs, vocab = corpus16
@@ -985,18 +1012,22 @@ class TestResume:
             [train.metrics_line(m) for m in full.metrics[2:]]
 
 
+def to_pixels(recs, pixel_dir):
+    """Replace each record's 8-wide feature with a 32x32x3 .npy pixel file in pixel_dir."""
+    projection = np.random.default_rng(7).normal(0.0, 8 ** -0.5, size=(32 * 32 * 3, 8))
+    for rec in recs:
+        path = pixel_dir / f"{rec.id}.npy"
+        np.save(path, np.tanh(projection @ rec.image_feature).reshape(32, 32, 3))
+        rec.image_path, rec.image_feature = str(path), None
+
+
 @pytest.fixture(scope="module")
 def pixel_corpus(tmp_path_factory):
     """corpus16 with each feature replaced by a 32x32x3 .npy pixel file."""
     recs = generate_synthetic_corpus(0, 16, 2, 8)
     vocab = Vocabulary.build([r.short_text for r in recs]
                              + [t for r in recs for t in r.long_texts])
-    pixel_dir = tmp_path_factory.mktemp("pixels")
-    projection = np.random.default_rng(7).normal(0.0, 8 ** -0.5, size=(32 * 32 * 3, 8))
-    for rec in recs:
-        path = pixel_dir / f"{rec.id}.npy"
-        np.save(path, np.tanh(projection @ rec.image_feature).reshape(32, 32, 3))
-        rec.image_path, rec.image_feature = str(path), None
+    to_pixels(recs, tmp_path_factory.mktemp("pixels"))
     return recs, vocab
 
 
@@ -1099,6 +1130,29 @@ class TestFrozenTower:
         else:
             assert img.tobytes() == image_once.tobytes()
             assert txt.tobytes() == text_once.tobytes()
+
+    @pytest.mark.parametrize("mode", ["precomputed", "vit"])
+    def test_features_do_not_depend_on_the_set_size(self, mode, tmp_path):
+        """A record's text and image features are the same bytes in every set of
+        2 to 40 records that holds it: a set of 16k + 1 records folds its last
+        record into the pass before it, so no pass runs a single row."""
+        assert [(s.start, s.stop) for n in (0, 1, 16, 17, 18, 33)
+                for s in transformer.embed_chunks(n)] == [
+            (0, 1), (0, 16), (0, 17), (0, 16), (16, 18), (0, 16), (16, 33)]
+        recs = generate_synthetic_corpus(0, 40, 2, 8)
+        vocab = Vocabulary.build([r.short_text for r in recs]
+                                 + [t for r in recs for t in r.long_texts])
+        if mode == "vit":
+            to_pixels(recs, tmp_path)
+        cfg = tiny_cfg(image_mode=mode)
+        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0 if mode == "vit" else 8)
+        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        _, img, txt = evaluation.embed_eval_set(recs, params, text_cfg, image_cfg, vocab)
+        for n in range(2, 41):
+            _, img_n, txt_n = evaluation.embed_eval_set(recs[:n], params, text_cfg,
+                                                        image_cfg, vocab)
+            assert img_n.tobytes() == img[:n].tobytes(), n
+            assert txt_n.tobytes() == txt[:n].tobytes(), n
 
     def test_resume_from_periodic_checkpoint(self, mode_corpus, tmp_path):
         mode, recs, vocab = mode_corpus

@@ -3,10 +3,10 @@
 Just enough machinery for a small transformer: broadcasting arithmetic,
 reductions, elementwise transcendentals, gather, softmax, GELU and
 layer-norm primitives, and a dense layer (``matmul`` is one without a bias),
-the transformer MLP, multi-head self-attention, an L2 normalization and the
-bidirectional InfoNCE of image features against K text feature sets each
-fused into one node. Gradients are exact; the finite-difference harness in
-the test suite is the contract.
+the pre-norm transformer MLP and multi-head self-attention, an L2
+normalization and the bidirectional InfoNCE of image features against K text
+feature sets each fused into one node. Gradients are exact; the
+finite-difference harness in the test suite is the contract.
 
 A node requires a gradient iff an input does (leaves are marked by the
 caller, see ``train.gradients``); other nodes are constants with no parents
@@ -218,39 +218,40 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _result(np.clip(a.value, lo, hi), (a,), _bw)
 
 
-def _dense(x: Tensor, w: Tensor, b: Tensor | None = None):
-    """x @ w (+ b) over the last axis of x for a 2-D w as one flattened (rows, k)
-    GEMM, the bias added in place. Returns the (rows, n) result and a backward
-    that takes its (rows, n) gradient and accumulates the gradients of x and w,
-    one GEMM each, and of b, one column sum."""
-    xv, wv = x.value, w.value
-    x2 = xv.reshape(-1, xv.shape[-1])
-    y2 = x2 @ wv
+def _gemm(x2: np.ndarray, w: Tensor, b: Tensor | None = None) -> np.ndarray:
+    """x2 @ w (+ b) for a 2-D x2 and w as one GEMM, the bias added in place."""
+    y2 = x2 @ w.value
     if b is not None:
         y2 += b.value
     _count_macs(y2.size * x2.shape[1])
+    return y2
 
-    def backward(g2):
-        if x.requires_grad:
-            x.accumulate((g2 @ wv.T).reshape(xv.shape))
-        if w.requires_grad:
-            w.accumulate(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b.accumulate(g2.sum(axis=0))
 
-    return y2, backward
+def _gemm_backward(g2: np.ndarray, x2: np.ndarray, w: Tensor, b: Tensor | None = None, *,
+                   dx: bool) -> np.ndarray | None:
+    """From the gradient g2 of y2 = x2 @ w (+ b), accumulate those of w, one GEMM,
+    and of b, one column sum; return that of x2, g2 @ w.T, when dx."""
+    if w.requires_grad:
+        w.accumulate(x2.T @ g2)
+    if b is not None and b.requires_grad:
+        b.accumulate(g2.sum(axis=0))
+    return g2 @ w.value.T if dx else None
 
 
 def linear(x, w, b=None) -> Tensor:
-    """Dense layer x @ w (+ b) over the last axis as one node, see _dense."""
+    """Dense layer x @ w (+ b) over the last axis of x for a 2-D w as one node
+    over one flattened (rows, k) GEMM, see _gemm."""
     x, w = _as_tensor(x), _as_tensor(w)
     parents = (x, w) if b is None else (x, w, _as_tensor(b))
-    y, dense_bw = _dense(*parents)
+    x2 = x.value.reshape(-1, x.value.shape[-1])
+    y2 = _gemm(x2, *parents[1:])
 
     def _bw(g):
-        dense_bw(g.reshape(-1, g.shape[-1]))
+        dx = _gemm_backward(g.reshape(-1, g.shape[-1]), x2, *parents[1:], dx=x.requires_grad)
+        if dx is not None:
+            x.accumulate(dx.reshape(x.value.shape))
 
-    return _result(y.reshape(x.value.shape[:-1] + w.value.shape[-1:]), parents, _bw)
+    return _result(y2.reshape(x.value.shape[:-1] + w.value.shape[-1:]), parents, _bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -459,63 +460,111 @@ def gelu(x) -> Tensor:
     return _result(x.value * s, (x,), _bw)
 
 
-def mlp(x, w1, b1, w2, b2) -> Tensor:
-    """The transformer MLP, linear -> GELU -> linear, as one node over the two
-    GEMMs of _dense. The activation h = v s is written in place into the
-    pre-activation v. When an input requires a gradient, the node keeps h and
-    the GELU's slope at v, all its backward reads of the GELU, and drops the
-    gate s; when none does, it saves nothing and the result is a constant."""
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    v, first_bw = _dense(x, w1, b1)
+def _pre_norm(x: Tensor, gain: Tensor, bias: Tensor):
+    """Layer norm of x over the last axis, y = xhat * gain + bias with
+    xhat = (x - mean) * rstd. Returns y, a rebuild() that gives y's bytes again
+    with the forward's own two operations from the saved xhat and rstd, and a
+    backward that takes y's gradient and accumulates those of x, gain and bias."""
+    inv_n = 1.0 / x.value.shape[-1]
+    xhat = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
+    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
+    xhat *= rstd
+
+    def rebuild():
+        y = xhat * gain.value
+        y += bias.value
+        return y
+
+    def backward(g):
+        if gain.requires_grad:
+            gain.accumulate(_unbroadcast(g * xhat, gain.value.shape))
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(g, bias.value.shape))
+        if x.requires_grad:
+            dxhat = g * gain.value
+            proj = (dxhat * xhat).sum(axis=-1, keepdims=True) * inv_n
+            dx = dxhat - dxhat.sum(axis=-1, keepdims=True) * inv_n
+            dx -= xhat * proj
+            dx *= rstd
+            x.accumulate(dx)
+
+    return rebuild(), rebuild, backward
+
+
+def mlp(x, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """A pre-norm block's MLP, layer norm -> linear -> GELU -> linear, as one
+    node over the two GEMMs of _gemm. The activation h = v s is written in
+    place into the pre-activation v. When an input requires a gradient, the
+    node keeps h and the GELU's slope at v, all its backward reads of the GELU,
+    and of the norm only xhat and rstd: the normed input, which the first
+    weight's gradient reads, is rebuilt from them. When no input requires a
+    gradient, it saves nothing and the result is a constant."""
+    x, gain, bias, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, gain, bias, w1, b1, w2, b2))
+    y, norm_again, norm_bw = _pre_norm(x, gain, bias)
+    v = _gemm(y.reshape(-1, y.shape[-1]), w1, b1)
     s = _gelu_gate(v)
-    grad = any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    grad = any(t.requires_grad for t in (x, gain, bias, w1, b1, w2, b2))
     slope = _gelu_slope(v, s) if grad else None
-    y, second_bw = _dense(Tensor(np.multiply(v, s, out=v)), w2, b2)
-    y = y.reshape(x.value.shape[:-1] + y.shape[-1:])
+    h = np.multiply(v, s, out=v)
+    out = _gemm(h, w2, b2).reshape(x.value.shape[:-1] + w2.value.shape[-1:])
     if not grad:
-        return Tensor(y)
+        return Tensor(out)
+    norm_grad = any(t.requires_grad for t in (x, gain, bias))
 
     def _bw(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        second_bw(g2)               # w2 and b2 only: h is not a graph node
-        if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            dh = g2 @ w2.value.T
+        dh = _gemm_backward(g.reshape(-1, g.shape[-1]), h, w2, b2,
+                            dx=norm_grad or w1.requires_grad or b1.requires_grad)
+        if dh is not None:
             dh *= slope
-            first_bw(dh)
+            # the normed input is rebuilt last and freed at once, so that the
+            # heap does not grow for it (minor faults on every step otherwise)
+            dy = dh @ w1.value.T if norm_grad else None
+            _gemm_backward(dh, norm_again().reshape(dh.shape[0], -1), w1, b1, dx=False)
+            if dy is not None:
+                norm_bw(dy.reshape(x.value.shape))
 
-    return Tensor(y, (x, w1, b1, w2, b2), _bw, requires_grad=True)
+    return Tensor(out, (x, gain, bias, w1, b1, w2, b2), _bw, requires_grad=True)
 
 
-def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
-                   rows: int | None = None):
-    """Multi-head self-attention as one node: the query, key and value
-    projections, scaled scores plus the additive logit bias `bias`
-    (B, 1, L, L), softmax and value mix, with the heads merged.
+def self_attention(x, gain, bias, wq, bq, wk, bk, wv, bv, heads: int,
+                   logit_bias: np.ndarray, rows: int | None = None):
+    """A pre-norm block's multi-head self-attention as one node: layer norm,
+    the query, key and value projections, scaled scores plus the additive
+    logit bias `logit_bias` (B, 1, L, L), softmax and value mix, with the
+    heads merged.
 
     Queries, and so outputs, are computed for the first `rows` positions only
     (all L by default); keys and values always cover every position. Returns
     (output (B, rows, d), attention probabilities (B, heads, rows, L)). The
-    backward is analytic and reuses the saved probabilities."""
-    x = _as_tensor(x)
+    backward is analytic and reuses the saved probabilities; of the norm it
+    keeps only xhat and rstd, and it rebuilds the normed input and the `wk|wv`
+    concatenation of the key and value GEMM."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     ws = [_as_tensor(t) for t in (wq, wk, wv)]
     bs = [_as_tensor(t) for t in (bq, bk, bv)]
     B, L, d = x.value.shape
     rows = L if rows is None else rows
     dh = d // heads
     scale = dh ** -0.5
-    wq_v = ws[0].value
-    w_kv = np.concatenate([ws[1].value, ws[2].value], axis=1)
-    x2 = x.value.reshape(B * L, d)
-    xq2 = x.value[:, :rows].reshape(B * rows, d)
-    q2 = xq2 @ wq_v
+
+    def inputs(y):
+        """The normed input's (B L, d) rows and the (B rows, d) rows of its queries."""
+        return y.reshape(B * L, d), y[:, :rows].reshape(B * rows, d)
+
+    def w_kv():
+        return np.concatenate([ws[1].value, ws[2].value], axis=1)
+
+    y, norm_again, norm_bw = _pre_norm(x, gain, bias)
+    x2, xq2 = inputs(y)
+    q2 = xq2 @ ws[0].value
     q2 += bs[0].value
-    kv2 = x2 @ w_kv                 # one GEMM for keys and values
+    kv2 = x2 @ w_kv()               # one GEMM for keys and values
     kv2 += np.concatenate([bs[1].value, bs[2].value])
     q = q2.reshape(B, rows, heads, dh).transpose(0, 2, 1, 3)
     k, v = kv2.reshape(B, L, 2, heads, dh).transpose(2, 0, 3, 1, 4)
     p = q @ k.swapaxes(-1, -2)
     p *= scale
-    p += bias[:, :, :rows]
+    p += logit_bias[:, :, :rows]
     _softmax(p)
     out = (p @ v).transpose(0, 2, 1, 3).reshape(B, rows, d)
     _count_macs(B * (rows * d * d + 2 * L * d * d + 2 * rows * L * d))
@@ -530,46 +579,29 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, heads: int, bias: np.ndarray,
         dq2 = (ds @ k).transpose(0, 2, 1, 3).reshape(B * rows, d)
         dkv2 = np.stack([ds.swapaxes(-1, -2) @ q, dv]).transpose(1, 3, 0, 2, 4)
         dkv2 = dkv2.reshape(B * L, 2 * d)
+        dy = dkv2 @ w_kv().T
+        dy.reshape(B, L, d)[:, :rows] += (dq2 @ ws[0].value.T).reshape(B, rows, d)
+        x2, xq2 = inputs(norm_again())         # rebuilt last and freed at once, as in mlp
         dW = np.concatenate([xq2.T @ dq2, x2.T @ dkv2], axis=1)
-        dx = dkv2 @ w_kv.T
-        dx.reshape(B, L, d)[:, :rows] += (dq2 @ wq_v.T).reshape(B, rows, d)
+        del x2, xq2
         db = np.concatenate([dq2.sum(axis=0), dkv2.sum(axis=0)])
         for i, (w, bias_i) in enumerate(zip(ws, bs)):
             if w.requires_grad:
                 w.accumulate(dW[:, i * d:(i + 1) * d])
             if bias_i.requires_grad:
                 bias_i.accumulate(db[i * d:(i + 1) * d])
-        if x.requires_grad:
-            x.accumulate(dx.reshape(B, L, d))
+        norm_bw(dy.reshape(B, L, d))
 
-    return _result(out, (x, *ws, *bs), _bw), p
+    return _result(out, (x, gain, bias, *ws, *bs), _bw), p
 
 
 def layer_norm(x, gain, bias) -> Tensor:
-    """Layer norm over the last axis as one node; its backward reuses the
-    normalized input xhat and the reciprocal std rstd saved by the forward."""
+    """Layer norm over the last axis as one node, see _pre_norm; its backward
+    reuses the normalized input xhat and the reciprocal std rstd saved by the
+    forward."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    inv_n = 1.0 / x.value.shape[-1]
-    xhat = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
-    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
-    xhat *= rstd
-    y = xhat * gain.value
-    y += bias.value
-
-    def _bw(g):
-        if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * xhat, gain.value.shape))
-        if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.value.shape))
-        if x.requires_grad:
-            dxhat = g * gain.value
-            proj = (dxhat * xhat).sum(axis=-1, keepdims=True) * inv_n
-            dx = dxhat - dxhat.sum(axis=-1, keepdims=True) * inv_n
-            dx -= xhat * proj
-            dx *= rstd
-            x.accumulate(dx)
-
-    return _result(y, (x, gain, bias), _bw)
+    y, _, norm_bw = _pre_norm(x, gain, bias)
+    return _result(y, (x, gain, bias), norm_bw)
 
 
 def l2_normalize(x) -> Tensor:

@@ -116,7 +116,10 @@ def build_parser() -> Parser:
     add = functools.partial(sub.add_parser, parents=[common])
 
     p = add("gen-corpus", help="generate a synthetic manifest")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1, help=(
+        "another seed draws other attribute vectors, so its corpus is no held-out set "
+        "for a model trained on this seed's; hold out the tail of one larger corpus "
+        "instead: the first 256 records of --n 768 are the --n 256 corpus"))
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--attributes", type=int, default=4)
     p.add_argument("--feature-dim", type=int, default=16)

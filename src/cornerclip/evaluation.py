@@ -51,7 +51,7 @@ class EvalReport:
     n_texts: int = 0
 
 
-_RANK_BLOCK = 1 << 18    # score entries per row block: 2 MB of float64
+_RANK_BLOCK = 1 << 16    # score entries per row block: 512 KiB of float64, 16 rows at N = 4096
 
 
 def _best_paired(S: np.ndarray, image_to_texts: list[list[int]]) -> np.ndarray:

@@ -65,11 +65,12 @@ def init_tower_params(rng: np.random.Generator, config, prefix: str, params: dic
 
 def attention(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray,
               collect: list | None = None, rows: int | None = None) -> Tensor:
-    """Masked multi-head self-attention with its output projection; `bias` is an
-    additive (B,1,L,L) logit bias. Outputs cover the first `rows` positions
-    (all by default)."""
+    """Masked multi-head self-attention of the block's pre-norm of x, with its
+    output projection; `bias` is an additive (B,1,L,L) logit bias. Outputs
+    cover the first `rows` positions (all by default)."""
     mixed, probs = self_attention(
-        x, *(params[f"{prefix}{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
+        x, *(params[f"{prefix}{n}"]
+             for n in ("ln1.g", "ln1.b", "wq", "bq", "wk", "bk", "wv", "bv")),
         heads, bias, rows)
     if collect is not None:
         collect.append(probs)
@@ -78,15 +79,14 @@ def attention(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray
 
 def block_forward(x: Tensor, params: dict, prefix: str, heads: int, bias: np.ndarray,
                   collect: list | None = None, rows: int | None = None) -> Tensor:
-    """One pre-norm block. With `rows`, only the first `rows` positions are
-    computed past the keys and values, and the output has those rows only."""
-    h = layer_norm(x, params[f"{prefix}ln1.g"], params[f"{prefix}ln1.b"])
-    a = attention(h, params, prefix, heads, bias, collect, rows)
+    """One pre-norm block, whose attention and MLP nodes normalize their own
+    input. With `rows`, only the first `rows` positions are computed past the
+    keys and values, and the output has those rows only."""
+    a = attention(x, params, prefix, heads, bias, collect, rows)
     if rows is not None:
         x = x[:, :rows]
     x = x + a
-    h = layer_norm(x, params[f"{prefix}ln2.g"], params[f"{prefix}ln2.b"])
-    h = mlp(h, *(params[f"{prefix}{n}"] for n in ("w1", "b1", "w2", "b2")))
+    h = mlp(x, *(params[f"{prefix}{n}"] for n in ("ln2.g", "ln2.b", "w1", "b1", "w2", "b2")))
     return x + h
 
 

@@ -426,14 +426,23 @@ def test_gelu_large_inputs_without_warnings():
 
 
 def _mlp_inputs(rng, scale=1.0):
-    """x (2, 3, 4), w1 (4, 6), b1 (6,), w2 (6, 4), b2 (4,)."""
-    return [rng.normal(size=shape) * scale for shape in ((2, 3, 4), (4, 6), (6,), (6, 4), (4,))]
+    """x (2, 3, 4), gain (4,), bias (4,), w1 (4, 6), b1 (6,), w2 (6, 4), b2 (4,)."""
+    return [rng.normal(size=shape) * scale
+            for shape in ((2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,))]
 
 
-@pytest.mark.parametrize("const", range(5), ids=["x", "w1", "b1", "w2", "b2"])
+MLP_INPUTS = ["x", "gain", "bias", "w1", "b1", "w2", "b2"]
+
+
+def _mlp_chain(x, gain, bias, w1, b1, w2, b2):
+    """The MLP node's computation as its unfused nodes."""
+    return ad.linear(ad.gelu(ad.linear(ad.layer_norm(x, gain, bias), w1, b1)), w2, b2)
+
+
+@pytest.mark.parametrize("const", range(7), ids=MLP_INPUTS)
 def test_mlp_gradients(const):
-    """All five inputs of the fused MLP under a non-uniform upstream gradient,
-    with the input `const` requiring none."""
+    """All seven inputs of the fused pre-norm MLP under a non-uniform upstream
+    gradient, with the input `const` requiring none."""
     rng = np.random.default_rng(19)
     values = _mlp_inputs(rng)
     coef = rng.normal(size=(2, 3, 4))
@@ -441,15 +450,15 @@ def test_mlp_gradients(const):
 
 
 def test_mlp_no_grad_forward_is_bit_exact_and_counts_both_layers():
-    """The in-place no-grad forward, the graph forward and linear -> gelu ->
-    linear agree bit for bit, and the node counts the two linears' MACs."""
+    """The in-place no-grad forward, the graph forward and layer_norm -> linear
+    -> gelu -> linear agree bit for bit, and the node counts the two linears' MACs."""
     values = _mlp_inputs(np.random.default_rng(20), scale=2.0)
-    x, w1, b1, w2, b2 = (Tensor(v) for v in values)
+    consts = [Tensor(v) for v in values]
     with ad.count_macs() as c_mlp:
-        no_grad = ad.mlp(x, w1, b1, w2, b2)
+        no_grad = ad.mlp(*consts)
     with ad.count_macs() as c_ref:
-        ref = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
-    graph = ad.mlp(Tensor(values[0], requires_grad=True), w1, b1, w2, b2)
+        ref = _mlp_chain(*consts)
+    graph = ad.mlp(Tensor(values[0], requires_grad=True), *consts[1:])
     assert not no_grad.requires_grad and no_grad._parents == () and no_grad._backward is None
     assert graph.requires_grad
     np.testing.assert_array_equal(no_grad.value, ref.value)
@@ -458,24 +467,23 @@ def test_mlp_no_grad_forward_is_bit_exact_and_counts_both_layers():
 
 
 def test_mlp_gradients_are_those_of_the_unfused_layers_bit_for_bit():
-    """The backward runs the numpy operations of linear, gelu and linear."""
+    """The backward runs the numpy operations of layer_norm, linear, gelu and
+    linear, the normed input rebuilt with the forward's own operations."""
     rng = np.random.default_rng(23)
     values = _mlp_inputs(rng, scale=2.0)
     coef = rng.normal(size=(2, 3, 4))
     grads = []
-    for fused in (True, False):
+    for node in (ad.mlp, _mlp_chain):
         ts = [Tensor(v, requires_grad=True) for v in values]
-        x, w1, b1, w2, b2 = ts
-        out = ad.mlp(*ts) if fused else ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
-        (out * coef).sum().backward()
+        (node(*ts) * coef).sum().backward()
         grads.append([t.grad for t in ts])
-    for i, (g_fused, g_chain) in enumerate(zip(*grads)):
-        np.testing.assert_array_equal(g_fused, g_chain, err_msg=f"input {i}")
+    for name, g_fused, g_chain in zip(MLP_INPUTS, *grads):
+        np.testing.assert_array_equal(g_fused, g_chain, err_msg=name)
 
 
 def _closure_arrays(fn):
     """Every array a backward closure reaches through closure cells, nested
-    closures and the values of the Tensors it holds."""
+    closures, lists and tuples, and the values of the Tensors it holds."""
     found, seen, stack = [], set(), [fn]
     while stack:
         obj = stack.pop()
@@ -486,6 +494,8 @@ def _closure_arrays(fn):
             found.append(obj)
         elif isinstance(obj, Tensor):
             stack.append(obj.value)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
         elif callable(obj):
             stack.extend(c.cell_contents for c in obj.__closure__ or ())
     return found
@@ -496,28 +506,63 @@ def test_mlp_node_keeps_the_activation_and_the_slope_only():
     the activation h its second GEMM reads and the GELU's slope, not the
     pre-activation v or the gate s."""
     rng = np.random.default_rng(24)
-    x, w1, b1, w2, b2 = (rng.normal(size=shape)
-                         for shape in ((2, 5, 4), (4, 7), (7,), (7, 4), (4,)))
-    node = ad.mlp(Tensor(x, requires_grad=True), w1, b1, w2, b2)
+    x, gain, bias, w1, b1, w2, b2 = (rng.normal(size=shape) for shape in (
+        (2, 5, 4), (4,), (4,), (4, 7), (7,), (7, 4), (4,)))
+    node = ad.mlp(Tensor(x, requires_grad=True), gain, bias, w1, b1, w2, b2)
     owners = {id(a if a.base is None else a.base): a
               for a in _closure_arrays(node._backward) if a.size == 10 * 7}
     assert len(owners) == 2
-    v = x.reshape(10, 4) @ w1 + b1
+    v = ad.layer_norm(x, gain, bias).value.reshape(10, 4) @ w1 + b1
     h = ad.gelu(Tensor(v)).value
     assert sorted(a.shape for a in owners.values()) == [(10, 7), (10, 7)]
     assert any(a.tobytes() == h.tobytes() for a in owners.values())
 
 
+def _attention_inputs(rng, B=2, L=6, d=4):
+    """x (B, L, d), gain and bias (d,), then wq, bq, wk, bk, wv, bv."""
+    values = [rng.normal(size=(B, L, d)), rng.normal(size=d), rng.normal(size=d)]
+    for _ in range(3):
+        values += [rng.normal(size=(d, d)), rng.normal(size=d)]
+    return values
+
+
+@pytest.mark.parametrize("node", ["mlp", "self_attention"])
+def test_pre_norm_nodes_keep_neither_the_normed_input_nor_wk_wv(node):
+    """The backward of a grad-mode pre-norm node holds the norm's xhat, but not
+    the normed input xhat * gain + bias, which it rebuilds, and the attention
+    node holds no (d, 2d) `wk|wv` concatenation, which it builds again."""
+    rng = np.random.default_rng(31)
+    if node == "mlp":
+        values = [rng.normal(size=shape) for shape in (
+            (2, 5, 4), (4,), (4,), (4, 7), (7,), (7, 4), (4,))]
+        out = ad.mlp(Tensor(values[0], requires_grad=True), *values[1:])
+    else:
+        values = _attention_inputs(rng, L=5)
+        out, _ = ad.self_attention(Tensor(values[0], requires_grad=True), *values[1:],
+                                   2, np.zeros((2, 1, 5, 5)), 3)
+    x, gain, bias = values[:3]
+    normed = ad.layer_norm(x, gain, bias).value
+    xhat = (normed - bias) / gain
+    kept = _closure_arrays(out._backward)
+    sized = [a for a in kept if a.size == x.size]
+    assert any(np.allclose(a.reshape(x.shape), xhat, rtol=1e-12, atol=1e-12) for a in sized)
+    assert not any(a.tobytes() == normed.tobytes() for a in sized)
+    assert not any(a.shape == (4, 8) for a in kept)
+
+
 def test_mlp_large_inputs_without_warnings():
-    """Pre-activations down to about -1e3 overflow exp(-2u) silently, in both modes."""
-    x, w1, b1, w2, b2 = _mlp_inputs(np.random.default_rng(21))
+    """Pre-activations down to about -1e3 overflow exp(-2u) silently, in both
+    modes. The norm's gain and bias are held: their central differences run
+    through outputs of about 1e3 and lose about 1e-6 to rounding."""
+    x, gain, bias, w1, b1, w2, b2 = _mlp_inputs(np.random.default_rng(21))
     b1 = np.array([-1e3, -300.0, -40.0, 0.0, 40.0, 1e3])
     w1 *= 1e-3
     coef = np.random.default_rng(22).normal(size=(2, 3, 4))
+    values = [x, gain, bias, w1, b1, w2, b2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        check_inputs(lambda *ts: (ad.mlp(*ts) * coef).sum(), [x, w1, b1, w2, b2])
-        y = ad.mlp(*(Tensor(v) for v in (x, w1, b1, w2, b2))).value
+        check_inputs(lambda *ts: (ad.mlp(*ts) * coef).sum(), values, const=(1, 2))
+        y = ad.mlp(*(Tensor(v) for v in values)).value
     assert np.all(np.isfinite(y))
 
 
@@ -528,16 +573,17 @@ def _corner_bias():
     return masks.mask_bias(masks.full_mask(roles, "corner"))[:, None]
 
 
+ATTENTION_INPUTS = ["x", "gain", "bias", "wq", "bq", "wk", "bk", "wv", "bv"]
+
+
 @pytest.mark.parametrize("rows", [None, 3], ids=["all-rows", "cut-rows"])
 def test_self_attention_gradients(rows):
-    """All seven inputs of the fused attention node, under a corner mask."""
+    """All nine inputs of the fused pre-norm attention node, under a corner mask."""
     rng = np.random.default_rng(15)
     B, L, d, heads = 2, 6, 4, 2
     bias = _corner_bias()
-    values = [rng.normal(size=(B, L, d))]
-    for _ in range(3):
-        values += [rng.normal(size=(d, d)), rng.normal(size=d)]
-    x, wq, bq, wk, bk, wv, bv = values
+    values = _attention_inputs(rng, B, L, d)
+    x, gain, beta, wq, bq, wk, bk, wv, bv = values
     n = L if rows is None else rows
     coef = rng.normal(size=(B, n, d))
 
@@ -546,9 +592,11 @@ def test_self_attention_gradients(rows):
         return (out * coef).sum()
 
     check_inputs(loss, values)
-    # reference: per-head softmax attention in plain numpy over all rows
+    # reference: layer norm, then per-head softmax attention in plain numpy over all rows
     out, probs = ad.self_attention(*[Tensor(v) for v in values], heads, bias, rows)
-    split = [(x @ w + b).reshape(B, L, heads, d // heads).transpose(0, 2, 1, 3)
+    xn = x - x.mean(axis=-1, keepdims=True)
+    xn = xn / np.sqrt((xn * xn).mean(axis=-1, keepdims=True) + 1e-5) * gain + beta
+    split = [(xn @ w + b).reshape(B, L, heads, d // heads).transpose(0, 2, 1, 3)
              for w, b in ((wq, bq), (wk, bk), (wv, bv))]
     s = split[0] @ split[1].transpose(0, 1, 3, 2) * (d // heads) ** -0.5 + bias
     p = np.exp(s - s.max(axis=-1, keepdims=True))
@@ -557,6 +605,77 @@ def test_self_attention_gradients(rows):
     np.testing.assert_allclose(out.value, ref[:, :n], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(probs, p[:, :, :n], rtol=1e-12, atol=1e-12)
     assert out.shape == (B, n, d) and probs.shape == (B, heads, n, L)
+
+
+def _attention_after_norm(h, wq, bq, wk, bk, wv, bv, heads, bias, rows):
+    """The attention node before it took the pre-norm, over the layer_norm
+    node h: the same numpy operations in the same order, kept as the
+    reference that the fused node must equal bit for bit."""
+    ws, bs = [wq, wk, wv], [bq, bk, bv]
+    B, L, d = h.value.shape
+    dh = d // heads
+    scale = dh ** -0.5
+    w_kv = np.concatenate([wk.value, wv.value], axis=1)
+    x2 = h.value.reshape(B * L, d)
+    xq2 = h.value[:, :rows].reshape(B * rows, d)
+    q2 = xq2 @ wq.value
+    q2 += bq.value
+    kv2 = x2 @ w_kv
+    kv2 += np.concatenate([bk.value, bv.value])
+    q = q2.reshape(B, rows, heads, dh).transpose(0, 2, 1, 3)
+    k, v = kv2.reshape(B, L, 2, heads, dh).transpose(2, 0, 3, 1, 4)
+    p = q @ k.swapaxes(-1, -2)
+    p *= scale
+    p += bias[:, :, :rows]
+    ad._softmax(p)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(B, rows, d)
+
+    def _bw(g):
+        gh = g.reshape(B, rows, heads, dh).transpose(0, 2, 1, 3)
+        dv = p.swapaxes(-1, -2) @ gh
+        ds = gh @ v.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq2 = (ds @ k).transpose(0, 2, 1, 3).reshape(B * rows, d)
+        dkv2 = np.stack([ds.swapaxes(-1, -2) @ q, dv]).transpose(1, 3, 0, 2, 4)
+        dkv2 = dkv2.reshape(B * L, 2 * d)
+        dW = np.concatenate([xq2.T @ dq2, x2.T @ dkv2], axis=1)
+        dx = dkv2 @ w_kv.T
+        dx.reshape(B, L, d)[:, :rows] += (dq2 @ wq.value.T).reshape(B, rows, d)
+        db = np.concatenate([dq2.sum(axis=0), dkv2.sum(axis=0)])
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            w.accumulate(dW[:, i * d:(i + 1) * d])
+            b.accumulate(db[i * d:(i + 1) * d])
+        h.accumulate(dx.reshape(B, L, d))
+
+    return Tensor(out, (h, *ws, *bs), _bw, requires_grad=h.requires_grad), p
+
+
+@pytest.mark.parametrize("rows", [6, 3], ids=["all-rows", "cut-rows"])
+def test_self_attention_is_layer_norm_then_attention_bit_for_bit(rows):
+    """Output, probabilities and the gradient of every input equal layer_norm
+    followed by the attention computation, in grad mode and not."""
+    rng = np.random.default_rng(33)
+    values = _attention_inputs(rng, 2, 6, 4)
+    values[0] *= 3.0
+    bias, coef = _corner_bias(), rng.normal(size=(2, rows, 4))
+    results = []
+    for fused in (True, False):
+        for grad in (False, True):
+            ts = [Tensor(v, requires_grad=grad) for v in values]
+            if fused:
+                out, probs = ad.self_attention(*ts, 2, bias, rows)
+            else:
+                out, probs = _attention_after_norm(ad.layer_norm(*ts[:3]), *ts[3:], 2, bias, rows)
+            assert out.requires_grad == grad
+            if grad:
+                (out * coef).sum().backward()
+            results.append([out.value, probs] + [t.grad for t in ts if grad])
+    fused_const, fused_grad, ref_const, ref_grad = results
+    for a, b in zip(fused_const + fused_grad, ref_const + ref_grad):
+        assert a.tobytes() == b.tobytes()
+    assert len(fused_grad) == 2 + len(ATTENTION_INPUTS)
 
 
 def test_contrastive_gradients_values_and_macs():

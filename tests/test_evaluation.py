@@ -221,6 +221,21 @@ class TestEvaluateRetrieval:
             tracemalloc.stop()
         assert peak < 8 * n * n / 4
 
+    def test_traced_peak_at_4096(self):
+        """One `evaluate_retrieval` at N = 4096 traces 1.32 MiB with blocks of 2^16
+        scores (16 rows), against 4.50 MiB with blocks of 2^18 (64 rows)."""
+        n = 4096
+        img, txt = np.random.default_rng(1).normal(size=(2, n, 32))
+        gt = RetrievalGroundTruth.one_to_one(n)
+        ev.evaluate_retrieval(img, txt, gt)
+        tracemalloc.start()
+        try:
+            ev.evaluate_retrieval(img, txt, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
     def test_bad_inputs_rejected_before_ranking(self):
         feats = np.eye(4)
         with pytest.raises(ValueError, match="pairs 3 images with 3 texts, but the scores are 4 x 4"):

@@ -281,7 +281,6 @@ class TestDumpAttention:
         from cornerclip import autodiff as ad, transformer as tr
         x = ad.take_rows(p["text.tok_emb"], seq.ids[None, :]) + p["text.pos_emb"]
         collect = []
-        tr.attention(ad.layer_norm(x, p["text.L0.ln1.g"], p["text.L0.ln1.b"]),
-                     p, "text.L0.", cfg.heads, np.zeros((1, 1, 16, 16)), collect)
+        tr.attention(x, p, "text.L0.", cfg.heads, np.zeros((1, 1, 16, 16)), collect)
         ref = collect[0][0].mean(axis=0)
         np.testing.assert_allclose(w, ref, atol=1e-9)

@@ -13,6 +13,9 @@ caller, see ``train.gradients``); other nodes are constants with no parents
 and no backward closure, so ``backward`` never visits them. ``mlp`` also
 saves nothing then.
 
+A forward may `release` a node's value as soon as nothing reads more than
+its shape; the node keeps the shape.
+
 A graph is backpropagated once. ``backward`` releases each node's gradient,
 closure and parents as soon as the node's backward has run, so only leaves
 keep gradients, and a second ``backward`` through the same graph raises.
@@ -50,7 +53,7 @@ def _count_macs(n: int) -> None:
 class Tensor:
     """A node in the computation graph wrapping an ndarray value."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "requires_grad")
+    __slots__ = ("value", "grad", "_parents", "_backward", "requires_grad", "_shape")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -61,7 +64,8 @@ class Tensor:
 
     @property
     def shape(self):
-        return self.value.shape
+        """The value's shape, kept after `release` drops the value."""
+        return self._shape if self.value is None else self.value.shape
 
     def accumulate(self, g):
         # The first gradient is kept as given, uncopied: it may be shared with
@@ -76,9 +80,9 @@ class Tensor:
         Once a node's backward has run, the node drops its gradient, its
         closure (and with it what the closure saved) and its parents, so each
         intermediate is freed as soon as nothing downstream needs it. Leaves
-        keep their gradients; non-leaf nodes keep only their values. A graph
-        is backpropagated once: going through a consumed node again raises
-        RuntimeError."""
+        keep their gradients; non-leaf nodes keep only their values (or, once
+        released, their shapes). A graph is backpropagated once: going
+        through a consumed node again raises RuntimeError."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack = [(self, False)]
@@ -119,7 +123,7 @@ class Tensor:
         return getitem(self, idx)
 
     def __repr__(self):
-        return f"Tensor(shape={self.value.shape})"
+        return f"Tensor(shape={self.shape})"
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -145,6 +149,21 @@ def _result(value, parents: tuple, backward) -> Tensor:
     return Tensor(value)
 
 
+def release(*tensors: Tensor) -> None:
+    """Drop the value of each graph node among `tensors`, keeping its shape, so
+    that its array is freed once nothing else holds it: memory sharing by
+    liveness with no recomputation (Chen et al., arXiv 1604.06174, section 3).
+
+    Call it once the value's last forward reader has run, and only if no
+    backward reads the value as data: mul, power, log, gelu and
+    contrastive's image features do; the other primitives read an input's
+    shape or arrays they saved. A released value is None, so a stray read
+    raises. Leaves, constants and released nodes are left as they are."""
+    for t in tensors:
+        if t._backward is not None and t.value is not None:
+            t._shape, t.value = t.value.shape, None
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad, in one reduction, over the axes that were broadcast to produce it."""
     if grad.shape == shape:
@@ -160,9 +179,9 @@ def add(a, b) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.value.shape))
+            a.accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.value.shape))
+            b.accumulate(_unbroadcast(g, b.shape))
 
     return _result(a.value + b.value, (a, b), _bw)
 
@@ -172,9 +191,9 @@ def mul(a, b) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+            a.accumulate(_unbroadcast(g * b.value, a.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+            b.accumulate(_unbroadcast(g * a.value, b.shape))
 
     return _result(a.value * b.value, (a, b), _bw)
 
@@ -249,7 +268,7 @@ def linear(x, w, b=None) -> Tensor:
     def _bw(g):
         dx = _gemm_backward(g.reshape(-1, g.shape[-1]), x2, *parents[1:], dx=x.requires_grad)
         if dx is not None:
-            x.accumulate(dx.reshape(x.value.shape))
+            x.accumulate(dx.reshape(x.shape))
 
     return _result(y2.reshape(x.value.shape[:-1] + w.value.shape[-1:]), parents, _bw)
 
@@ -265,7 +284,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.value.shape))
+        a.accumulate(np.broadcast_to(g, a.shape))
 
     return _result(a.value.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
@@ -274,7 +293,7 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
 
     def _bw(g):
-        a.accumulate(g.reshape(a.value.shape))
+        a.accumulate(g.reshape(a.shape))
 
     return _result(a.value.reshape(shape), (a,), _bw)
 
@@ -313,10 +332,10 @@ def getitem(a, idx) -> Tensor:
 
     def _bw(g):
         if basic:
-            full = np.zeros_like(a.value)
+            full = np.zeros(a.shape)
             full[idx] = g
         else:
-            full = _scatter_sum(a.value.shape, idx, g)
+            full = _scatter_sum(a.shape, idx, g)
         a.accumulate(full)
 
     return _result(a.value[idx], (a,), _bw)
@@ -327,7 +346,7 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     backward sums the gradients of repeated ids with _scatter_sum."""
 
     def _bw(g):
-        table.accumulate(_scatter_sum(table.value.shape, ids, g))
+        table.accumulate(_scatter_sum(table.shape, ids, g))
 
     return _result(table.value[ids], (table,), _bw)
 
@@ -477,9 +496,9 @@ def _pre_norm(x: Tensor, gain: Tensor, bias: Tensor):
 
     def backward(g):
         if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * xhat, gain.value.shape))
+            gain.accumulate(_unbroadcast(g * xhat, gain.shape))
         if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.value.shape))
+            bias.accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             dxhat = g * gain.value
             proj = (dxhat * xhat).sum(axis=-1, keepdims=True) * inv_n
@@ -521,7 +540,7 @@ def mlp(x, gain, bias, w1, b1, w2, b2) -> Tensor:
             dy = dh @ w1.value.T if norm_grad else None
             _gemm_backward(dh, norm_again().reshape(dh.shape[0], -1), w1, b1, dx=False)
             if dy is not None:
-                norm_bw(dy.reshape(x.value.shape))
+                norm_bw(dy.reshape(x.shape))
 
     return Tensor(out, (x, gain, bias, w1, b1, w2, b2), _bw, requires_grad=True)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transformer
-from .autodiff import Tensor, concat, l2_normalize, linear, matmul, take_rows
+from .autodiff import Tensor, concat, l2_normalize, linear, matmul, release, take_rows
 from .settings import check_settings
 
 MODES = ("vit", "precomputed")
@@ -132,9 +132,11 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
 
     patches = patchify(inputs, config)
     B = patches.shape[0]
-    x = linear(patches, params[f"{prefix}patch_emb"], params[f"{prefix}patch_bias"])
+    proj = linear(patches, params[f"{prefix}patch_emb"], params[f"{prefix}patch_bias"])
     cls = take_rows(params[f"{prefix}cls_emb"], np.zeros((B, 1), dtype=np.int64))
-    x = concat([cls, x], axis=1) + params[f"{prefix}pos_emb"]
+    tokens = concat([cls, proj], axis=1)
+    x = tokens + params[f"{prefix}pos_emb"]
+    release(proj, cls, tokens)
     L = config.n_patches + 1
     feats, _ = transformer.tower(x, params, prefix, config, np.zeros((B, 1, L, L)), 1)
     return feats[:, 0]

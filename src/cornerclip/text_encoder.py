@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masks, transformer
-from .autodiff import Tensor, take_rows
+from .autodiff import Tensor, release, take_rows
 from .settings import check_settings, text_layout_rules
 from .tokenizer import CORNER_ID_BASE, M_MAX, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence
 
@@ -96,7 +96,9 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         pos = pos[:L]
     # (B, 1, L, L) additive attention bias, built for the whole batch at once
     bias = masks.mask_bias(masks.full_mask(roles, config.mask_mode))[:, None, :, :]
-    x = take_rows(params[f"{prefix}tok_emb"], ids) + pos
+    tokens = take_rows(params[f"{prefix}tok_emb"], ids)
+    x = tokens + pos
+    release(tokens)
     feats, hidden = transformer.tower(x, params, prefix, config, bias,
                                       config.m + 1 if corners else 1, collect_attn, with_hidden)
     return feats, hidden if with_hidden else None

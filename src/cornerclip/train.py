@@ -435,9 +435,14 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     meta = checkpoint_meta(cfg, text_cfg, image_cfg, vocab)
 
     start_step = 0
+    end_step = cfg.steps if stop_after is None else min(stop_after, cfg.steps)
     if resume_from is not None:
         params, (adam_m, adam_v, opt_step), start_step, stored = ckpt.load_checkpoint(resume_from)
         check_resume_meta(stored, meta)
+        if end_step < start_step:
+            raise ckpt.CheckpointError(
+                f"the run ends at step {end_step}, before the checkpoint's step {start_step}: "
+                "a resume cannot go back")
         opt = AdamState(m=adam_m, v=adam_v, step=opt_step)
     else:
         params = build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
@@ -456,7 +461,6 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
             os.path.join(out_dir, "metrics.jsonl"),
             lambda line: start_step and json.loads(line)["step"] <= start_step)
 
-    end_step = cfg.steps if stop_after is None else min(stop_after, cfg.steps)
     metrics: list[dict] = []
     try:
         for step in range(start_step + 1, end_step + 1):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, l2_normalize, layer_norm, linear, matmul, mlp, self_attention
+from .autodiff import (Tensor, l2_normalize, layer_norm, linear, matmul, mlp, release,
+                       self_attention)
 
 # Rows per pass of every no-grad embedding (evaluation.embed_texts and
 # image_encoder.embed_images). A row's features are the same bytes in any pass of
@@ -81,13 +82,17 @@ def block_forward(x: Tensor, params: dict, prefix: str, heads: int, bias: np.nda
                   collect: list | None = None, rows: int | None = None) -> Tensor:
     """One pre-norm block, whose attention and MLP nodes normalize their own
     input. With `rows`, only the first `rows` positions are computed past the
-    keys and values, and the output has those rows only."""
+    keys and values, and the output has those rows only. Each residual-stream
+    value, the input x included, is released (`autodiff.release`) once its
+    last reader has run: no backward reads more than its shape."""
     a = attention(x, params, prefix, heads, bias, collect, rows)
-    if rows is not None:
-        x = x[:, :rows]
-    x = x + a
-    h = mlp(x, *(params[f"{prefix}{n}"] for n in ("ln2.g", "ln2.b", "w1", "b1", "w2", "b2")))
-    return x + h
+    cut = x if rows is None else x[:, :rows]
+    mid = cut + a
+    release(x, cut, a)
+    h = mlp(mid, *(params[f"{prefix}{n}"] for n in ("ln2.g", "ln2.b", "w1", "b1", "w2", "b2")))
+    out = mid + h
+    release(mid, h)
+    return out
 
 
 def tower(x: Tensor, params: dict, prefix: str, config, bias: np.ndarray, pooled: int,
@@ -95,11 +100,13 @@ def tower(x: Tensor, params: dict, prefix: str, config, bias: np.ndarray, pooled
     """A tower's blocks and final norm, shaped by `config`, then its first `pooled` rows
     projected and L2-normalized: (features (B, pooled, p), final-norm hidden states).
     The features read only those rows, so the last block computes just them,
-    unless the caller reads every row: `every_row`, or probabilities into `collect`."""
+    unless the caller reads every row: `every_row`, or probabilities into `collect`.
+    The input x and each block's output are released once read, as in block_forward."""
     every_row = every_row or collect is not None
     for layer in range(config.depth):
         rows = None if every_row or layer < config.depth - 1 else pooled
         x = block_forward(x, params, f"{prefix}L{layer}.", config.heads, bias, collect, rows)
     hidden = layer_norm(x, params[f"{prefix}lnf.g"], params[f"{prefix}lnf.b"])
+    release(x)
     top = hidden if hidden.shape[1] == pooled else hidden[:, :pooled]
     return l2_normalize(matmul(top, params[f"{prefix}proj"])), hidden

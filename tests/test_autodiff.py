@@ -313,10 +313,31 @@ def step_graph():
     return params, loss
 
 
+def test_release_drops_a_nodes_value_only():
+    """release leaves leaves and constants as they are; a graph node's value
+    becomes None, so a read of it raises, and its shape is kept, which is all
+    add's backward reads."""
+    leaf = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    const = Tensor(np.ones((2, 3)))
+    node = ad.add(leaf, const)
+    out = ad.tsum(node + 1.0)
+    ad.release(leaf, const, node, node)
+    assert leaf.value.tobytes() == np.arange(6.0).tobytes()
+    assert const.value.tobytes() == np.ones((2, 3)).tobytes()
+    assert node.value is None and node.shape == (2, 3) and repr(node) == "Tensor(shape=(2, 3))"
+    with pytest.raises(TypeError):
+        ad.mul(node, 2.0)
+    with pytest.raises(AttributeError):
+        node.value.sum()
+    out.backward()
+    assert leaf.grad.tobytes() == np.ones((2, 3)).tobytes()
+
+
 def test_backward_consumes_the_graph():
     """After backward no non-leaf node of the step graph keeps a gradient, a
-    closure or parents, the leaves' gradients are the bytes of the backward
-    that kept the whole graph, and a second backward raises."""
+    closure or parents but each keeps the value it had (None once the forward
+    released it), the leaves' gradients are the bytes of the backward that
+    kept the whole graph, and a second backward raises."""
     params, step_loss = step_graph()
     keep_graph_backward(step_loss())
     expected = {name: t.grad.copy() for name, t in params.items()}
@@ -327,10 +348,11 @@ def test_backward_consumes_the_graph():
     nodes = reachable(loss)
     inner = [n for n in nodes if n._backward is not None]
     assert len(inner) >= 40 and all(n._parents for n in inner)
+    values = [n.value for n in inner]
     loss.backward()
-    for node in inner:
+    for node, value in zip(inner, values):
         assert node.grad is None and node._parents == () and node._backward is ad._consumed
-        assert node.value is not None
+        assert node.value is value
     leaves = {id(n) for n in nodes if n._backward is None and n.requires_grad}
     assert leaves == set(map(id, params.values()))
     for name, t in params.items():

@@ -40,3 +40,16 @@ def test_refuses_no_pairs():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--base", "HEAD", "--workload", "eval_long", "--pairs", "0",
                           "--seed", "1", "--slug", "x"])
+
+
+def test_both_sides_run_from_paths_of_one_length(tmp_path):
+    """The base's unpacked tree and the checkout's snapshot sit at paths of one
+    length; the snapshot holds the checkout's files as they stand and is reused."""
+    if not (PATH.parent.parent / ".git").exists():
+        pytest.skip("needs a git checkout")
+    commit, base_tree = bench_pairs.unpack("HEAD", tmp_path)
+    name, head_tree = bench_pairs.snapshot(tmp_path)
+    assert len(str(base_tree)) == len(str(head_tree)) and len(name) == len(commit) == 40
+    assert (head_tree / "tools" / "bench_pairs.py").read_bytes() == PATH.read_bytes()
+    assert (head_tree / "perfbench" / "run.py").is_file()
+    assert bench_pairs.snapshot(tmp_path) == (name, head_tree)

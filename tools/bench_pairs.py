@@ -4,23 +4,29 @@
     python3 tools/bench_pairs.py --base REV --workload W --pairs N --seed S --slug SLUG
 
 Unpacks REV with `git archive REV | tar -x` into `.bench_pairs/<commit>/` (a
-directory git ignores; an existing one is reused), then runs N pairs. Each
-pair runs both trees' own `perfbench/run.py --workload W --seed S --seconds 25
---trace 0`, one after the other, as children of this one driver started the
-same way, the side that runs first alternating from pair to pair. A child's
-minor page faults are the growth of `getrusage(RUSAGE_CHILDREN).ru_minflt`
-across its run.
+directory git ignores), and copies this checkout as it stands, its tracked
+files with their edits and the new files git does not ignore, into
+`.bench_pairs/<snapshot>/`, where <snapshot> is the sha1 of those files' paths
+and bytes: as long as a commit hash, so both sides run from paths of one
+length (the minor page faults of a run move with its path's length). An
+existing tree of either name is reused. Then it runs N pairs. Each pair runs
+both trees' own `perfbench/run.py --workload W --seed S --seconds 25 --trace 0`,
+one after the other, as children of this one driver started the same way, the
+side that runs first alternating from pair to pair. A child's minor page
+faults are the growth of `getrusage(RUSAGE_CHILDREN).ru_minflt` across its run.
 
 The runs are appended as one entry to `BENCH_<SLUG>.json` at the repo root
-(created if missing): the environment line of the first child, the commit and
-`src/` digest of both sides, every pair's values, each side's median and
-quartiles per metric, and how many pairs each side won per metric, ties
-counting for neither. A child that is not `correct` stops the driver.
+(created if missing): the environment line of the first child, the commit,
+tree path and `src/` digest of both sides, every pair's values, each side's
+median and quartiles per metric, and how many pairs each side won per metric,
+ties counting for neither. A child that is not `correct` stops the driver.
 """
 
 import argparse
+import hashlib
 import json
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,11 +40,15 @@ BETTER = {"setup_s": "lower", "items_per_s": "higher", "peak_rss_mb": "lower",
           "minor_faults": "lower"}
 
 
-def unpack(rev: str) -> tuple[str, Path]:
-    """(commit, tree) of revision `rev`, the tree unpacked once under WORK."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                            check=True, capture_output=True, text=True).stdout.strip()
-    tree = WORK / commit
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def unpack(rev: str, work: Path = WORK) -> tuple[str, Path]:
+    """(commit, tree) of revision `rev`, the tree unpacked once under `work`."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+    tree = work / commit
     if not (tree / "perfbench" / "run.py").is_file():
         tree.mkdir(parents=True, exist_ok=True)
         archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
@@ -47,6 +57,29 @@ def unpack(rev: str) -> tuple[str, Path]:
         if archive.wait() != 0:
             raise RuntimeError(f"git archive {commit} failed")
     return commit, tree
+
+
+def snapshot(work: Path = WORK) -> tuple[str, Path]:
+    """(name, tree) of this checkout as it stands, copied once under `work`: its
+    tracked files as edited and its new files that git does not ignore. The
+    name is the sha1 of their paths and bytes, 40 hex digits like a commit's."""
+    paths = sorted(p for p in git("ls-files", "-z", "--cached", "--others",
+                                  "--exclude-standard").split("\0")
+                   if p and (ROOT / p).is_file())     # a deleted tracked file is left out
+    digest = hashlib.sha1()
+    for p in paths:
+        data = (ROOT / p).read_bytes()
+        digest.update(f"{p}\0{len(data)}\0".encode() + data)
+    name = digest.hexdigest()
+    tree = work / name
+    if not tree.is_dir():
+        partial = work / f"{name}.partial"
+        shutil.rmtree(partial, ignore_errors=True)
+        for p in paths:
+            (partial / p).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / p, partial / p)
+        partial.rename(tree)
+    return name, tree
 
 
 def run_side(tree: Path, workload: str, seed: int) -> dict:
@@ -106,7 +139,8 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 1")
 
     commit, base_tree = unpack(args.base)
-    trees = {"base": base_tree, "head": ROOT}
+    name, head_tree = snapshot()
+    trees = {"base": base_tree, "head": head_tree}
     pairs, envs = [], {}
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -123,9 +157,10 @@ def main(argv=None) -> int:
         "start": "subprocess of one driver, sys.executable perfbench/run.py, cwd = the tree",
         "env": envs["base"],
         # the head is the checkout as it stands, its HEAD commit plus any edits
-        "sides": {"base": {"rev": args.base, "commit": commit,
+        "sides": {"base": {"rev": args.base, "commit": commit, "tree": str(base_tree),
                            "src_sha256": envs["base"]["src_sha256"]},
-                  "head": {"rev": "checkout", "commit": envs["head"]["git_commit"],
+                  "head": {"rev": "checkout", "commit": git("rev-parse", "HEAD").strip(),
+                           "snapshot": name, "tree": str(head_tree),
                            "src_sha256": envs["head"]["src_sha256"]}},
         "pairs": pairs,
         "summary": summarize([{s: p[s] for s in trees} for p in pairs]),

@@ -5,8 +5,10 @@ retrieval ranks the full long captions by cosine similarity (R@1/R@5 both
 directions), images rank the distinct short captions (R@1/R@5), and
 classification scores images against prompt-template class prototypes.  The sweep harness then
 retrains from scratch for each value of one axis -- here the number of
-corner tokens -- and tabulates metrics per seed, with FLOPs from the
-closed-form estimator.
+corner tokens -- and returns one row of metrics per cell (with FLOPs from
+the closed-form estimator) and the cells that failed. It writes the same rows
+to rows.csv in its directory, the failures to failures.jsonl, and the mean
+and stddev over seeds per value to plot_data_agg.csv, which the demo prints.
 Run:  python3 demos/04_evaluate_and_sweep.py        (about two minutes)
 """
 
@@ -43,15 +45,13 @@ print(f"text-encoder forward pass: {flops:,} FLOPs at L={result.text_cfg.limit}"
 # --- sweep over the number of corner tokens ----------------------------------
 spec = sweep.SweepSpec(axis="m_corners", values=[0, 2], base=base, seeds=[0, 1])
 with tempfile.TemporaryDirectory() as out_dir:
-    rows = sweep.run_sweep(spec, records, vocab, out_dir)
-    sweep.emit_plot_data(rows, os.path.join(out_dir, "plot_data.csv"))
-    agg_path = os.path.join(out_dir, "plot_data_agg.csv")
-    print("\nper-cell rows:")
+    rows, failures = sweep.run_sweep(spec, records, vocab, out_dir)
+    print(f"\nper-cell rows ({len(failures)} cells failed):")
     for row in rows:
         print(f"  m={row['value']} seed={row['seed']}: "
               f"long R@1={float(row['long_i2t_r@1']):.3f} "
               f"short R@1={float(row['short_r@1']):.3f} "
               f"cls Acc@1={float(row['cls_acc@1']):.3f}")
     print("\naggregates (mean over seeds):")
-    with open(agg_path) as f:
+    with open(os.path.join(out_dir, "plot_data_agg.csv")) as f:
         print(f.read().strip())

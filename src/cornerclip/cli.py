@@ -234,10 +234,7 @@ def _cmd_train(args) -> int:
         _emit(args, dataclasses.asdict(cfg),
               "\n".join(f"{k} = {v}" for k, v in dataclasses.asdict(cfg).items()))
         return 0
-    if any(n == "metrics.jsonl" or n.startswith("ckpt_") and n.endswith(".bin")
-           for n in (os.listdir(args.out_dir) if os.path.isdir(args.out_dir) else ())):
-        raise UsageError(f"--out-dir {args.out_dir} already holds a run (metrics.jsonl or "
-                         "ckpt_*.bin); train into a new directory")
+    _setting(train_mod.refuse_used_out_dir, args.out_dir)
     records, vocab = _corpus_vocab(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
     last = result.metrics[-1]
@@ -280,9 +277,8 @@ def _cmd_sweep(args) -> int:
     spec = _setting(sweep_mod.SweepSpec, axis=args.axis, values=values,
                     base=resolve_train_config(args), seeds=list(range(args.seeds)))
     records, vocab = _corpus_vocab(args.corpus)
-    rows = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)
-    sweep_mod.emit_plot_data(rows, os.path.join(args.out_dir, "plot_data.csv"))
-    failed = len(sweep_mod.read_failures(args.out_dir))
+    rows, failures = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)
+    failed = len(failures)
     _emit(args, {"cells": len(rows), "failed": failed, "out_dir": args.out_dir},
           f"{len(rows)} cells complete, {failed} failed; tables in {args.out_dir}")
     if failed:

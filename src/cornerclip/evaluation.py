@@ -215,17 +215,15 @@ def classification_task(records: list[ManifestRecord]):
     return names, labels
 
 
-def short_text_groups(records: list[ManifestRecord]):
-    """Deduplicated short texts with any-hit ground truth.
-
-    Returns (unique_texts, image_to_texts): each image's paired-text set is
-    the single deduplicated text matching its `short_caption`.
-    """
-    unique: dict[str, int] = {}
-    image_to_texts = []
-    for rec in records:
-        image_to_texts.append([unique.setdefault(rec.short_caption, len(unique))])
-    return list(unique), image_to_texts
+def short_text_groups(records: list[ManifestRecord], text_cfg: TextEncoderConfig,
+                      vocab: Vocabulary):
+    """The distinct short captions as token sequences at the model's limit and m
+    (captions apart in case alone have equal features, so they would tie), with
+    any-hit ground truth: (each group's first `short_caption`, per image its group)."""
+    seqs = [tokenize(rec.short_caption, text_cfg.limit, text_cfg.m, vocab) for rec in records]
+    index = text_encoder.distinct_rows(*text_encoder.stack_trimmed(seqs))[2]
+    firsts = np.unique(index, return_index=True)[1]
+    return [records[i].short_caption for i in firsts], [[group] for group in index.tolist()]
 
 
 def short_retrieval(records: list[ManifestRecord], params: dict,
@@ -237,7 +235,7 @@ def short_retrieval(records: list[ManifestRecord], params: dict,
     There is no t2i: a caption that several records share has no single image."""
     if image_feats is None:
         image_feats = image_encoder.embed_images(records, params, image_cfg)
-    texts, image_to_texts = short_text_groups(records)
+    texts, image_to_texts = short_text_groups(records, text_cfg, vocab)
     text_feats = embed_texts(texts, params, text_cfg, vocab)
     ranks = _ranks(_score_blocks(image_feats, text_feats),
                    (len(image_feats), len(texts)), image_to_texts)["i2t"]

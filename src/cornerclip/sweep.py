@@ -1,11 +1,12 @@
 """Sweep harness over sub-caption count, token limit, or corner count.
 
-Each cell (axis value x seed) trains a fresh model and evaluates it; rows
-are appended to a CSV as cells complete, so an interrupted sweep resumes
-from the finished cells, provided its axis and base config are the ones
-recorded beside them. A value out of range is refused before any cell runs;
-a cell that raises is recorded with its error in failures.jsonl and retried
-by the next run. Aggregates report mean and stddev over seeds.
+Each cell (axis value x seed) trains a fresh model and evaluates it. A sweep
+owns its directory: rows are appended to rows.csv as cells complete, so an
+interrupted sweep resumes from the finished cells, provided its columns, axis
+and base config are the ones recorded there. A value out of range is refused
+before any cell runs; a cell that raises is recorded with its error in
+failures.jsonl and retried by the next run. plot_data_agg.csv reports mean
+and stddev over seeds.
 """
 
 from __future__ import annotations
@@ -84,22 +85,24 @@ def run_cell(spec: SweepSpec, value: int, seed: int,
 
 
 def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
-              out_dir: str) -> list[dict]:
-    """All cells of the sweep; cells with a complete row in rows.csv are skipped
-    (a torn last row is dropped, so its cell runs again), provided the rows come
-    from a sweep of the same axis and base config (see `_keep_config`).
+              out_dir: str) -> tuple[list[dict], list[dict]]:
+    """All cells of the sweep, into `out_dir`; returns (every row of rows.csv, the
+    cells that failed). Cells with a complete row in rows.csv are skipped (a torn
+    last row is dropped, so its cell runs again), provided the rows come from a
+    sweep of the same table, axis and base config (see `_keep_config`).
 
-    Cells that raise are left out of the rows and written, with their error,
-    to failures.jsonl, which each run rewrites (see `read_failures`). Every row
-    holds cls_acc@1, so records without a label are refused before any cell runs."""
+    Cells that raise are left out of the rows and written, with their error, to
+    failures.jsonl, which each run rewrites; the per-value aggregate of all rows
+    goes to plot_data_agg.csv. Every row holds cls_acc@1, so records without a
+    label are refused before any cell runs."""
     evaluation.classification_task(records)
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "rows.csv")
     kept, f = continue_stream(rows_path, lambda line: True)
-    done = {(row["axis"], int(row["value"]), int(row["seed"])) for row in csv.DictReader(kept)}
     failures = []
     with f:
-        _keep_config(spec, out_dir, resuming=bool(done))
+        _keep_config(spec, out_dir, kept)
+        done = {(row["axis"], int(row["value"]), int(row["seed"])) for row in csv.DictReader(kept)}
         writer = csv.DictWriter(f, fieldnames=ROW_FIELDS)
         if not kept:
             writer.writeheader()
@@ -121,15 +124,24 @@ def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
     with open(os.path.join(out_dir, FAILURES_FILE), "w") as f:
         f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in failures)
     with open(rows_path) as f:
-        return list(csv.DictReader(f))
+        rows = list(csv.DictReader(f))
+    _write_aggregate(rows, os.path.join(out_dir, "plot_data_agg.csv"))
+    return rows, failures
 
 
-def _keep_config(spec: SweepSpec, out_dir, resuming: bool) -> None:
+def _keep_config(spec: SweepSpec, out_dir, kept: list[str]) -> None:
     """Record the axis and base config of a sweep that starts into `out_dir`;
-    refuse to resume its rows with one that differs in a field no cell sets."""
+    refuse to resume its rows (`kept`, the lines of rows.csv) under another table
+    than ROW_FIELDS or with a sweep that differs in a field no cell sets."""
+    if kept and (header := next(csv.reader(kept[:1]))) != ROW_FIELDS:
+        raise ValueError(
+            f"the rows in {out_dir} are another table: missing columns "
+            f"{[c for c in ROW_FIELDS if c not in header]}, extra columns "
+            f"{[c for c in header if c not in ROW_FIELDS]} (or another order); "
+            "start the sweep in a new directory")
     path = os.path.join(out_dir, CONFIG_FILE)
     config = {"axis": spec.axis, **asdict(spec.base)}
-    if not resuming:
+    if len(kept) < 2:       # no row under the header
         with open(path, "w") as f:
             json.dump(config, f, sort_keys=True)
         return
@@ -145,41 +157,20 @@ def _keep_config(spec: SweepSpec, out_dir, resuming: bool) -> None:
                              f"{stored.get(name)!r}, this sweep {config.get(name)!r}")
 
 
-def read_failures(out_dir) -> list[dict]:
-    """The cells that failed in the last `run_sweep` into `out_dir`."""
-    path = os.path.join(out_dir, FAILURES_FILE)
-    if not os.path.exists(path):
-        return []
-    with open(path) as f:
-        return [json.loads(line) for line in f]
-
-
-def emit_plot_data(rows: list[dict], path) -> None:
-    """Tidy per-cell CSV plus a per-axis-value aggregate (mean, stddev over seeds)."""
-    with open(path, "w", newline="") as f:
-        f.write("# one row per sweep cell; columns: " + ", ".join(ROW_FIELDS) + "\n")
-        writer = csv.DictWriter(f, fieldnames=ROW_FIELDS)
-        writer.writeheader()
-        writer.writerows({k: row[k] for k in ROW_FIELDS} for row in rows)
-
-    metric_cols = [c for c in ROW_FIELDS if c not in ("axis", "value", "seed")]
+def _write_aggregate(rows: list[dict], path) -> None:
+    """Per axis value, the mean and stddev over seeds of each column after the seed."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["axis"], row["value"]), []).append(row)
-    agg_path = os.path.splitext(str(path))[0] + "_agg.csv"
-    with open(agg_path, "w", newline="") as f:
+    with open(path, "w", newline="") as f:
         f.write("# per-axis-value aggregates over seeds: mean and stddev\n")
-        fields = ["axis", "value", "n_seeds"]
-        for c in metric_cols:
-            fields += [f"{c}_mean", f"{c}_std"]
-        writer = csv.DictWriter(f, fieldnames=fields)
-        writer.writeheader()
+        writer = csv.writer(f)
+        writer.writerow(["axis", "value", "n_seeds",
+                         *(f"{c}_{stat}" for c in ROW_FIELDS[3:] for stat in ("mean", "std"))])
         for (axis, value), grp in sorted(groups.items(), key=lambda kv: (kv[0][0], float(kv[0][1]))):
-            out = {"axis": axis, "value": value, "n_seeds": len(grp)}
-            for c in metric_cols:
+            stats = []
+            for c in ROW_FIELDS[3:]:
                 xs = [float(r[c]) for r in grp]
                 mean = sum(xs) / len(xs)
-                var = sum((x - mean) ** 2 for x in xs) / len(xs)
-                out[f"{c}_mean"] = mean
-                out[f"{c}_std"] = var ** 0.5
-            writer.writerow(out)
+                stats += [mean, (sum((x - mean) ** 2 for x in xs) / len(xs)) ** 0.5]
+            writer.writerow([axis, value, len(grp), *stats])

@@ -124,6 +124,18 @@ def stack_trimmed(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     return (np.stack([s.ids[:L] for s in seqs]), np.stack([s.roles[:L] for s in seqs]))
 
 
+def distinct_rows(ids: np.ndarray, roles: np.ndarray):
+    """The distinct (ids, roles) rows of a text batch in first-occurrence
+    order, and the index that reads the batch back from them:
+    `ids == distinct_ids[index]`. A batch with no repeated row comes back as
+    it is, with the identity index."""
+    seen: dict = {}
+    index = np.array([seen.setdefault((i.tobytes(), r.tobytes()), len(seen))
+                      for i, r in zip(ids, roles)], dtype=np.intp)
+    first = np.unique(index, return_index=True)[1]
+    return ids[first], roles[first], index
+
+
 def content_positions(seq: TokenSequence) -> np.ndarray:
     """Indices of TEXT and SEP positions."""
     return np.where((seq.roles == ROLE_TEXT) | (seq.roles == ROLE_SEP))[0]

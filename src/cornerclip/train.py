@@ -169,18 +169,6 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
     return batch
 
 
-def _distinct_rows(ids: np.ndarray, roles: np.ndarray):
-    """The distinct (ids, roles) rows of a text batch in first-occurrence
-    order, and the index that reads the batch back from them:
-    `ids == distinct_ids[index]`. A batch with no repeated row comes back as
-    it is, with the identity index."""
-    seen: dict = {}
-    index = np.array([seen.setdefault((i.tobytes(), r.tobytes()), len(seen))
-                      for i, r in zip(ids, roles)], dtype=np.intp)
-    first = np.unique(index, return_index=True)[1]
-    return ids[first], roles[first], index
-
-
 def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
                  image_cfg: ImageEncoderConfig, cfg: TrainConfig):
     """Build the loss graph; returns (breakdown, tau tensor).
@@ -193,11 +181,11 @@ def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
     tau = objective.temperature(params["obj.s"])
     v = (Tensor(batch.image_features) if batch.image_features is not None
          else image_encoder.encode_image_graph(batch.image_inputs, params, image_cfg))
-    ids, roles, short_index = _distinct_rows(batch.short_ids, batch.short_roles)
+    ids, roles, short_index = text_encoder.distinct_rows(batch.short_ids, batch.short_roles)
     short_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg, corners=False)
     if batch.long_ids is None:
         return objective.total_loss(v, short_feats[short_index], tau), tau
-    ids, roles, long_index = _distinct_rows(batch.long_ids, batch.long_roles)
+    ids, roles, long_index = text_encoder.distinct_rows(batch.long_ids, batch.long_roles)
     long_feats, _ = text_encoder.encode_text_graph(ids, roles, params, text_cfg)
     return objective.total_loss(v, short_feats[short_index], tau, long_feats[long_index]), tau
 
@@ -415,6 +403,18 @@ def continue_stream(path, keep):
     return kept, f
 
 
+METRICS_FILE = "metrics.jsonl"      # a run's out_dir also holds ckpt_<step>.bin, ckpt_final.bin
+
+
+def refuse_used_out_dir(out_dir) -> None:
+    """Refuse an out_dir holding a run's files, whose metrics a fresh `run_training` would
+    cut, leaving its checkpoints for a resume to splice; the message names train's flag."""
+    names = os.listdir(out_dir) if os.path.isdir(out_dir) else ()
+    if any(n == METRICS_FILE or n.startswith("ckpt_") and n.endswith(".bin") for n in names):
+        raise ValueError(f"--out-dir {out_dir} already holds a run ({METRICS_FILE} or "
+                         "ckpt_*.bin); train into a new directory")
+
+
 def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainConfig,
                  out_dir: str | None = None, resume_from: str | None = None,
                  stop_after: int | None = None) -> TrainResult:
@@ -458,7 +458,7 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _, metrics_file = continue_stream(      # a resumed run logs later steps again
-            os.path.join(out_dir, "metrics.jsonl"),
+            os.path.join(out_dir, METRICS_FILE),
             lambda line: start_step and json.loads(line)["step"] <= start_step)
 
     metrics: list[dict] = []

@@ -210,7 +210,7 @@ class TestTrainEvalCommands:
         records = cli._records(corpus)
         params, _, meta = ckpt.load_parameters(path)
         text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
-        texts, _ = evaluation.short_text_groups(records)
+        texts, _ = evaluation.short_text_groups(records, text_cfg, vocab)
         assert sorted(k for k in report if k.startswith("short")) == ["short_r@1", "short_r@5"]
         assert report["n_images"] == report["n_texts"] == 16
         assert report["n_short_texts"] == len(texts) < 16
@@ -230,7 +230,7 @@ class TestTrainEvalCommands:
                    "--steps", "1", *self.SMALL)[0] == 0
         records = cli._records(corpus)
         captions = [r.short_caption for r in records]
-        assert len(evaluation.short_text_groups(records)[0]) < 64
+        assert len(set(captions)) < 64
         encoded, embed_texts = [], evaluation.embed_texts
 
         def recording(texts, *args, **kwargs):
@@ -537,8 +537,8 @@ class TestSweepCommand:
         assert code == 0
         assert json.loads(out)["cells"] == 2
         assert (tmp_path / "sweep" / "rows.csv").exists()
-        assert (tmp_path / "sweep" / "plot_data.csv").exists()
         assert (tmp_path / "sweep" / "plot_data_agg.csv").exists()
+        assert not (tmp_path / "sweep" / "plot_data.csv").exists()
 
     def test_failed_cell_exits_2(self, manifest, tmp_path, capsys, monkeypatch):
         run_cell = sweep.run_cell

@@ -288,10 +288,20 @@ class TestZeroShot:
             ev.classification_task(recs)
 
 
+def short_model(recs, **fields):
+    """(text_cfg, image_cfg, vocab) of a small model of the records' words."""
+    vocab = Vocabulary.build([r.short_text for r in recs]
+                             + [t for r in recs for t in r.long_texts])
+    cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
+                            projection_dim=8, **fields)
+    return (*train.make_configs(vocab, cfg, 8), vocab)
+
+
 class TestShortTextGroups:
     def test_duplicates_collapse(self):
         recs = generate_synthetic_corpus(0, 12, 2, 8, pool_size=3)
-        texts, image_to_texts = ev.short_text_groups(recs)
+        text_cfg, _, vocab = short_model(recs)
+        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
         assert len(texts) == len(set(r.short_text for r in recs)) <= 3
         for rec, paired in zip(recs, image_to_texts):
             assert texts[paired[0]] == rec.short_text
@@ -300,7 +310,8 @@ class TestShortTextGroups:
         recs = generate_synthetic_corpus(0, 16, 2, 8)
         for rec in recs[:2]:
             rec.short_text = ""
-        texts, image_to_texts = ev.short_text_groups(recs)
+        text_cfg, _, vocab = short_model(recs)
+        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
         assert image_to_texts[0] != image_to_texts[1]
         assert [texts[g[0]] for g in image_to_texts[:2]] == [r.long_texts[0] for r in recs[:2]]
 
@@ -431,7 +442,7 @@ class TestShortRetrieval:
                                 projection_dim=8)
         text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
         params = train.build_model(text_cfg, image_cfg, 0)
-        texts, image_to_texts = ev.short_text_groups(recs)
+        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
         _, img, _ = ev.embed_eval_set(recs, params, text_cfg, image_cfg, vocab, "short")
         S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
         # R@1 with one paired text per image: the row's first maximum is that text
@@ -455,7 +466,7 @@ class TestShortRetrieval:
                                 projection_dim=8, use_long_texts=False)
         text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
         params = train.build_model(text_cfg, image_cfg, 0)
-        texts, image_to_texts = ev.short_text_groups(recs)
+        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
         img = image_encoder.embed_images(recs, params, image_cfg)
         S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
         gt = SimpleNamespace(image_to_texts=image_to_texts)     # many images per text
@@ -465,6 +476,26 @@ class TestShortRetrieval:
         assert report.metrics == {f"i2t_r@{k}": oracle_recall(S, gt, k, "i2t") for k in (1, 2)}
         assert report.metrics["i2t_r@1"] == ev.short_retrieval_r1(
             recs, params, text_cfg, image_cfg, vocab)
+
+    def test_captions_that_tokenize_alike_are_one_candidate(self):
+        """Captions apart only in case, or in words out of the vocabulary, have
+        equal features: as two candidates they would tie, and the tie would
+        cost the later one's images R@1 whatever the model."""
+        recs = generate_synthetic_corpus(1, 64, 2, 8)
+        text_cfg, image_cfg, vocab = short_model(recs)
+        params = train.build_model(text_cfg, image_cfg, 0)
+        unknown = [dataclasses.replace(r, short_text=f"a photo of a {word}.")
+                   for r, word in zip(recs[:2], ("zebra", "giraffe"))]
+        plain = [*unknown[:1] * 2, *recs[2:]]
+        alike = [*unknown, *(dataclasses.replace(r, short_text=r.short_text.upper())
+                             if i % 2 else r for i, r in enumerate(recs[2:]))]
+        want = ev.short_text_groups(plain, text_cfg, vocab)[1]
+        assert ev.short_text_groups(alike, text_cfg, vocab)[1] == want
+        assert len(set(r.short_text for r in alike)) > len(set(r.short_text for r in plain))
+        reports = [ev.short_retrieval(rs, params, text_cfg, image_cfg, vocab)
+                   for rs in (plain, alike)]
+        assert reports[0] == reports[1]
+        assert reports[1].n_texts == len({g for [g] in want})
 
     def test_non_finite_image_features_rejected(self):
         recs = generate_synthetic_corpus(0, 8, 2, 8)

@@ -1,6 +1,7 @@
 """tools/output_digests.py runs to completion and prints one digest line per
-output of its seven runs, the resumed run's equal to the uninterrupted
-run's: a refactor's claim of byte-identical outputs rests on this tool."""
+output of its seven training runs, the resumed run's equal to the
+uninterrupted run's, and two for its sweep's tables: a refactor's claim of
+byte-identical outputs rests on this tool."""
 
 import re
 import subprocess
@@ -21,8 +22,9 @@ def test_output_digests_runs_and_resume_matches():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 49 and all(re.fullmatch(r"\S+ [0-9a-f]{16}", x) for x in lines), lines
+    assert len(lines) == 51 and all(re.fullmatch(r"\S+ [0-9a-f]{16}", x) for x in lines), lines
     digests = dict(x.split() for x in lines)
-    assert list(digests) == [f"{r}.{o}" for r in RUNS for o in OUTPUTS]
+    assert list(digests) == [f"{r}.{o}" for r in RUNS for o in OUTPUTS] + [
+        "sweep.rows", "sweep.plot_data_agg"]
     for o in OUTPUTS:
         assert digests[f"resume.{o}"] == digests[f"default.{o}"], o

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import json
+import re
 import shutil
 
 import numpy as np
@@ -132,14 +134,14 @@ class TestRunSweep:
         recs, vocab, base = tiny_setup
         spec = SweepSpec(axis="k_subcaptions", values=[0, 2], base=base, seeds=[0, 1])
         out = str(tmp_path / "sweep")
-        rows = sweep.run_sweep(spec, recs, vocab, out)
-        assert len(rows) == 4
+        rows, failures = sweep.run_sweep(spec, recs, vocab, out)
+        assert len(rows) == 4 and failures == []
         keys = {(r["axis"], int(r["value"]), int(r["seed"])) for r in rows}
         assert keys == {("k_subcaptions", v, s) for v in (0, 2) for s in (0, 1)}
 
         # second invocation skips every completed cell and appends nothing
         before = (tmp_path / "sweep" / "rows.csv").read_text()
-        rows2 = sweep.run_sweep(spec, recs, vocab, out)
+        rows2, _ = sweep.run_sweep(spec, recs, vocab, out)
         after = (tmp_path / "sweep" / "rows.csv").read_text()
         assert before == after
         assert len(rows2) == 4
@@ -171,12 +173,11 @@ class TestRunSweep:
             out.mkdir()
             (out / "rows.csv").write_text(text, newline="")
             shutil.copy(first / sweep.CONFIG_FILE, out)
-            rows = sweep.run_sweep(spec, recs, vocab, str(out))
+            rows, _ = sweep.run_sweep(spec, recs, vocab, str(out))
             assert sorted((r["value"], r["seed"]) for r in rows) == [("0", "0"), ("2", "0")]
             assert all(list(r) == ROW_FIELDS and None not in r.values() for r in rows)
             if i < 2:
                 assert (out / "rows.csv").read_bytes().startswith(done.encode())
-            sweep.emit_plot_data(rows, out / "plot_data.csv")
 
     def test_resume_refuses_a_changed_config(self, tiny_setup, tmp_path):
         recs, vocab, base = tiny_setup
@@ -197,7 +198,7 @@ class TestRunSweep:
         # sets (the seed and the swept setting), resume the same sweep
         per_cell = dataclasses.replace(base, seed=5, m=3)
         spec = SweepSpec(axis="m_corners", values=[2, 0], base=per_cell, seeds=[0, 1])
-        got = sweep.run_sweep(spec, recs, vocab, str(out))
+        got, _ = sweep.run_sweep(spec, recs, vocab, str(out))
         assert [(r["value"], r["seed"]) for r in got] == [("2", "0"), ("2", "1"), ("0", "0"),
                                                           ("0", "1")]
         assert (out / "rows.csv").read_bytes().startswith(rows)
@@ -206,6 +207,31 @@ class TestRunSweep:
         (out / sweep.CONFIG_FILE).unlink()
         with pytest.raises(ValueError, match="no sweep_config.json"):
             sweep.run_sweep(spec, recs, vocab, str(out))
+
+    def test_resume_refuses_another_table(self, tiny_setup, tmp_path, monkeypatch):
+        """Rows under other columns (an older or newer schema) are refused by
+        column name before any cell runs, and rows.csv is left as it was: a
+        resume would write rows of ROW_FIELDS under their header."""
+        recs, vocab, base = tiny_setup
+        spec = SweepSpec(axis="m_corners", values=[0, 2], base=base, seeds=[0])
+        out = tmp_path / "sweep"
+        fake = {name: 0.5 for name in ROW_FIELDS}
+        monkeypatch.setattr(sweep, "run_cell", lambda spec, value, seed, *a: {
+            **fake, "axis": spec.axis, "value": value, "seed": seed})
+        sweep.run_sweep(SweepSpec(axis="m_corners", values=[0], base=base, seeds=[0]),
+                        recs, vocab, str(out))
+        row = next(csv.DictReader((out / "rows.csv").read_text().splitlines()))
+        monkeypatch.setattr(sweep, "run_cell", lambda *a: pytest.fail("a cell ran"))
+        for columns, missing, extra in [
+                ([c for c in ROW_FIELDS if c != "cls_acc@1"], "['cls_acc@1']", "[]"),
+                ([*ROW_FIELDS, "train_macs"], "[]", "['train_macs']"),
+                ([*ROW_FIELDS[3:], *ROW_FIELDS[:3]], "[]", "[]")]:
+            text = ",".join(columns) + "\n" + ",".join(row.get(c, "7") for c in columns) + "\n"
+            (out / "rows.csv").write_text(text)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"missing columns {missing}, extra columns {extra}")):
+                sweep.run_sweep(spec, recs, vocab, str(out))
+            assert (out / "rows.csv").read_text() == text
 
     def test_failed_cells_are_recorded(self, tiny_setup, tmp_path, monkeypatch):
         recs, vocab, base = tiny_setup
@@ -219,54 +245,56 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "run_cell", fail_at_12)
         spec = SweepSpec(axis="token_limit", values=[12, 16], base=base, seeds=[0])
         out = tmp_path / "sweep"
-        rows = sweep.run_sweep(spec, recs, vocab, str(out))
+        recorded = lambda: [json.loads(line)
+                            for line in (out / sweep.FAILURES_FILE).read_text().splitlines()]
+        rows, failures = sweep.run_sweep(spec, recs, vocab, str(out))
         assert [int(r["value"]) for r in rows] == [16]
-        failures = sweep.read_failures(str(out))
         assert [(f["axis"], f["value"], f["seed"]) for f in failures] == [("token_limit", 12, 0)]
         assert "injected failure of the limit-12 cell" in failures[0]["error"]
+        assert recorded() == failures
 
         # a rerun skips the finished cell and retries the failed one
-        rows = sweep.run_sweep(spec, recs, vocab, str(out))
+        rows, failures = sweep.run_sweep(spec, recs, vocab, str(out))
         assert [int(r["value"]) for r in rows] == [16]
-        assert len(sweep.read_failures(str(out))) == 1
+        assert len(failures) == 1 and recorded() == failures
 
         # a run without failures clears the file
         spec_ok = SweepSpec(axis="token_limit", values=[16], base=base, seeds=[0])
-        sweep.run_sweep(spec_ok, recs, vocab, str(out))
-        assert sweep.read_failures(str(out)) == []
+        assert sweep.run_sweep(spec_ok, recs, vocab, str(out))[1] == []
+        assert recorded() == []
 
 
 class TestPlotData:
-    def test_tidy_csv_round_trip_and_aggregates(self, tmp_path):
-        rows = []
+    def test_tidy_csv_round_trip_and_aggregates(self, tiny_setup, tmp_path, monkeypatch):
+        """run_sweep's rows.csv holds each cell's row, and its plot_data_agg.csv
+        the mean and stddev over seeds per value; no other table is written."""
+        recs, vocab, base = tiny_setup
         rng = np.random.default_rng(0)
+        cells = {}
         for value in (0, 2):
             for seed in (0, 1, 2):
-                rows.append({
+                cells[value, seed] = {
                     "axis": "m_corners", "value": value, "seed": seed,
                     "long_i2t_r@1": float(rng.uniform()), "long_i2t_r@5": 1.0,
                     "long_t2i_r@1": 0.5, "long_t2i_r@5": 1.0,
                     "short_r@1": 0.25, "cls_acc@1": 0.75,
                     "flops": 1000, "wall_time_s": 1.5,
-                })
-        path = tmp_path / "plot.csv"
-        sweep.emit_plot_data(rows, path)
-
-        with open(path) as f:
-            comment = f.readline()
-            assert comment.startswith("#")
-            back = list(csv.DictReader(f))
+                }
+        monkeypatch.setattr(sweep, "run_cell", lambda spec, value, seed, *a: cells[value, seed])
+        spec = SweepSpec(axis="m_corners", values=[0, 2], base=base, seeds=[0, 1, 2])
+        back, _ = sweep.run_sweep(spec, recs, vocab, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "failures.jsonl", "plot_data_agg.csv", "rows.csv", "sweep_config.json"]
         assert len(back) == 6
-        for got, want in zip(back, rows):
+        for got, want in zip(back, cells.values()):
             assert float(got["long_i2t_r@1"]) == pytest.approx(want["long_i2t_r@1"])
 
-        with open(tmp_path / "plot_agg.csv") as f:
-            f.readline()
+        with open(tmp_path / "plot_data_agg.csv") as f:
+            assert f.readline().startswith("#")
             agg = list(csv.DictReader(f))
         assert len(agg) == 2
         for a in agg:
             assert int(a["n_seeds"]) == 3
-            grp = [r for r in rows if r["value"] == int(a["value"])]
-            xs = [r["long_i2t_r@1"] for r in grp]
+            xs = [r["long_i2t_r@1"] for r in cells.values() if r["value"] == int(a["value"])]
             assert float(a["long_i2t_r@1_mean"]) == pytest.approx(np.mean(xs))
             assert float(a["long_i2t_r@1_std"]) == pytest.approx(np.std(xs))

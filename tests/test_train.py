@@ -451,7 +451,7 @@ class TestDistinctCaptions:
         """Random small-alphabet batches, so rows repeat often."""
         rows = arrays(np.int64, (batch_size, length), elements=st.integers(0, 2))
         ids, roles = data.draw(rows), data.draw(rows)
-        u_ids, u_roles, index = train._distinct_rows(ids, roles)
+        u_ids, u_roles, index = text_encoder.distinct_rows(ids, roles)
         np.testing.assert_array_equal(u_ids[index], ids)
         np.testing.assert_array_equal(u_roles[index], roles)
         assert n_distinct(u_ids, u_roles) == len(u_ids)
@@ -460,7 +460,7 @@ class TestDistinctCaptions:
         assert (np.diff(np.maximum.accumulate(index)) <= 1).all()
         # rows made distinct by a leading row number come back as they are
         numbered = np.concatenate([np.arange(batch_size)[:, None], ids], axis=1)
-        u_ids, u_roles, index = train._distinct_rows(numbered, roles)
+        u_ids, u_roles, index = text_encoder.distinct_rows(numbered, roles)
         np.testing.assert_array_equal(index, np.arange(batch_size))
         assert u_ids.tobytes() == numbered.tobytes() and u_roles.tobytes() == roles.tobytes()
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""sha256 prefixes of the outputs of six fixed training runs and one resume,
-or their numbers, to compare two trees exactly or to the last bits.
+"""sha256 prefixes of the outputs of six fixed training runs, one resume and
+one sweep, or their numbers, to compare two trees exactly or to the last bits.
 
     python3 tools/output_digests.py > digests.txt
     python3 tools/output_digests.py --dump DIR
@@ -23,7 +23,11 @@ to the meta alone shows as its meta lines alone. Runs:
 - vit and vit_frozen: 15 steps of the ViT tower on .npy pixels, trained
   and frozen;
 - eval_long: 5 steps of the default config, evaluated on the benchmark's
-  eval_long corpus, `generate_synthetic_corpus(1 + 1_000_003, 4096, 4, 16)`.
+  eval_long corpus, `generate_synthetic_corpus(1 + 1_000_003, 4096, 4, 16)`;
+- sweep: `cornerclip sweep --axis m_corners --values 0,2 --seeds 1 --steps 20`
+  on the same corpus, run through `cli.dispatch` with its stdout discarded;
+  its lines digest rows.csv and plot_data_agg.csv without their wall_time_s
+  columns, the only ones that vary between runs.
 
 Where a change moves the last bits, digests differ everywhere; then
 `--dump DIR` on one tree writes each output that is numbers (the
@@ -42,7 +46,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
 import struct  # noqa: E402
@@ -54,7 +61,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cornerclip import checkpoint, corpus, evaluation, train  # noqa: E402
+from cornerclip import checkpoint, cli, corpus, evaluation, train  # noqa: E402
 from cornerclip.tokenizer import Vocabulary  # noqa: E402
 
 IMAGE_SHAPE = (32, 32, 3)
@@ -112,6 +119,27 @@ def checkpoint_parts(line, blob: bytes):
     meta = json.dumps(header.pop("meta"), sort_keys=True).encode()
     arrays = json.dumps(header, sort_keys=True).encode() + blob[end:-4]
     return [(f"{line}.arrays", arrays, None), (f"{line}.meta", meta, None)]
+
+
+def sweep_outputs(records, work: Path):
+    """(line, bytes digested, None) of rows.csv and plot_data_agg.csv of a small
+    sweep, each table without its wall_time_s columns."""
+    manifest, out_dir = work / "sweep.jsonl", work / "sweep"
+    corpus.save_manifest(records, str(manifest))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.dispatch(["sweep", "--axis", "m_corners", "--values", "0,2", "--seeds", "1",
+                             "--steps", "20", "--corpus", str(manifest), "--out", str(out_dir)])
+    if code != 0:
+        raise SystemExit(f"the sweep exited {code}")
+    lines = []
+    for name in ("rows", "plot_data_agg"):
+        text = (out_dir / f"{name}.csv").read_text()
+        comments = [line for line in text.splitlines(keepends=True) if line.startswith("#")]
+        table = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+        keep = [i for i, column in enumerate(table[0]) if not column.startswith("wall_time_s")]
+        kept = "".join(",".join(row[i] for i in keep) + "\n" for row in table)
+        lines.append((f"sweep.{name}", ("".join(comments) + kept).encode(), None))
+    return lines
 
 
 def largest_differences(values: np.ndarray, reference: np.ndarray) -> str:
@@ -176,6 +204,7 @@ def main(argv=None):
                 result = train.run_training(recs, vocab, cfg, out_dir=str(resumed),
                                             resume_from=str(resumed / "ckpt_000100.bin"))
                 emit(outputs("resume", recs, result, resumed), args.dump, args.against)
+        emit(sweep_outputs(records, work), args.dump, args.against)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

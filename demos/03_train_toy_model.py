@@ -12,7 +12,6 @@ Run:  python3 demos/03_train_toy_model.py           (about half a minute)
 import numpy as np
 
 from cornerclip import corpus, train
-from cornerclip.tokenizer import Vocabulary
 
 # --- a corpus small enough to learn quickly ----------------------------------
 records = corpus.generate_synthetic_corpus(seed=1, n=32, n_attributes=2,
@@ -24,8 +23,7 @@ stats = corpus.corpus_stats(records)
 print(f"  corpus: {stats.n_images} images, {stats.n_texts} texts, "
       f"{stats.avg_subcaptions_per_text:.2f} sub-captions/text")
 
-texts = [r.short_text for r in records] + [t for r in records for t in r.long_texts]
-vocab = Vocabulary.build(texts)
+vocab = corpus.vocabulary(records)
 print(f"  vocabulary: {len(vocab)} tokens")
 
 # --- train -------------------------------------------------------------------

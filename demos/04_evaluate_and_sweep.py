@@ -16,12 +16,10 @@ import os
 import tempfile
 
 from cornerclip import corpus, evaluation, sweep, train
-from cornerclip.tokenizer import Vocabulary
 
 records = corpus.generate_synthetic_corpus(seed=1, n=32, n_attributes=2,
                                            feature_dim=16)
-texts = [r.short_text for r in records] + [t for r in records for t in r.long_texts]
-vocab = Vocabulary.build(texts)
+vocab = corpus.vocabulary(records)
 
 base = train.TrainConfig(batch_size=16, steps=120, warmup_steps=20, seed=0,
                          limit=24, text_depth=2, text_width=32, text_heads=4,

@@ -128,9 +128,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def detach(self):
-        return Tensor(self.value.copy())
-
 
 def _consumed(g):
     """The backward of a node whose graph was already backpropagated."""

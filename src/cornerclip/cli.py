@@ -224,8 +224,7 @@ def _records(path):
 def _corpus_vocab(path):
     """Manifest records and their vocabulary."""
     records = _records(path)
-    texts = [r.short_text for r in records] + [t for r in records for t in r.long_texts]
-    return records, Vocabulary.build(texts)
+    return records, corpus.vocabulary(records)
 
 
 def _cmd_train(args) -> int:
@@ -246,6 +245,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     records = _records(args.corpus)
+    evaluation.record_classes(records)      # classes it refuses are refused before any embedding
     params, _, meta = ckpt.load_parameters(args.checkpoint)
     text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
     ids, img, txt = evaluation.embed_eval_set(records, params, text_cfg, image_cfg, vocab)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .tokenizer import split_subcaptions, word_tokenize
+from .tokenizer import Vocabulary, split_subcaptions, word_tokenize
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +78,11 @@ class ManifestRecord:
         check(self.short_text or self.long_texts, "needs short_text or long_texts")
         check(self.image_path is not None or self.image_feature is not None,
               "needs image_path or image_feature")
+
+    @property
+    def has_class(self) -> bool:
+        """Whether the record has a class: a label, named by attributes[0]."""
+        return self.label is not None and bool(self.attributes)
 
     @property
     def short_caption(self) -> str:
@@ -140,6 +145,11 @@ def load_manifest(path) -> list[ManifestRecord]:
     if skipped:
         log.warning("skipped %d unreadable manifest records", skipped)
     return records
+
+
+def vocabulary(records) -> Vocabulary:
+    """The vocabulary of a manifest: the words of its records' short and long texts."""
+    return Vocabulary.build(t for r in records for t in (r.short_text, *r.long_texts))
 
 
 @dataclass

@@ -14,12 +14,12 @@ import numpy as np
 
 from . import image_encoder, text_encoder, transformer
 from .autodiff import count_macs
-from .corpus import ManifestRecord
+from .corpus import SHORT_TEMPLATE, ManifestRecord
 from .image_encoder import ImageEncoderConfig
 from .text_encoder import TextEncoderConfig
 from .tokenizer import Vocabulary, tokenize
 
-DEFAULT_TEMPLATES = ["a photo of a {}."]
+DEFAULT_TEMPLATES = [SHORT_TEMPLATE]
 
 
 @dataclass
@@ -202,17 +202,27 @@ def zero_shot_classify(image_feats: np.ndarray, labels: np.ndarray,
 
 
 def classification_task(records: list[ManifestRecord]):
-    """(class_names, labels) for the synthetic salient-attribute task."""
-    label_names: dict[int, str] = {}
+    """(class_names, labels) of the records' classes (`ManifestRecord.has_class`),
+    the labels numbered 0.. in label order. A record without a class is refused,
+    naming what it lacks, and so is a label that two records name differently."""
+    named: dict[int, ManifestRecord] = {}     # per label, its first record
     for rec in records:
-        if rec.label is None or not rec.attributes:
-            raise ValueError(f"record {rec.id} carries no label")
-        label_names[rec.label] = rec.attributes[0]
-    classes = sorted(label_names)
-    remap = {lab: i for i, lab in enumerate(classes)}
-    names = [label_names[lab] for lab in classes]
-    labels = np.array([remap[rec.label] for rec in records])
-    return names, labels
+        if not rec.has_class:
+            raise ValueError(f"record {rec.id} carries " + (
+                "no label" if rec.label is None else
+                f"label {rec.label} but no attributes to name its class (attributes[0])"))
+        first = named.setdefault(rec.label, rec)
+        if first.attributes[0] != rec.attributes[0]:
+            raise ValueError(f"records {first.id} and {rec.id} both carry label {rec.label} "
+                             f"but name it {first.attributes[0]!r} and {rec.attributes[0]!r}")
+    classes = sorted(named)
+    return ([named[lab].attributes[0] for lab in classes],
+            np.searchsorted(classes, [rec.label for rec in records]))
+
+
+def record_classes(records: list[ManifestRecord]):
+    """`classification_task(records)`, or None when no record has a class."""
+    return classification_task(records) if any(r.has_class for r in records) else None
 
 
 def short_text_groups(records: list[ManifestRecord], text_cfg: TextEncoderConfig,
@@ -258,9 +268,11 @@ def evaluate(records: list[ManifestRecord], params: dict, text_cfg: TextEncoderC
              text_feats: np.ndarray | None = None) -> dict:
     """A model's report on a manifest: long_{i2t,t2i}_r@{1,5} over the records'
     long_full texts, short_r@{1,5} image to text over the distinct short captions,
-    cls_acc@1 of the prompt prototypes when the records carry labels, and the counts
+    cls_acc@1 of the prompt prototypes when a record has a class, and the counts
     n_images, n_texts, n_short_texts. Given image_feats (a frozen run's), or both
-    long_full arrays of `embed_eval_set`, those are not embedded again."""
+    long_full arrays of `embed_eval_set`, those are not embedded again. Classes
+    that `record_classes` refuses are refused before anything is embedded."""
+    classes = record_classes(records)
     if text_feats is None:
         _, image_feats, text_feats = embed_eval_set(records, params, text_cfg, image_cfg,
                                                     vocab, "long_full", image_feats)
@@ -270,8 +282,8 @@ def evaluate(records: list[ManifestRecord], params: dict, text_cfg: TextEncoderC
     report = {"n_images": long.n_images, "n_texts": long.n_texts, "n_short_texts": short.n_texts,
               **{f"long_{k}": v for k, v in long.metrics.items()},
               **{k.replace("i2t", "short"): v for k, v in short.metrics.items()}}
-    if all(rec.label is not None for rec in records):
-        names, labels = classification_task(records)
+    if classes is not None:
+        names, labels = classes
         protos = class_prototypes(names, DEFAULT_TEMPLATES, params, text_cfg, vocab)
         report["cls_acc@1"] = zero_shot_classify(image_feats, labels, protos)
     return report

@@ -16,6 +16,7 @@ from .autodiff import Tensor, concat, l2_normalize, linear, matmul, release, tak
 from .settings import check_settings
 
 MODES = ("vit", "precomputed")
+NAMESPACE = "img."      # every parameter of the tower is named NAMESPACE + its name
 
 
 @dataclass
@@ -51,12 +52,12 @@ class ImageEncoderConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
-def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> dict:
+def init_params(config: ImageEncoderConfig, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
 
     def p(name, value):
-        params[f"{prefix}{name}"] = Tensor(value)
+        params[NAMESPACE + name] = Tensor(value)
 
     if config.mode == "precomputed":
         p("proj", rng.normal(0.0, config.input_feature_dim ** -0.5,
@@ -67,7 +68,7 @@ def init_params(config: ImageEncoderConfig, seed: int, prefix: str = "img.") -> 
     p("patch_bias", np.zeros(d))
     p("cls_emb", rng.normal(0.0, 0.02, size=(1, d)))
     p("pos_emb", rng.normal(0.0, 0.02, size=(config.n_patches + 1, d)))
-    transformer.init_tower_params(rng, config, prefix, params)
+    transformer.init_tower_params(rng, config, NAMESPACE, params)
     return params
 
 
@@ -114,8 +115,7 @@ def embed_images(records, params: dict, config: ImageEncoderConfig) -> np.ndarra
         for rows in transformer.embed_chunks(len(records))])
 
 
-def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig,
-                       prefix: str = "img.") -> Tensor:
+def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig) -> Tensor:
     """Batched forward to unit-normalized global features, shape (B, p)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     ndim, shape = ((2, "(batch, input_feature_dim)") if config.mode == "precomputed"
@@ -128,15 +128,15 @@ def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderCon
             raise ValueError(
                 f"feature width {inputs.shape[1]} != input_feature_dim "
                 f"{config.input_feature_dim}")
-        return l2_normalize(matmul(Tensor(inputs), params[f"{prefix}proj"]))
+        return l2_normalize(matmul(Tensor(inputs), params[NAMESPACE + "proj"]))
 
     patches = patchify(inputs, config)
     B = patches.shape[0]
-    proj = linear(patches, params[f"{prefix}patch_emb"], params[f"{prefix}patch_bias"])
-    cls = take_rows(params[f"{prefix}cls_emb"], np.zeros((B, 1), dtype=np.int64))
+    proj = linear(patches, params[NAMESPACE + "patch_emb"], params[NAMESPACE + "patch_bias"])
+    cls = take_rows(params[NAMESPACE + "cls_emb"], np.zeros((B, 1), dtype=np.int64))
     tokens = concat([cls, proj], axis=1)
-    x = tokens + params[f"{prefix}pos_emb"]
+    x = tokens + params[NAMESPACE + "pos_emb"]
     release(proj, cls, tokens)
     L = config.n_patches + 1
-    feats, _ = transformer.tower(x, params, prefix, config, np.zeros((B, 1, L, L)), 1)
+    feats, _ = transformer.tower(x, params, NAMESPACE, config, np.zeros((B, 1, L, L)), 1)
     return feats[:, 0]

@@ -1,5 +1,5 @@
 """Range rules of settings in the one form every refusal takes. It imports
-nothing from the package, so the tokenizer and every config can state their
+nothing from the package, so the tokenizer and every config can check their
 rules here."""
 
 from __future__ import annotations
@@ -11,10 +11,3 @@ def check_settings(config, rules) -> None:
     for name, ok, rule in rules:
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
-
-
-def text_layout_rules(layout) -> list:
-    """The rules of a text layout of `layout.limit` positions with `layout.m`
-    corners: [CLS], the corners and one [SEP] fit."""
-    m = layout.m
-    return [("m", m >= 0, ">= 0"), ("limit", layout.limit >= m + 2, f">= m + 2 ({m + 2})")]

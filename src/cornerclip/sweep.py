@@ -94,7 +94,8 @@ def run_sweep(spec: SweepSpec, records: list[ManifestRecord], vocab: Vocabulary,
     Cells that raise are left out of the rows and written, with their error, to
     failures.jsonl, which each run rewrites; the per-value aggregate of all rows
     goes to plot_data_agg.csv. Every row holds cls_acc@1, so records without a
-    label are refused before any cell runs."""
+    class (`ManifestRecord.has_class`), or a label named two ways, are refused
+    before any cell runs."""
     evaluation.classification_task(records)
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "rows.csv")

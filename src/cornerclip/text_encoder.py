@@ -15,8 +15,11 @@ import numpy as np
 
 from . import masks, transformer
 from .autodiff import Tensor, release, take_rows
-from .settings import check_settings, text_layout_rules
-from .tokenizer import CORNER_ID_BASE, M_MAX, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence
+from .settings import check_settings
+from .tokenizer import (CORNER_ID_BASE, ROLE_CORNER, ROLE_SEP, ROLE_TEXT, TokenSequence,
+                        text_layout_rules)
+
+NAMESPACE = "text."     # every parameter of the tower is named NAMESPACE + its name
 
 
 @dataclass
@@ -32,11 +35,7 @@ class TextEncoderConfig:
     mask_mode: str = "corner"
 
     def __post_init__(self):
-        # the corner-id cap before the layout rules: an m above it is refused as
-        # such whatever the limit
-        check_settings(self, transformer.shape_rules(self)
-                       + [("m", self.m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)")]
-                       + text_layout_rules(self)
+        check_settings(self, transformer.shape_rules(self) + text_layout_rules(self)
                        + [("mask_mode", self.mask_mode in masks.MODES, f"one of {masks.MODES}")])
 
 
@@ -47,8 +46,9 @@ class TextFeatures:
     hidden: np.ndarray | None = None    # (L, d) final-norm states, pre-projection
 
 
-def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> dict:
-    """Seed-deterministic init; corner embedding rows get distinct constant offsets."""
+def init_params(config: TextEncoderConfig, seed: int, prefix: str = NAMESPACE) -> dict:
+    """Seed-deterministic init; corner embedding rows get distinct constant offsets.
+    `prefix` stays only for tests/test_acceptance.py, which passes NAMESPACE."""
     rng = np.random.default_rng(seed)
     d = config.width
     params: dict[str, Tensor] = {}
@@ -64,9 +64,8 @@ def init_params(config: TextEncoderConfig, seed: int, prefix: str = "text.") -> 
 
 
 def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
-                      config: TextEncoderConfig, prefix: str = "text.",
-                      collect_attn: list | None = None, with_hidden: bool = False,
-                      corners: bool = True):
+                      config: TextEncoderConfig, collect_attn: list | None = None,
+                      with_hidden: bool = False, corners: bool = True):
     """Batched forward. Returns (features (B, 1+m, p), hidden (B, L, d) or None)
     Tensors; hidden is given only `with_hidden`.
 
@@ -84,7 +83,7 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         raise ValueError("token id out of vocabulary range")
     if not corners and (with_hidden or collect_attn is not None):
         raise ValueError("corners=False reads neither hidden states nor attention")
-    pos = params[f"{prefix}pos_emb"]
+    pos = params[NAMESPACE + "pos_emb"]
     if not corners and config.mask_mode == "corner" and config.m:
         if np.any(roles[:, 1:config.m + 1] != ROLE_CORNER):
             raise ValueError(f"positions 1..{config.m} must all be corners to drop them")
@@ -96,17 +95,17 @@ def encode_text_graph(ids: np.ndarray, roles: np.ndarray, params: dict,
         pos = pos[:L]
     # (B, 1, L, L) additive attention bias, built for the whole batch at once
     bias = masks.mask_bias(masks.full_mask(roles, config.mask_mode))[:, None, :, :]
-    tokens = take_rows(params[f"{prefix}tok_emb"], ids)
+    tokens = take_rows(params[NAMESPACE + "tok_emb"], ids)
     x = tokens + pos
     release(tokens)
-    feats, hidden = transformer.tower(x, params, prefix, config, bias,
+    feats, hidden = transformer.tower(x, params, NAMESPACE, config, bias,
                                       config.m + 1 if corners else 1, collect_attn, with_hidden)
     return feats, hidden if with_hidden else None
 
 
 def encode_text(seq: TokenSequence, params: dict, config: TextEncoderConfig,
-                prefix: str = "text.", with_hidden: bool = False) -> TextFeatures:
-    feats, hidden = encode_text_graph(seq.ids, seq.roles, params, config, prefix,
+                with_hidden: bool = False) -> TextFeatures:
+    feats, hidden = encode_text_graph(seq.ids, seq.roles, params, config,
                                       with_hidden=with_hidden)
     f = feats.value[0]
     return TextFeatures(

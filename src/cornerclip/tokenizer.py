@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .settings import check_settings, text_layout_rules
+from .settings import check_settings
 
 # Per-position role tags.
 ROLE_CLS = 0
@@ -26,6 +26,8 @@ ROLE_PAD = 4
 # Reserved token ids; corner i < M_MAX has id CORNER_ID_BASE + i.
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 CORNER_ID_BASE, M_MAX = 4, 8
+_RESERVED = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID,
+             **{f"[COR_{i + 1}]": CORNER_ID_BASE + i for i in range(M_MAX)}}
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SUBCAPTION_RE = re.compile(r"[^.]*\.|[^.]+$")
@@ -55,18 +57,23 @@ def sample_consecutive(subcaps: list[str], k: int, rng: np.random.Generator) -> 
     return " ".join(subcaps[start:start + k])
 
 
+def text_layout_rules(layout) -> list:
+    """The rules of a text layout of `layout.limit` positions with `layout.m`
+    corners: each corner has a reserved id, and [CLS], the corners and one [SEP]
+    fit. The cap comes first, so an m above it is refused as such whatever the limit."""
+    m = layout.m
+    return [("m", m <= M_MAX, f"<= {M_MAX} (the reserved corner ids)"), ("m", m >= 0, ">= 0"),
+            ("limit", layout.limit >= m + 2, f">= m + 2 ({m + 2})")]
+
+
 @dataclass
 class Vocabulary:
     """Token-to-id map: the reserved ids PAD_ID, UNK_ID, CLS_ID, SEP_ID and
-    CORNER_ID_BASE + i for corner i < m_max, then the words in sorted order."""
+    CORNER_ID_BASE + i for corner i < M_MAX, then the words in sorted order."""
 
-    m_max: int = M_MAX
-    token_to_id: dict[str, int] = field(default_factory=dict)
+    token_to_id: dict[str, int] = field(default_factory=lambda: dict(_RESERVED))
 
     def __post_init__(self):
-        if not self.token_to_id:
-            self.token_to_id = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID,
-                                **{f"[COR_{i + 1}]": CORNER_ID_BASE + i for i in range(self.m_max)}}
         self._id_to_token = {v: k for k, v in self.token_to_id.items()}
 
     def __len__(self) -> int:
@@ -81,7 +88,7 @@ class Vocabulary:
     @classmethod
     def build(cls, texts) -> "Vocabulary":
         """Build a vocabulary from an iterable of texts (sorted word order)."""
-        table = cls().token_to_id
+        table = dict(_RESERVED)
         for w in sorted({w for text in texts for w in word_tokenize(text)}):
             table[w] = len(table)
         return cls(token_to_id=table)
@@ -104,8 +111,6 @@ def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
     """Produce [CLS], COR_1..COR_m, words + [SEP] per sub-caption, pad to limit."""
     layout = SimpleNamespace(limit=limit, m=m)
     check_settings(layout, text_layout_rules(layout))
-    if m > vocab.m_max:
-        raise ValueError(f"m={m} exceeds vocabulary m_max={vocab.m_max}")
     ids = [CLS_ID] + [CORNER_ID_BASE + i for i in range(m)]
     roles = [ROLE_CLS] + [ROLE_CORNER] * m
     for sub in split_subcaptions(text):

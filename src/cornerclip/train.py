@@ -91,9 +91,9 @@ def make_configs(vocab: Vocabulary, cfg: TrainConfig, feature_dim: int):
 
 def build_model(text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                 seed: int, tau_init: float = 0.07):
-    """Flat parameter dict: text.*, img.* and the objective's obj.s."""
-    params = text_encoder.init_params(text_cfg, seed, prefix="text.")
-    params.update(image_encoder.init_params(image_cfg, seed + 1, prefix="img."))
+    """Flat parameter dict: each tower's under its NAMESPACE, and the objective's obj.s."""
+    params = text_encoder.init_params(text_cfg, seed)
+    params.update(image_encoder.init_params(image_cfg, seed + 1))
     params["obj.s"] = objective.initial_log_scale(tau_init)
     return params
 
@@ -191,7 +191,8 @@ def compute_loss(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
 
 
 def trainable_names(params: dict, cfg: TrainConfig) -> list[str]:
-    return [n for n in sorted(params) if not (cfg.freeze_image and n.startswith("img."))]
+    return [n for n in sorted(params)
+            if not (cfg.freeze_image and n.startswith(image_encoder.NAMESPACE))]
 
 
 def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
@@ -333,7 +334,7 @@ def checkpoint_meta(cfg: TrainConfig, text_cfg: TextEncoderConfig,
                          if k not in TEXT_SHAPE and k not in IMAGE_SHAPE},
         "text_config": dataclasses.asdict(text_cfg),
         "image_config": dataclasses.asdict(image_cfg),
-        "vocab": {"token_to_id": vocab.token_to_id},    # m_max is its [COR_k] entries
+        "vocab": {"token_to_id": vocab.token_to_id},
     }
 
 
@@ -370,10 +371,9 @@ def check_resume_meta(stored: dict, expected: dict) -> None:
 
 
 def vocab_from_meta(meta: dict) -> Vocabulary:
-    """The checkpoint's vocabulary; m_max is the count of its [COR_k] tokens (an
-    older meta's own `m_max` beside them is not read)."""
-    table = dict(meta["vocab"]["token_to_id"])
-    return Vocabulary(m_max=sum(t.startswith("[COR_") for t in table), token_to_id=table)
+    """The checkpoint's vocabulary, its token table (an older meta's `m_max` beside
+    it is not read: the model's m was checked against this table when it trained)."""
+    return Vocabulary(token_to_id=dict(meta["vocab"]["token_to_id"]))
 
 
 def model_from_meta(meta: dict):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from cornerclip import autodiff as ad
-from cornerclip import masks, objective, train
+from cornerclip import corpus, masks, objective, train
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import generate_synthetic_corpus
-from cornerclip.tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT, Vocabulary
+from cornerclip.tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT
 
 
 def fd_grad(f, x, h=1e-6):
@@ -65,7 +65,7 @@ def test_broadcast_add_mul_gradients():
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
     out = (a * b + b).sum()
     out.backward()
-    fd_b = fd_grad(lambda v: float(((a.detach() * Tensor(v) + Tensor(v)).sum()).value),
+    fd_b = fd_grad(lambda v: float(((Tensor(a.value.copy()) * Tensor(v) + Tensor(v)).sum()).value),
                    b.value)
     np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
     np.testing.assert_allclose(a.grad, np.broadcast_to(b.value, a.shape), atol=1e-12)
@@ -76,8 +76,8 @@ def test_matmul_gradients_batched():
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     (a @ b).sum().backward()
-    fd_a = fd_grad(lambda v: float((Tensor(v) @ b.detach()).sum().value), a.value)
-    fd_b = fd_grad(lambda v: float((a.detach() @ Tensor(v)).sum().value), b.value)
+    fd_a = fd_grad(lambda v: float((Tensor(v) @ Tensor(b.value.copy())).sum().value), a.value)
+    fd_b = fd_grad(lambda v: float((Tensor(a.value.copy()) @ Tensor(v)).sum().value), b.value)
     np.testing.assert_allclose(a.grad, fd_a, atol=1e-6)
     np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
 
@@ -139,7 +139,8 @@ def test_layer_norm_gradient():
     g = Tensor(rng.normal(size=6), requires_grad=True)
     b = Tensor(rng.normal(size=6), requires_grad=True)
     (ad.layer_norm(x, g, b) * np.arange(6.0)).sum().backward()
-    fd = fd_grad(lambda v: float((ad.layer_norm(Tensor(v), g.detach(), b.detach())
+    fd = fd_grad(lambda v: float((ad.layer_norm(Tensor(v), Tensor(g.value.copy()),
+                                                Tensor(b.value.copy()))
                                   * np.arange(6.0)).sum().value), x.value)
     np.testing.assert_allclose(x.grad, fd, atol=1e-5)
 
@@ -184,8 +185,10 @@ def test_matmul_dense_weight_gradients(shape):
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     coef = rng.normal(size=shape[:-1] + (5,))
     (a @ w * coef).sum().backward()
-    fd_a = fd_grad(lambda v: float((Tensor(v) @ w.detach() * coef).sum().value), a.value)
-    fd_w = fd_grad(lambda v: float((a.detach() @ Tensor(v) * coef).sum().value), w.value)
+    fd_a = fd_grad(lambda v: float((Tensor(v) @ Tensor(w.value.copy()) * coef).sum().value),
+                   a.value)
+    fd_w = fd_grad(lambda v: float((Tensor(a.value.copy()) @ Tensor(v) * coef).sum().value),
+                   w.value)
     np.testing.assert_allclose(a.grad, fd_a, atol=1e-6)
     np.testing.assert_allclose(w.grad, fd_w, atol=1e-6)
     np.testing.assert_allclose((a @ w).value, np.einsum("...k,kn->...n", a.value, w.value),
@@ -227,8 +230,8 @@ def test_unbroadcast_multi_axis():
     b = Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
     coef = rng.normal(size=(2, 3, 4, 5))
     ((a * b + b) * coef).sum().backward()
-    fd_b = fd_grad(lambda v: float(((a.detach() * Tensor(v) + Tensor(v)) * coef).sum().value),
-                   b.value)
+    fd_b = fd_grad(lambda v: float(((Tensor(a.value.copy()) * Tensor(v) + Tensor(v)) * coef)
+                                   .sum().value), b.value)
     np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
 
 
@@ -298,8 +301,7 @@ def step_graph():
     """A default-config model on a 64-record corpus, and a function that builds
     its step-1 loss graph with every parameter requiring a gradient."""
     recs = generate_synthetic_corpus(1, 64, 4, 16)
-    vocab = Vocabulary.build([r.short_text for r in recs]
-                             + [t for r in recs for t in r.long_texts])
+    vocab = corpus.vocabulary(recs)
     cfg = train.TrainConfig(seed=1)
     text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
     params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
@@ -776,8 +778,7 @@ def _vit_setup(tmp_path, freeze_image):
         r.image_path = str(tmp_path / f"{r.id}.npy")
         np.save(r.image_path, rng.normal(size=(32, 32, 3)))
         r.image_feature = None
-    vocab = Vocabulary.build([r.short_text for r in recs]
-                             + [t for r in recs for t in r.long_texts])
+    vocab = corpus.vocabulary(recs)
     cfg = train.TrainConfig(batch_size=4, steps=1, warmup_steps=1, seed=0, limit=16,
                             text_depth=1, text_width=16, text_heads=2, projection_dim=8,
                             k_subcaptions=2, image_mode="vit", freeze_image=freeze_image)

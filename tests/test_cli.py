@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from cornerclip import checkpoint as ckpt
-from cornerclip import cli, evaluation, sweep, text_encoder
+from cornerclip import cli, corpus, evaluation, sweep, text_encoder
 from cornerclip import train as train_mod
 from cornerclip.train import AdamState
 
@@ -15,6 +16,17 @@ def run(capsys, *argv):
     code = cli.dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SMALL = ("--batch-size", "4", "--limit", "16", "--text-depth", "1", "--text-width", "16",
+         "--text-heads", "2", "--projection-dim", "8")
+
+
+def trained(capsys, corpus, out_dir, *flags):
+    """The final checkpoint of a SMALL run, with `flags` over it, on `corpus`."""
+    assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir), *SMALL,
+               *flags)[0] == 0
+    return f"{out_dir}/ckpt_final.bin"
 
 
 @pytest.fixture()
@@ -112,7 +124,8 @@ class TestMaskCommand:
 @pytest.mark.parametrize("argv,message", [
     (["tokenize", "--text", "a b c", "--corners", "-1"], "m must be >= 0, got -1"),
     (["tokenize", "--text", "a b c", "--limit", "2"], "limit must be >= m + 2 (4), got 2"),
-    (["tokenize", "--text", "a b c", "--corners", "9"], "m=9 exceeds vocabulary m_max=8"),
+    (["tokenize", "--text", "a b c", "--corners", "9"],
+     "m must be <= 8 (the reserved corner ids), got 9"),
     (["flops", "--limit", "16", "--heads", "0"], "heads must be >= 1, got 0"),
     (["flops", "--limit", "16", "--dim", "30", "--heads", "4"],
      "width must be divisible by heads"),
@@ -148,12 +161,8 @@ class TestFlopsCommand:
 class TestTrainEvalCommands:
     def test_train_then_eval_and_inspect(self, manifest, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
-        code, out, _ = run(capsys, "train", "--corpus", manifest,
-                           "--out-dir", out_dir, "--steps", "2",
-                           "--batch-size", "4", "--warmup-steps", "1",
-                           "--limit", "16", "--text-depth", "1",
-                           "--text-width", "16", "--text-heads", "2",
-                           "--projection-dim", "8", "--json")
+        code, out, _ = run(capsys, "train", "--corpus", manifest, "--out-dir", out_dir,
+                           "--steps", "2", "--warmup-steps", "1", *SMALL, "--json")
         assert code == 0
         assert json.loads(out)["steps"] == 2
 
@@ -171,13 +180,7 @@ class TestTrainEvalCommands:
 
     def test_eval_of_an_older_format_checkpoint_names_the_field(self, manifest, tmp_path,
                                                                 capsys):
-        out_dir = str(tmp_path / "run")
-        code, _, _ = run(capsys, "train", "--corpus", manifest, "--out-dir", out_dir,
-                         "--steps", "1", "--batch-size", "4", "--limit", "16",
-                         "--text-depth", "1", "--text-width", "16", "--text-heads", "2",
-                         "--projection-dim", "8")
-        assert code == 0
-        path = f"{out_dir}/ckpt_final.bin"
+        path = trained(capsys, manifest, tmp_path / "run", "--steps", "1")
         params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
         # the earlier layout: m and mask_mode also at the top level, and two
         # image_config fields that ImageEncoderConfig no longer has
@@ -191,8 +194,33 @@ class TestTrainEvalCommands:
                 "that the current format does not store there: the checkpoint predates the "
                 "current format" in err)
 
-    SMALL = ("--batch-size", "4", "--limit", "16", "--text-depth", "1", "--text-width", "16",
-             "--text-heads", "2", "--projection-dim", "8")
+    def test_labels_without_names_have_no_class(self, tmp_path, capsys, monkeypatch):
+        """generate_synthetic_corpus(1, 64, 4, 16) without attributes: its labels
+        name no class, so eval reports no cls_acc@1, and the sweep, whose rows
+        hold it, refuses the records before a cell runs, saying what they lack.
+        A label named two ways is refused by eval, with or without an export,
+        before anything is embedded."""
+        records = [dataclasses.replace(r, attributes=None)
+                   for r in corpus.generate_synthetic_corpus(1, 64, 4, 16)]
+        manifest, sweep_dir = str(tmp_path / "m.jsonl"), str(tmp_path / "sweep")
+        corpus.save_manifest(records, manifest)
+        path = trained(capsys, manifest, tmp_path / "run", "--steps", "1")
+        code, out, _ = run(capsys, "eval", "--json", "--corpus", manifest, "--checkpoint", path)
+        assert code == 0 and "cls_acc@1" not in json.loads(out)
+        code, _, err = run(capsys, "sweep", "--axis", "m_corners", "--values", "2", "--seeds",
+                           "1", "--corpus", manifest, "--out", sweep_dir, *SMALL)
+        assert code == 2 and not (tmp_path / "sweep").exists()
+        assert (f"error: record {records[0].id} carries label {records[0].label} but no "
+                "attributes to name its class (attributes[0])") in err
+
+        records[:2] = [dataclasses.replace(r, label=0, attributes=[name])
+                       for r, name in zip(records, ("woven", "striped"))]
+        corpus.save_manifest(records, manifest)
+        monkeypatch.setattr(evaluation, "embed_eval_set", lambda *a, **kw: 1 / 0)
+        for export in ((), ("--export-embeddings", str(tmp_path / "emb.npz"))):
+            code, _, err = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path, *export)
+            assert code == 2 and (f"records {records[0].id} and {records[1].id} both carry "
+                                  "label 0 but name it 'woven' and 'striped'") in err
 
     def test_short_eval_ranks_each_distinct_caption_once(self, tmp_path, capsys):
         """Records share short captions: eval's short_r@k ranks the distinct ones,
@@ -200,10 +228,7 @@ class TestTrainEvalCommands:
         corpus = str(tmp_path / "corpus.jsonl")
         assert run(capsys, "gen-corpus", "--seed", "1", "--n", "16", "--attributes", "2",
                    "--pool-size", "3", "--feature-dim", "8", "--out", corpus)[0] == 0
-        out_dir = tmp_path / "run"
-        assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir),
-                   "--steps", "2", *self.SMALL)[0] == 0
-        path = str(out_dir / "ckpt_final.bin")
+        path = trained(capsys, corpus, tmp_path / "run", "--steps", "2")
         code, out, _ = run(capsys, "eval", "--corpus", corpus, "--checkpoint", path, "--json")
         assert code == 0
         report = json.loads(out)
@@ -225,9 +250,7 @@ class TestTrainEvalCommands:
         corpus = str(tmp_path / "corpus.jsonl")
         assert run(capsys, "gen-corpus", "--seed", "1", "--n", "64", "--attributes", "2",
                    "--pool-size", "3", "--feature-dim", "8", "--out", corpus)[0] == 0
-        out_dir = tmp_path / "run"
-        assert run(capsys, "train", "--corpus", corpus, "--out-dir", str(out_dir),
-                   "--steps", "1", *self.SMALL)[0] == 0
+        path = trained(capsys, corpus, tmp_path / "run", "--steps", "1")
         records = cli._records(corpus)
         captions = [r.short_caption for r in records]
         assert len(set(captions)) < 64
@@ -238,7 +261,6 @@ class TestTrainEvalCommands:
             return embed_texts(texts, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "embed_texts", recording)
-        path = str(out_dir / "ckpt_final.bin")
         argv = ("eval", "--corpus", corpus, "--checkpoint", path)
         code, report, _ = run(capsys, *argv)
         assert code == 0 and captions not in encoded
@@ -263,11 +285,8 @@ class TestTrainEvalCommands:
     def test_eval_and_the_sweep_report_through_one_path(self, manifest, tmp_path, capsys):
         """For one trained model, eval prints evaluation.evaluate's report, and a
         sweep cell of the same config and seed holds the same metrics bit for bit."""
-        flags = ("--steps", "2", "--seed", "0", *self.SMALL)
-        out_dir = tmp_path / "run"
-        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
-                   *flags)[0] == 0
-        path = str(out_dir / "ckpt_final.bin")
+        flags = ("--steps", "2", "--seed", "0")
+        path = trained(capsys, manifest, tmp_path / "run", *flags)
         code, out, _ = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path,
                            "--json")
         assert code == 0
@@ -277,20 +296,17 @@ class TestTrainEvalCommands:
         assert report == evaluation.evaluate(records, params, *train_mod.model_from_meta(meta))
 
         cfg = cli.resolve_train_config(cli.build_parser().parse_args(
-            ["train", "--corpus", manifest, "--out-dir", "u", *flags]))
+            ["train", "--corpus", manifest, "--out-dir", "u", *flags, *SMALL]))
         spec = sweep.SweepSpec(axis="m_corners", values=[cfg.m], base=cfg, seeds=[cfg.seed])
         row = sweep.run_cell(spec, cfg.m, cfg.seed, records, vocab)
         assert [np.float64(report[k]).tobytes() for k in sweep.METRIC_FIELDS] == \
             [np.float64(row[k]).tobytes() for k in sweep.METRIC_FIELDS]
 
     def test_a_checkpoint_that_stores_m_max(self, manifest, tmp_path, capsys):
-        """The layout whose vocab section also stored m_max, which its [COR_k]
-        entries already say: eval and inspect read it as they read the current
-        one, and a resume refuses it as older than the current format."""
-        out_dir = tmp_path / "run"
-        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
-                   "--steps", "2", *self.SMALL)[0] == 0
-        path = out_dir / "ckpt_final.bin"
+        """The layout whose vocab section also stored m_max, beside the token
+        table that is read alone: eval and inspect read it as they read the
+        current one, and a resume refuses it as older than the current format."""
+        path = trained(capsys, manifest, tmp_path / "run", "--steps", "2")
         params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
         assert meta["vocab"] == {"token_to_id": meta["vocab"]["token_to_id"]}
         old = tmp_path / "old.bin"
@@ -304,7 +320,7 @@ class TestTrainEvalCommands:
 
         records, vocab = cli._corpus_vocab(manifest)
         args = cli.build_parser().parse_args(["train", "--corpus", manifest, "--out-dir", "u",
-                                              "--steps", "4", *self.SMALL])
+                                              "--steps", "4", *SMALL])
         with pytest.raises(ckpt.CheckpointError, match=(
                 r"^checkpoint vocab has fields \['m_max'\] that the current format does "
                 r"not store there: the checkpoint predates the current format$")):
@@ -315,10 +331,7 @@ class TestTrainEvalCommands:
         """The layout that also stored the eight shape fields in train_config:
         eval reads it as it reads the current one, inspect shows its sections
         as stored, and a resume refuses it as older than the current format."""
-        out_dir = tmp_path / "run"
-        assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
-                   "--steps", "2", *self.SMALL)[0] == 0
-        path = out_dir / "ckpt_final.bin"
+        path = trained(capsys, manifest, tmp_path / "run", "--steps", "2")
         params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
         text, image = meta["text_config"], meta["image_config"]
         assert "m" not in meta["train_config"] and text["m"] == 2
@@ -344,7 +357,7 @@ class TestTrainEvalCommands:
 
         records, vocab = cli._corpus_vocab(manifest)
         args = cli.build_parser().parse_args(["train", "--corpus", manifest, "--out-dir", "u",
-                                              "--steps", "4", *self.SMALL])
+                                              "--steps", "4", *SMALL])
         with pytest.raises(ckpt.CheckpointError, match=(
                 r"^checkpoint train_config has fields \['image_mode', 'limit', 'm', "
                 r"'mask_mode', 'projection_dim', 'text_depth', 'text_heads', 'text_width'\] "
@@ -360,12 +373,12 @@ class TestTrainEvalCommands:
         nothing written."""
         out_dir = tmp_path / "run"
         assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
-                   "--steps", "6", "--checkpoint-every", "2", *self.SMALL)[0] == 0
+                   "--steps", "6", "--checkpoint-every", "2", *SMALL)[0] == 0
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         assert sorted(before) == ["ckpt_000002.bin", "ckpt_000004.bin", "ckpt_000006.bin",
                                   "ckpt_final.bin", "metrics.jsonl"]
         code, out, err = run(capsys, "train", "--corpus", manifest, "--out-dir", str(out_dir),
-                             "--steps", "3", "--lr", "0.01", *self.SMALL)
+                             "--steps", "3", "--lr", "0.01", *SMALL)
         assert code == 1 and out == ""
         assert f"usage error: --out-dir {out_dir} already holds a run" in err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
@@ -376,7 +389,7 @@ class TestTrainEvalCommands:
             used.mkdir()
             (used / name).write_text("")
             assert run(capsys, "train", "--corpus", manifest, "--out-dir", str(used),
-                       "--steps", "1", *self.SMALL)[0] == code, name
+                       "--steps", "1", *SMALL)[0] == code, name
 
     def test_feature_width_mismatch_names_the_record(self, tmp_path, capsys):
         def manifest(name, widths):
@@ -387,17 +400,14 @@ class TestTrainEvalCommands:
             return str(path)
 
         mixed = manifest("mixed.jsonl", [("a", 1), ("b", 2)])
-        small = ["--steps", "1", "--batch-size", "2", "--limit", "16", "--text-depth", "1",
-                 "--text-width", "16", "--text-heads", "2", "--projection-dim", "8"]
+        small = ("--steps", "1", "--batch-size", "2")
         message = "record b: image_feature has 2 values, expected 1"
         code, _, err = run(capsys, "train", "--corpus", mixed,
-                           "--out-dir", str(tmp_path / "x"), *small)
+                           "--out-dir", str(tmp_path / "x"), *SMALL, *small)
         assert code == 2 and message in err
         narrow = manifest("narrow.jsonl", [("a", 1), ("c", 1)])
-        out_dir = str(tmp_path / "run")
-        assert run(capsys, "train", "--corpus", narrow, "--out-dir", out_dir, *small)[0] == 0
-        code, _, err = run(capsys, "eval", "--corpus", mixed,
-                           "--checkpoint", f"{out_dir}/ckpt_final.bin")
+        path = trained(capsys, narrow, tmp_path / "run", *small)
+        code, _, err = run(capsys, "eval", "--corpus", mixed, "--checkpoint", path)
         assert code == 2 and message in err
 
     def test_first_record_without_feature_names_the_record(self, tmp_path, capsys):
@@ -428,15 +438,10 @@ class TestTrainEvalCommands:
         assert str(path) in err and "no usable records" in err
 
     def test_eval_all_lines_skipped_is_runtime_error(self, manifest, tmp_path, capsys):
-        out_dir = str(tmp_path / "run")
-        assert run(capsys, "train", "--corpus", manifest, "--out-dir", out_dir,
-                   "--steps", "1", "--batch-size", "4", "--limit", "16",
-                   "--text-depth", "1", "--text-width", "16", "--text-heads", "2",
-                   "--projection-dim", "8")[0] == 0
+        ckpt_path = trained(capsys, manifest, tmp_path / "run", "--steps", "1")
         path = tmp_path / "unreadable.jsonl"
         path.write_text('not json\n{"id": "r0"}\n')
-        code, _, err = run(capsys, "eval", "--corpus", str(path),
-                           "--checkpoint", f"{out_dir}/ckpt_final.bin")
+        code, _, err = run(capsys, "eval", "--corpus", str(path), "--checkpoint", ckpt_path)
         assert code == 2
         assert f"error: manifest {path} has no usable records" in err
 
@@ -529,11 +534,7 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--axis", "m_corners",
                            "--values", "0,2", "--seeds", "1",
                            "--corpus", manifest, "--out", out_dir,
-                           "--steps", "2", "--batch-size", "4",
-                           "--warmup-steps", "1", "--limit", "16",
-                           "--text-depth", "1", "--text-width", "16",
-                           "--text-heads", "2", "--projection-dim", "8",
-                           "--json")
+                           "--steps", "2", "--warmup-steps", "1", *SMALL, "--json")
         assert code == 0
         assert json.loads(out)["cells"] == 2
         assert (tmp_path / "sweep" / "rows.csv").exists()
@@ -553,10 +554,7 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", "--axis", "token_limit",
                              "--values", "12,16", "--seeds", "1",
                              "--corpus", manifest, "--out", str(out_dir),
-                             "--steps", "2", "--batch-size", "4",
-                             "--warmup-steps", "1", "--text-depth", "1",
-                             "--text-width", "16", "--text-heads", "2",
-                             "--projection-dim", "8", "--json")
+                             "--steps", "2", "--warmup-steps", "1", *SMALL, "--json")
         assert code == 2
         assert json.loads(out) == {"cells": 1, "failed": 1, "out_dir": str(out_dir)}
         assert "1 of 2 sweep cells failed" in err
@@ -569,9 +567,7 @@ class TestSweepCommand:
     def test_resume_with_a_changed_config_exits_2(self, manifest, tmp_path, capsys):
         out_dir = str(tmp_path / "sweep")
         argv = ["sweep", "--axis", "m_corners", "--values", "2", "--seeds", "1",
-                "--corpus", manifest, "--out", out_dir, "--batch-size", "4",
-                "--warmup-steps", "1", "--limit", "16", "--text-depth", "1",
-                "--text-width", "16", "--text-heads", "2", "--projection-dim", "8"]
+                "--corpus", manifest, "--out", out_dir, "--warmup-steps", "1", *SMALL]
         assert run(capsys, *argv, "--steps", "2")[0] == 0
         code, _, err = run(capsys, *argv, "--steps", "3", "--lr", "5e-3", "--values", "1,2")
         assert code == 2
@@ -600,9 +596,7 @@ class TestSweepCommand:
         out_dir = tmp_path / "sweep"
         code, _, err = run(capsys, "sweep", "--axis", axis, "--values", values,
                            "--seeds", seeds, "--corpus", manifest, "--out", str(out_dir),
-                           "--steps", "1", "--batch-size", "4", "--warmup-steps", "1",
-                           "--limit", "16", "--text-depth", "1", "--text-width", "16",
-                           "--text-heads", "2", "--projection-dim", "8")
+                           "--steps", "1", "--warmup-steps", "1", *SMALL)
         assert code == 1
         assert f"usage error: {message}" in err
         assert not out_dir.exists()

@@ -1,7 +1,9 @@
 """Manifest I/O, corpus statistics, and the synthetic generator."""
 
+import ast
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,3 +200,19 @@ class TestSyntheticCorpus:
         for feature_dim in (0, -3):
             with pytest.raises(ValueError, match=f"feature_dim must be >= 1, got {feature_dim}"):
                 generate_synthetic_corpus(0, 4, 2, feature_dim)
+
+
+class TestVocabulary:
+    def test_the_benchmark_builds_the_same_vocabulary(self):
+        """perfbench/run.py keeps its own copy of the rule: its `vocab_for`, read from
+        the source, gives corpus.vocabulary's table on both seed-1 benchmark corpora."""
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+        run = {}
+        for node in tree.body:      # its literal constants, TRAIN_N and the rest, and vocab_for
+            if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.Constant, ast.Tuple))
+                    or isinstance(node, ast.FunctionDef) and node.name == "vocab_for"):
+                exec(compile(ast.Module([node], []), "run.py", "exec"), run)
+        for seed, n in ((1, run["TRAIN_N"]), (1 + run["EVAL_SEED_OFFSET"], run["EVAL_N"])):
+            records = generate_synthetic_corpus(seed, n, run["N_ATTRIBUTES"], run["FEATURE_DIM"])
+            assert (run["vocab_for"](records).token_to_id
+                    == corpus.vocabulary(records).token_to_id), seed

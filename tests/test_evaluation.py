@@ -14,7 +14,7 @@ from cornerclip import checkpoint as ckpt
 from cornerclip import cli
 from cornerclip import evaluation as ev
 from cornerclip import text_encoder as te
-from cornerclip import image_encoder, train, transformer
+from cornerclip import corpus, image_encoder, train, transformer
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus, save_manifest
 from cornerclip.evaluation import RetrievalGroundTruth
 from cornerclip.image_encoder import ImageEncoderConfig
@@ -287,11 +287,22 @@ class TestZeroShot:
         with pytest.raises(ValueError, match="record r0 carries no label"):
             ev.classification_task(recs)
 
+    def test_one_label_with_two_names_is_refused_before_any_embedding(self):
+        """A label names one class: records giving label 14 the names "woven" and
+        "striped" are refused, naming both, before evaluate embeds anything."""
+        recs = [ManifestRecord(id=f"r{i}", short_text="a cat.", image_feature=[1.0, 0.0],
+                               label=14, attributes=[name, "red"])
+                for i, name in enumerate(("woven", "striped"))]
+        message = r"^records r0 and r1 both carry label 14 but name it 'woven' and 'striped'$"
+        with pytest.raises(ValueError, match=message):
+            ev.classification_task(recs)
+        with pytest.raises(ValueError, match=message):     # no model: embedding would fail
+            ev.evaluate(recs, {}, None, None, None)
+
 
 def short_model(recs, **fields):
     """(text_cfg, image_cfg, vocab) of a small model of the records' words."""
-    vocab = Vocabulary.build([r.short_text for r in recs]
-                             + [t for r in recs for t in r.long_texts])
+    vocab = corpus.vocabulary(recs)
     cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
                             projection_dim=8, **fields)
     return (*train.make_configs(vocab, cfg, 8), vocab)
@@ -324,8 +335,7 @@ TRAINED_CFG = train.TrainConfig(batch_size=4, steps=2, warmup_steps=1, limit=16,
 @pytest.fixture(scope="module")
 def trained():
     recs = generate_synthetic_corpus(0, 8, 2, 8)
-    texts = [r.short_text for r in recs] + [t for r in recs for t in r.long_texts]
-    vocab = Vocabulary.build(texts)
+    vocab = corpus.vocabulary(recs)
     res = train.run_training(recs, vocab, TRAINED_CFG)
     return recs, vocab, res
 
@@ -431,16 +441,16 @@ class TestEvaluate:
         assert "cls_acc@1" not in report
         assert report == {k: v for k, v in ev.evaluate(recs, *model).items()
                           if k != "cls_acc@1"}
+        mixed = [dataclasses.replace(recs[0], attributes=None), *recs[1:]]
+        with pytest.raises(ValueError, match=f"record {recs[0].id} carries label "
+                           f"{recs[0].label} but no attributes to name its class"):
+            ev.evaluate(mixed, *model)
 
 
 class TestShortRetrieval:
     def test_embeds_only_the_deduplicated_short_texts(self, monkeypatch):
         recs = generate_synthetic_corpus(0, 64, 2, 8)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
-        cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
-                                projection_dim=8)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
+        text_cfg, image_cfg, vocab = short_model(recs)
         params = train.build_model(text_cfg, image_cfg, 0)
         texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
         _, img, _ = ev.embed_eval_set(recs, params, text_cfg, image_cfg, vocab, "short")
@@ -461,10 +471,7 @@ class TestShortRetrieval:
         """short_retrieval's recall@k is the any-hit oracle's over the distinct
         captions, its R@1 is short_retrieval_r1, and it has no t2i."""
         recs = generate_synthetic_corpus(0, 32, 2, 8, pool_size=3)
-        vocab = Vocabulary.build([r.short_text for r in recs])
-        cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
-                                projection_dim=8, use_long_texts=False)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
+        text_cfg, image_cfg, vocab = short_model(recs, use_long_texts=False)
         params = train.build_model(text_cfg, image_cfg, 0)
         texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
         img = image_encoder.embed_images(recs, params, image_cfg)
@@ -499,10 +506,7 @@ class TestShortRetrieval:
 
     def test_non_finite_image_features_rejected(self):
         recs = generate_synthetic_corpus(0, 8, 2, 8)
-        vocab = Vocabulary.build([r.short_text for r in recs])
-        cfg = train.TrainConfig(limit=16, text_depth=1, text_width=16, text_heads=2,
-                                projection_dim=8, use_long_texts=False)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 8)
+        text_cfg, image_cfg, vocab = short_model(recs, use_long_texts=False)
         params = train.build_model(text_cfg, image_cfg, 0)
         img = np.eye(8)
         img[5] = np.inf                 # inf - inf in the block product
@@ -528,7 +532,7 @@ class TestFlops:
         cfg = te.TextEncoderConfig(vocab_size=len(vocab), limit=16, m=m,
                                    depth=depth, width=width, heads=heads,
                                    projection_dim=proj)
-        params = te.init_params(cfg, 0, prefix="text.")
+        params = te.init_params(cfg, 0)
         assert ev.measured_text_flops(cfg, params, vocab) == \
             ev.flops_estimate(cfg, cfg.limit)
 

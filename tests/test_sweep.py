@@ -9,18 +9,16 @@ import shutil
 import numpy as np
 import pytest
 
-from cornerclip import evaluation, image_encoder, sweep, train
+from cornerclip import corpus, evaluation, image_encoder, sweep, train
 from cornerclip.corpus import generate_synthetic_corpus
 from cornerclip.sweep import ROW_FIELDS, SweepSpec
-from cornerclip.tokenizer import Vocabulary
 from cornerclip.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
 def tiny_setup():
     recs = generate_synthetic_corpus(0, 8, 2, 8)
-    texts = [r.short_text for r in recs] + [t for r in recs for t in r.long_texts]
-    vocab = Vocabulary.build(texts)
+    vocab = corpus.vocabulary(recs)
     base = TrainConfig(batch_size=4, steps=2, warmup_steps=1, limit=16,
                        text_depth=1, text_width=16, text_heads=2,
                        projection_dim=8, k_subcaptions=2)

@@ -116,16 +116,16 @@ class TestSampleConsecutive:
 
 class TestVocabulary:
     def test_reserved_layout(self):
-        v = Vocabulary(m_max=4)
+        v = Vocabulary()
         assert PAD_ID == 0
-        ids = [PAD_ID, UNK_ID, CLS_ID, SEP_ID] + [CORNER_ID_BASE + i for i in range(4)]
+        ids = [PAD_ID, UNK_ID, CLS_ID, SEP_ID] + [CORNER_ID_BASE + i for i in range(tk.M_MAX)]
         assert [v.id_of(v.token_of(i)) for i in ids] == ids
         assert sorted(v.token_to_id.values()) == sorted(ids) == list(range(len(v)))
 
     def test_words_follow_the_reserved_ids_in_sorted_order(self):
         v = Vocabulary.build(["zebra ate. a cat."])
-        assert len(v) == CORNER_ID_BASE + v.m_max + 4
-        words = [v.token_of(i) for i in range(CORNER_ID_BASE + v.m_max, len(v))]
+        assert len(v) == CORNER_ID_BASE + tk.M_MAX + 4
+        words = [v.token_of(i) for i in range(CORNER_ID_BASE + tk.M_MAX, len(v))]
         assert words == ["a", "ate", "cat", "zebra"]
 
     def test_round_trip(self):

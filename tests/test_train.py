@@ -29,8 +29,7 @@ from cornerclip.train import AdamState, TrainConfig
 @pytest.fixture(scope="module")
 def corpus16():
     recs = generate_synthetic_corpus(0, 16, 2, 8)
-    texts = [r.short_text for r in recs] + [t for r in recs for t in r.long_texts]
-    return recs, Vocabulary.build(texts)
+    return recs, corpus.vocabulary(recs)
 
 
 def tiny_cfg(**kw):
@@ -57,7 +56,8 @@ def traced_peak(fn):
 
 
 def setup_model(recs, vocab, cfg):
-    text_cfg, image_cfg = train.make_configs(vocab, cfg, recs[0].image_feature.shape[0])
+    feature_dim = 0 if cfg.image_mode == "vit" else len(recs[0].image_feature)
+    text_cfg, image_cfg = train.make_configs(vocab, cfg, feature_dim)
     params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
     return text_cfg, image_cfg, params
 
@@ -108,8 +108,7 @@ class TestAssembleBatch:
     @pytest.mark.parametrize("mode", ["precomputed", "vit"])
     def test_bad_last_record_fails_before_step_one(self, tmp_path, mode):
         recs = generate_synthetic_corpus(0, 64, 2, 8)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
+        vocab = corpus.vocabulary(recs)
         if mode == "vit":     # every record but the last has a path; none is ever loaded
             recs = [dataclasses.replace(r, image_path=f"{r.id}.npy", image_feature=None)
                     for r in recs[:-1]] + [recs[-1]]
@@ -134,8 +133,7 @@ class TestAssembleBatch:
         """A blank long text has no sub-caption to sample; its manifest line is
         skipped at load, so a run cannot draw it mid-way."""
         recs = generate_synthetic_corpus(1, 64, 4, 16)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
+        vocab = corpus.vocabulary(recs)
         blank = {"id": "x", "short_text": "a photo of a red.",
                  "long_texts": ["", "a red thing."], "image_feature": [1.0] * 16}
         path = tmp_path / "m.jsonl"
@@ -268,14 +266,7 @@ class TestGradients:
         block's pre-norm and kept only its xhat and rstd, and attention
         rebuilt `wk|wv` in backward, 7.40 MiB once the forward released each
         residual-stream value as soon as its last reader had run."""
-        recs = generate_synthetic_corpus(1, 64, 4, 16)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
-        cfg = TrainConfig(seed=1)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
-        batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(1, 1),
-                                     image_cfg)
+        params, batch, text_cfg, image_cfg, cfg = first_step("default")
         peak = traced_peak(lambda: train.gradients(params, batch, text_cfg, image_cfg, cfg))[1]
         assert peak <= 8 * 2 ** 20
 
@@ -300,14 +291,7 @@ class TestGradients:
         and each tower projected its cut last block without a slice, 53
         before the attention and MLP nodes took their block's pre-norm.
         Unfusing a node again fails here."""
-        recs = generate_synthetic_corpus(1, 64, 4, 16)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
-        cfg = TrainConfig(seed=1)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
-        batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(1, 1),
-                                     image_cfg)
+        params, batch, text_cfg, image_cfg, cfg = first_step("default")
         for t in params.values():
             t.requires_grad = True
         loss = train.compute_loss(params, batch, text_cfg, image_cfg, cfg)[0].total
@@ -327,8 +311,7 @@ class TestGradients:
         recs = generate_synthetic_corpus(1, 6, 2, 16)
         vocab = Vocabulary.build([t for r in recs for t in r.long_texts])
         cfg = TrainConfig(seed=1, image_mode="vit")
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
         seqs = [tokenize(r.long_texts[0], text_cfg.limit, text_cfg.m, vocab) for r in recs]
         ids, roles = np.stack([q.ids for q in seqs]), np.stack([q.roles for q in seqs])
         size = image_cfg.image_size
@@ -369,8 +352,7 @@ def repeating_corpus():
     """16 records over a pool of 3 attributes: 3 distinct short captions and
     6 distinct attribute pairs, so captions repeat within a batch of 8."""
     recs = generate_synthetic_corpus(0, 16, 2, 8, pool_size=3)
-    texts = [r.short_text for r in recs] + [t for r in recs for t in r.long_texts]
-    return recs, Vocabulary.build(texts)
+    return recs, corpus.vocabulary(recs)
 
 
 class TestDistinctCaptions:
@@ -705,11 +687,9 @@ class TestCheckpointing:
         that held the file and its slices at once at 9.98 MiB; streamed, a save
         holds no array's copy and a load little beyond the arrays it returns."""
         recs = generate_synthetic_corpus(1, 256, 4, 16)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
+        vocab = corpus.vocabulary(recs)
         cfg = TrainConfig(seed=1)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 16)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
         opt = AdamState.create(params, train.trainable_names(params, cfg))
         meta = train.checkpoint_meta(cfg, text_cfg, image_cfg, vocab)
         path = tmp_path / "ckpt.bin"
@@ -726,8 +706,7 @@ class TestCheckpointing:
         moments; the parameters-only read (0.87 MiB) returns the same
         parameters, step and meta within 1 MiB."""
         recs = generate_synthetic_corpus(1, 256, 4, 16)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
+        vocab = corpus.vocabulary(recs)
         res = train.run_training(recs, vocab, TrainConfig(seed=1, steps=2),
                                  out_dir=str(tmp_path / "run"))
         path = tmp_path / "run" / "ckpt_final.bin"
@@ -847,15 +826,10 @@ class TestCheckpointing:
         cfg = tiny_cfg(steps=1)
         train.run_training(recs, vocab, cfg, out_dir=str(tmp_path / "run"))
         _, _, _, meta = ckpt.load_checkpoint(tmp_path / "run" / "ckpt_final.bin")
-        assert meta["vocab"] == {"token_to_id": vocab.token_to_id}    # m_max: its [COR_k]
-        back = train.vocab_from_meta(meta)
-        assert back.token_to_id == vocab.token_to_id
-        assert back.m_max == vocab.m_max
-        small = Vocabulary(m_max=3)
-        for stored in ({"token_to_id": small.token_to_id},
-                       {"m_max": 3, "token_to_id": small.token_to_id}):  # an older meta
-            back = train.vocab_from_meta({"vocab": stored})
-            assert (back.m_max, back.token_to_id) == (3, small.token_to_id)
+        assert meta["vocab"] == {"token_to_id": vocab.token_to_id}
+        assert train.vocab_from_meta(meta).token_to_id == vocab.token_to_id
+        older = {"vocab": {"m_max": M_MAX, **meta["vocab"]}}      # the layout that stored m_max
+        assert train.vocab_from_meta(older).token_to_id == vocab.token_to_id
 
 
 class TestResume:
@@ -955,12 +929,9 @@ class TestResume:
         run_dir = tmp_path / "run"
         child = textwrap.dedent("""
             import json, os, signal, sys
-            from cornerclip import train
-            from cornerclip.corpus import generate_synthetic_corpus
-            from cornerclip.tokenizer import Vocabulary
-            recs = generate_synthetic_corpus(0, 16, 2, 8)
-            vocab = Vocabulary.build([r.short_text for r in recs]
-                                     + [t for r in recs for t in r.long_texts])
+            from cornerclip import corpus, train
+            recs = corpus.generate_synthetic_corpus(0, 16, 2, 8)
+            vocab = corpus.vocabulary(recs)
             save = train.ckpt.save_checkpoint
             def save_then_die(*args):
                 save(*args)
@@ -1048,8 +1019,7 @@ def to_pixels(recs, pixel_dir):
 def pixel_corpus(tmp_path_factory):
     """corpus16 with each feature replaced by a 32x32x3 .npy pixel file."""
     recs = generate_synthetic_corpus(0, 16, 2, 8)
-    vocab = Vocabulary.build([r.short_text for r in recs]
-                             + [t for r in recs for t in r.long_texts])
+    vocab = corpus.vocabulary(recs)
     to_pixels(recs, tmp_path_factory.mktemp("pixels"))
     return recs, vocab
 
@@ -1059,8 +1029,7 @@ class TestVitTraining:
     def test_vit_end_to_end(self, pixel_corpus, freeze_image):
         recs, vocab = pixel_corpus
         cfg = tiny_cfg(image_mode="vit", freeze_image=freeze_image)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0)
-        init = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        text_cfg, image_cfg, init = setup_model(recs, vocab, cfg)
         res = train.run_training(recs, vocab, cfg)
         img_names = [n for n in init if n.startswith("img.")]
         changed = [n for n in img_names
@@ -1082,18 +1051,16 @@ class TestVitTraining:
 RELEASE_SITES = (transformer, text_encoder, image_encoder)    # the modules that call release
 
 
-def release_step(model, pixel_corpus):
+def first_step(model, pixel_corpus=None):
     """(params, step-1 batch, text_cfg, image_cfg, cfg) of the default config on a
     64-record corpus, or of a trained (not frozen) ViT tower on pixel_corpus."""
     if model == "default":
         recs = generate_synthetic_corpus(1, 64, 4, 16)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
-        cfg, feature_dim = TrainConfig(seed=1), 16
+        vocab = corpus.vocabulary(recs)
+        cfg = TrainConfig(seed=1)
     else:
-        (recs, vocab), cfg, feature_dim = pixel_corpus, tiny_cfg(image_mode="vit"), 0
-    text_cfg, image_cfg = train.make_configs(vocab, cfg, feature_dim)
-    params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        (recs, vocab), cfg = pixel_corpus, tiny_cfg(image_mode="vit")
+    text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
     batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(cfg.seed, 1),
                                  image_cfg)
     return params, batch, text_cfg, image_cfg, cfg
@@ -1107,7 +1074,7 @@ class TestRelease:
     @pytest.mark.parametrize("cut", [True, False])
     @pytest.mark.parametrize("model", ["default", "vit"])
     def test_bytes_equal_with_every_value_kept(self, pixel_corpus, monkeypatch, model, cut):
-        params, batch, text_cfg, image_cfg, cfg = release_step(model, pixel_corpus)
+        params, batch, text_cfg, image_cfg, cfg = first_step(model, pixel_corpus)
         assert cfg.freeze_image is False
         if not cut:     # every block computes every row
             block = transformer.block_forward
@@ -1137,7 +1104,7 @@ class TestRelease:
         The default config's two 2-block text passes make 2 (4 + 5 + 2), and a
         1-block text tower beside a 2-block ViT 2 (5 + 2) + (4 + 5 + 1 + 3).
         Every other node keeps its value."""
-        params, batch, text_cfg, image_cfg, cfg = release_step(model, pixel_corpus)
+        params, batch, text_cfg, image_cfg, cfg = first_step(model, pixel_corpus)
         released = {}
 
         def recording(*tensors):
@@ -1178,8 +1145,7 @@ class TestFrozenTower:
     def test_cached_features_equal_each_batch_forward(self, mode_corpus):
         mode, recs, vocab = mode_corpus
         cfg = tiny_cfg(image_mode=mode, freeze_image=True)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0 if mode == "vit" else 8)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
         feats = image_encoder.embed_images(recs, params, image_cfg)
         assert feats.shape == (16, cfg.projection_dim)
         for step in range(1, 9):
@@ -1224,8 +1190,7 @@ class TestFrozenTower:
         order, so there they agree to the last bits only."""
         mode, recs, vocab = mode_corpus
         cfg = tiny_cfg(image_mode=mode)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0 if mode == "vit" else 8)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
         seqs = [tokenize(r.long_caption, text_cfg.limit, text_cfg.m, vocab) for r in recs]
         text_once = text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs), params,
                                                    text_cfg, corners=False)[0].value[:, 0]
@@ -1249,13 +1214,11 @@ class TestFrozenTower:
                 for s in transformer.embed_chunks(n)] == [
             (0, 1), (0, 16), (0, 17), (0, 16), (16, 18), (0, 16), (16, 33)]
         recs = generate_synthetic_corpus(0, 40, 2, 8)
-        vocab = Vocabulary.build([r.short_text for r in recs]
-                                 + [t for r in recs for t in r.long_texts])
+        vocab = corpus.vocabulary(recs)
         if mode == "vit":
             to_pixels(recs, tmp_path)
         cfg = tiny_cfg(image_mode=mode)
-        text_cfg, image_cfg = train.make_configs(vocab, cfg, 0 if mode == "vit" else 8)
-        params = train.build_model(text_cfg, image_cfg, cfg.seed, cfg.tau_init)
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
         _, img, txt = evaluation.embed_eval_set(recs, params, text_cfg, image_cfg, vocab)
         for n in range(2, 41):
             _, img_n, txt_n = evaluation.embed_eval_set(recs[:n], params, text_cfg,

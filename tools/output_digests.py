@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""sha256 prefixes of the outputs of six fixed training runs, one resume and
-one sweep, or their numbers, to compare two trees exactly or to the last bits.
+"""sha256 prefixes of the outputs of six fixed training runs, a resume, a sweep and
+an eval report, or their numbers, to compare two trees exactly or to the last bits.
 
     python3 tools/output_digests.py > digests.txt
     python3 tools/output_digests.py --dump DIR
@@ -27,7 +27,10 @@ to the meta alone shows as its meta lines alone. Runs:
 - sweep: `cornerclip sweep --axis m_corners --values 0,2 --seeds 1 --steps 20`
   on the same corpus, run through `cli.dispatch` with its stdout discarded;
   its lines digest rows.csv and plot_data_agg.csv without their wall_time_s
-  columns, the only ones that vary between runs.
+  columns, the only ones that vary between runs;
+- eval: `cornerclip eval --json` on the default run's final checkpoint over
+  its 256 records, run through `cli.dispatch`; its line digests the report
+  whole (long and short recall, cls_acc@1 and the counts).
 
 Where a change moves the last bits, digests differ everywhere; then
 `--dump DIR` on one tree writes each output that is numbers (the
@@ -62,7 +65,6 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cornerclip import checkpoint, cli, corpus, evaluation, train  # noqa: E402
-from cornerclip.tokenizer import Vocabulary  # noqa: E402
 
 IMAGE_SHAPE = (32, 32, 3)
 
@@ -93,13 +95,9 @@ def outputs(name, records, result, out_dir: Path):
     model = (result.params, result.text_cfg, result.image_cfg, result.vocab)
     _, img, txt = evaluation.embed_eval_set(records, *model, "long_full")
     short = evaluation.embed_eval_set(records, *model, "short", image_feats=img)[2]
-    report = evaluation.evaluate_retrieval(
-        img, txt, evaluation.RetrievalGroundTruth.one_to_one(len(records)))
-    names, labels = evaluation.classification_task(records)
-    protos = evaluation.class_prototypes(names, evaluation.DEFAULT_TEMPLATES, result.params,
-                                         result.text_cfg, result.vocab)
-    scores = np.array([v for _, v in sorted(report.metrics.items())]
-                      + [evaluation.zero_shot_classify(img, labels, protos)])
+    report = evaluation.evaluate(records, *model, img, txt)
+    scores = np.array([report[k] for k in ("long_i2t_r@1", "long_i2t_r@5", "long_t2i_r@1",
+                                           "long_t2i_r@5", "cls_acc@1")])
     metrics = (out_dir / "metrics.jsonl").read_bytes()
     steps = np.array([[v for _, v in sorted(json.loads(line).items())]
                       for line in metrics.splitlines()], dtype=np.float64)
@@ -121,16 +119,21 @@ def checkpoint_parts(line, blob: bytes):
     return [(f"{line}.arrays", arrays, None), (f"{line}.meta", meta, None)]
 
 
-def sweep_outputs(records, work: Path):
+def command_output(argv) -> str:
+    """What `cli.dispatch(argv)` prints; it must exit 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.dispatch(argv)
+    if code != 0:
+        raise SystemExit(f"cornerclip {argv[0]} exited {code}")
+    return out.getvalue()
+
+
+def sweep_outputs(manifest: Path, work: Path):
     """(line, bytes digested, None) of rows.csv and plot_data_agg.csv of a small
     sweep, each table without its wall_time_s columns."""
-    manifest, out_dir = work / "sweep.jsonl", work / "sweep"
-    corpus.save_manifest(records, str(manifest))
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.dispatch(["sweep", "--axis", "m_corners", "--values", "0,2", "--seeds", "1",
-                             "--steps", "20", "--corpus", str(manifest), "--out", str(out_dir)])
-    if code != 0:
-        raise SystemExit(f"the sweep exited {code}")
+    out_dir = work / "sweep"
+    command_output(["sweep", "--axis", "m_corners", "--values", "0,2", "--seeds", "1",
+                    "--steps", "20", "--corpus", str(manifest), "--out", str(out_dir)])
     lines = []
     for name in ("rows", "plot_data_agg"):
         text = (out_dir / f"{name}.csv").read_text()
@@ -177,8 +180,7 @@ def main(argv=None):
         args.dump.mkdir(parents=True, exist_ok=True)
 
     records = corpus.generate_synthetic_corpus(1, 256, 4, 16)
-    vocab = Vocabulary.build([r.short_text for r in records]
-                             + [t for r in records for t in r.long_texts])
+    vocab = corpus.vocabulary(records)
     eval_long = corpus.generate_synthetic_corpus(1 + 1_000_003, 4096, 4, 16)
     work = Path(tempfile.mkdtemp(prefix="output_digests_"))
     try:
@@ -204,7 +206,13 @@ def main(argv=None):
                 result = train.run_training(recs, vocab, cfg, out_dir=str(resumed),
                                             resume_from=str(resumed / "ckpt_000100.bin"))
                 emit(outputs("resume", recs, result, resumed), args.dump, args.against)
-        emit(sweep_outputs(records, work), args.dump, args.against)
+        manifest = work / "records.jsonl"
+        corpus.save_manifest(records, str(manifest))
+        emit(sweep_outputs(manifest, work), args.dump, args.against)
+        report = command_output(["eval", "--json", "--corpus", str(manifest),
+                                 "--checkpoint", str(work / "default" / "ckpt_final.bin")])
+        values = np.array([v for _, v in sorted(json.loads(report).items())], dtype=np.float64)
+        emit([("eval.report", report.encode(), values)], args.dump, args.against)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -24,17 +24,17 @@ DEFAULT_TEMPLATES = [SHORT_TEMPLATE]
 
 @dataclass
 class RetrievalGroundTruth:
-    image_to_texts: list[list[int]]   # per image, indices of its paired texts
-    text_to_image: list[int]          # per text, index of its single image
+    image_to_texts: list[list[int]]          # per image, indices of its paired texts
+    text_to_image: list[int] | None = None   # per text, its image; None if it may have several
 
     def __post_init__(self):
         for img, texts in enumerate(self.image_to_texts):
-            if not texts:
-                raise ValueError(f"image {img} has no paired texts")
-            for t in texts:
-                if self.text_to_image[t] != img:
-                    raise ValueError("ground truth is not bidirectionally consistent")
-        for t, img in enumerate(self.text_to_image):
+            if not texts or min(texts) < 0:
+                raise ValueError(f"image {img} has no paired texts (or a negative index): {texts}")
+            if self.text_to_image is not None and any(self.text_to_image[t] != img
+                                                      for t in texts):
+                raise ValueError("ground truth is not bidirectionally consistent")
+        for t, img in enumerate(self.text_to_image or ()):
             if t not in self.image_to_texts[img]:
                 raise ValueError("ground truth is not bidirectionally consistent")
 
@@ -115,6 +115,8 @@ def recall_at_k(S: np.ndarray, gt: RetrievalGroundTruth, k: int, direction: str)
         raise ValueError("k must be >= 1")
     if direction not in ("i2t", "t2i"):
         raise ValueError(f"unknown direction {direction!r}")
+    if direction == "t2i" and gt.text_to_image is None:
+        raise ValueError("t2i needs the ground truth's text_to_image, which is None")
     ranks = _ranks(lambda lo, hi: S[lo:hi], S.shape, gt.image_to_texts,
                    gt.text_to_image if direction == "t2i" else None)[direction]
     return int(np.count_nonzero(ranks < k)) / len(ranks)
@@ -165,8 +167,8 @@ def _score_blocks(image_feats: np.ndarray, text_feats: np.ndarray):
 def evaluate_retrieval(image_feats: np.ndarray, text_feats: np.ndarray,
                        gt: RetrievalGroundTruth, task: str = "retrieval",
                        ks=(1, 5)) -> EvalReport:
-    """Recall@k both ways for each k in ks, from one ranking per direction over row
-    blocks image_feats[lo:hi] @ text_feats.T; the N x N scores are never built."""
+    """Recall@k for each k in ks both ways (i2t alone when gt has no text_to_image), from
+    one ranking per direction over row blocks image_feats[lo:hi] @ text_feats.T."""
     if image_feats.shape[1] != text_feats.shape[1]:
         raise ValueError(f"image features have width {image_feats.shape[1]}, "
                          f"text features {text_feats.shape[1]}")
@@ -204,17 +206,22 @@ def zero_shot_classify(image_feats: np.ndarray, labels: np.ndarray,
 def classification_task(records: list[ManifestRecord]):
     """(class_names, labels) of the records' classes (`ManifestRecord.has_class`),
     the labels numbered 0.. in label order. A record without a class is refused,
-    naming what it lacks, and so is a label that two records name differently."""
-    named: dict[int, ManifestRecord] = {}     # per label, its first record
+    naming what it lacks, and so are two records that give one label two names, or
+    one name two labels (the two prototypes would tie)."""
+    named: dict[int, ManifestRecord] = {}       # per label, its first record
+    labelled: dict[str, ManifestRecord] = {}    # per class name, its first record
     for rec in records:
         if not rec.has_class:
             raise ValueError(f"record {rec.id} carries " + (
                 "no label" if rec.label is None else
                 f"label {rec.label} but no attributes to name its class (attributes[0])"))
-        first = named.setdefault(rec.label, rec)
+        first, same = named.setdefault(rec.label, rec), labelled.setdefault(rec.attributes[0], rec)
         if first.attributes[0] != rec.attributes[0]:
             raise ValueError(f"records {first.id} and {rec.id} both carry label {rec.label} "
                              f"but name it {first.attributes[0]!r} and {rec.attributes[0]!r}")
+        if same.label != rec.label:
+            raise ValueError(f"records {same.id} and {rec.id} carry labels {same.label} and "
+                             f"{rec.label} but both name them {rec.attributes[0]!r}")
     classes = sorted(named)
     return ([named[lab].attributes[0] for lab in classes],
             np.searchsorted(classes, [rec.label for rec in records]))
@@ -225,33 +232,21 @@ def record_classes(records: list[ManifestRecord]):
     return classification_task(records) if any(r.has_class for r in records) else None
 
 
-def short_text_groups(records: list[ManifestRecord], text_cfg: TextEncoderConfig,
-                      vocab: Vocabulary):
-    """The distinct short captions as token sequences at the model's limit and m
-    (captions apart in case alone have equal features, so they would tie), with
-    any-hit ground truth: (each group's first `short_caption`, per image its group)."""
-    seqs = [tokenize(rec.short_caption, text_cfg.limit, text_cfg.m, vocab) for rec in records]
-    index = text_encoder.distinct_rows(*text_encoder.stack_trimmed(seqs))[2]
-    firsts = np.unique(index, return_index=True)[1]
-    return [records[i].short_caption for i in firsts], [[group] for group in index.tolist()]
-
-
 def short_retrieval(records: list[ManifestRecord], params: dict,
                     text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
                     vocab: Vocabulary, image_feats: np.ndarray | None = None,
                     ks=(1, 5)) -> EvalReport:
-    """i2t recall@k for each k in ks over the deduplicated short-text candidate set,
-    any-hit; image_feats, if given, are the records' `image_encoder.embed_images`.
-    There is no t2i: a caption that several records share has no single image."""
+    """`evaluate_retrieval` of the images against the distinct short captions as token
+    sequences at the model's limit and m (captions apart in case alone would tie), any-hit
+    and with no t2i: several records share a caption. image_feats, if given, are the
+    records' `image_encoder.embed_images`."""
     if image_feats is None:
         image_feats = image_encoder.embed_images(records, params, image_cfg)
-    texts, image_to_texts = short_text_groups(records, text_cfg, vocab)
-    text_feats = embed_texts(texts, params, text_cfg, vocab)
-    ranks = _ranks(_score_blocks(image_feats, text_feats),
-                   (len(image_feats), len(texts)), image_to_texts)["i2t"]
-    return EvalReport(task="short", n_images=len(image_feats), n_texts=len(texts),
-                      metrics={f"i2t_r@{k}": int(np.count_nonzero(ranks < k)) / len(ranks)
-                               for k in ks})
+    seqs = [tokenize(rec.short_caption, text_cfg.limit, text_cfg.m, vocab) for rec in records]
+    group = text_encoder.distinct_rows(*text_encoder.stack_trimmed(seqs))[2]
+    texts = [records[i].short_caption for i in np.unique(group, return_index=True)[1]]
+    return evaluate_retrieval(image_feats, embed_texts(texts, params, text_cfg, vocab),
+                              RetrievalGroundTruth([[g] for g in group.tolist()]), "short", ks)
 
 
 def short_retrieval_r1(records: list[ManifestRecord], params: dict,

@@ -58,8 +58,9 @@ class SweepSpec:
 
 
 def cell_settings(axis: str, value: int, seed: int) -> dict:
-    """The TrainConfig fields that one cell sets over the sweep's base config."""
-    swept = {"k_subcaptions": {"k_subcaptions": value, "use_long_texts": value > 0},
+    """The TrainConfig fields that one cell sets over the base config; k_subcaptions 0 is
+    the short-only cell: use_long_texts=False, with k_subcaptions 1, which it ignores."""
+    swept = {"k_subcaptions": {"k_subcaptions": max(value, 1), "use_long_texts": value > 0},
              "token_limit": {"limit": value}, "m_corners": {"m": value}}[axis]
     return {"seed": seed, **swept}
 

@@ -39,8 +39,8 @@ class TrainConfig:
     warmup_steps: int = 50
     lr_schedule: str = "constant"        # {"constant", "cosine"}
     seed: int = 0
-    k_subcaptions: int = 3               # 0 means short-only training
-    use_long_texts: bool = True
+    k_subcaptions: int = 3
+    use_long_texts: bool = True          # False means short-only training
     mask_mode: str = "corner"
     m: int = 2
     freeze_image: bool = False
@@ -64,14 +64,10 @@ class TrainConfig:
             ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
             ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
             ("lr_schedule", self.lr_schedule in ("constant", "cosine"), "constant or cosine"),
-            ("k_subcaptions", self.k_subcaptions >= 0, ">= 0"),
+            ("k_subcaptions", self.k_subcaptions >= 1, ">= 1"),
             ("tau_init", tau[0] <= self.tau_init <= tau[1], f"in [{tau[0]}, {tau[1]}]"),
             ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")))
         make_configs(Vocabulary(), self, 1)     # the shape fields obey the towers' rules
-
-    @property
-    def long_branch_active(self) -> bool:
-        return self.use_long_texts and self.k_subcaptions > 0
 
 
 # TrainConfig's shape fields, each with the tower config field it sets: the towers
@@ -123,7 +119,7 @@ def prepare_texts(records: list[ManifestRecord], vocab: Vocabulary,
     """Per record, the step-invariant text work, done once per run."""
     return [RecordTexts(tokenize(r.short_caption, text_cfg.limit, text_cfg.m, vocab),
                         [split_subcaptions(t) for t in r.long_texts]
-                        if cfg.long_branch_active else [])
+                        if cfg.use_long_texts else [])
             for r in records]
 
 
@@ -154,7 +150,7 @@ def assemble_batch(records: list[ManifestRecord], vocab: Vocabulary,
                                                         image_cfg)
     else:
         batch.image_features = image_features[idx]
-    if not cfg.long_branch_active:
+    if not cfg.use_long_texts:
         return batch
     long_seqs = []
     for t in chosen_texts:

@@ -36,8 +36,8 @@ def check_unary(op, x, tol=1e-6):
 @pytest.mark.parametrize("op", [
     ad.exp, lambda t: ad.log(t + 3.0), ad.gelu,
     lambda t: ad.power(t, 3.0), lambda t: ad.power(t, -1.0),
-    lambda t: ad.power(t * t + 1.0, 0.5), lambda t: ad.softmax(t) * np.arange(4.0),
-    lambda t: ad.l2_normalize(t) * np.arange(4.0),
+    lambda t: ad.power(ad.mul(t, t) + 1.0, 0.5), lambda t: ad.mul(ad.softmax(t), np.arange(4.0)),
+    lambda t: ad.mul(ad.l2_normalize(t), np.arange(4.0)),
 ])
 def test_unary_gradients(op):
     rng = np.random.default_rng(0)
@@ -47,7 +47,7 @@ def test_unary_gradients(op):
 def test_l2_normalize_gradient_3d():
     rng = np.random.default_rng(17)
     coef = rng.normal(size=(2, 3, 5))
-    check_unary(lambda t: ad.l2_normalize(t) * coef, rng.normal(size=(2, 3, 5)))
+    check_unary(lambda t: ad.mul(ad.l2_normalize(t), coef), rng.normal(size=(2, 3, 5)))
 
 
 def test_l2_normalize_forward_is_bit_exact():
@@ -63,10 +63,10 @@ def test_broadcast_add_mul_gradients():
     rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    out = (a * b + b).sum()
+    out = (ad.mul(a, b) + b).sum()
     out.backward()
-    fd_b = fd_grad(lambda v: float(((Tensor(a.value.copy()) * Tensor(v) + Tensor(v)).sum()).value),
-                   b.value)
+    fd_b = fd_grad(lambda v: float((ad.mul(Tensor(a.value.copy()), Tensor(v)) + Tensor(v))
+                                   .sum().value), b.value)
     np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
     np.testing.assert_allclose(a.grad, np.broadcast_to(b.value, a.shape), atol=1e-12)
 
@@ -75,9 +75,11 @@ def test_matmul_gradients_batched():
     rng = np.random.default_rng(2)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    (a @ b).sum().backward()
-    fd_a = fd_grad(lambda v: float((Tensor(v) @ Tensor(b.value.copy())).sum().value), a.value)
-    fd_b = fd_grad(lambda v: float((Tensor(a.value.copy()) @ Tensor(v)).sum().value), b.value)
+    ad.matmul(a, b).sum().backward()
+    fd_a = fd_grad(lambda v: float(ad.matmul(Tensor(v), Tensor(b.value.copy())).sum().value),
+                   a.value)
+    fd_b = fd_grad(lambda v: float(ad.matmul(Tensor(a.value.copy()), Tensor(v)).sum().value),
+                   b.value)
     np.testing.assert_allclose(a.grad, fd_a, atol=1e-6)
     np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
 
@@ -112,7 +114,7 @@ def test_take_rows_backward_matches_add_at_bytes(table_shape, ids):
     rng = np.random.default_rng(6)
     table = Tensor(rng.normal(size=table_shape), requires_grad=True)
     g = rng.normal(size=ids.shape + table_shape[1:])
-    (ad.take_rows(table, ids) * g).sum().backward()
+    ad.mul(ad.take_rows(table, ids), g).sum().backward()
     expect = np.zeros(table_shape)
     np.add.at(expect, ids, g)
     assert table.grad.tobytes() == expect.tobytes()
@@ -138,10 +140,10 @@ def test_layer_norm_gradient():
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     g = Tensor(rng.normal(size=6), requires_grad=True)
     b = Tensor(rng.normal(size=6), requires_grad=True)
-    (ad.layer_norm(x, g, b) * np.arange(6.0)).sum().backward()
-    fd = fd_grad(lambda v: float((ad.layer_norm(Tensor(v), Tensor(g.value.copy()),
-                                                Tensor(b.value.copy()))
-                                  * np.arange(6.0)).sum().value), x.value)
+    ad.mul(ad.layer_norm(x, g, b), np.arange(6.0)).sum().backward()
+    fd = fd_grad(lambda v: float(ad.mul(ad.layer_norm(Tensor(v), Tensor(g.value.copy()),
+                                                      Tensor(b.value.copy())),
+                                        np.arange(6.0)).sum().value), x.value)
     np.testing.assert_allclose(x.grad, fd, atol=1e-5)
 
 
@@ -168,11 +170,11 @@ def test_mac_counter_counts_matmuls():
     a = Tensor(np.ones((2, 3, 4)))
     b = Tensor(np.ones((4, 5)))
     with ad.count_macs() as c:
-        a @ b
+        ad.matmul(a, b)
     assert c[0] == 2 * 3 * 4 * 5
     # backward matmuls are not counted
     with ad.count_macs() as c:
-        out = (a @ b).sum()
+        out = ad.matmul(a, b).sum()
         out.backward()
     assert c[0] == 2 * 3 * 4 * 5
 
@@ -184,14 +186,14 @@ def test_matmul_dense_weight_gradients(shape):
     a = Tensor(rng.normal(size=shape), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     coef = rng.normal(size=shape[:-1] + (5,))
-    (a @ w * coef).sum().backward()
-    fd_a = fd_grad(lambda v: float((Tensor(v) @ Tensor(w.value.copy()) * coef).sum().value),
-                   a.value)
-    fd_w = fd_grad(lambda v: float((Tensor(a.value.copy()) @ Tensor(v) * coef).sum().value),
-                   w.value)
+    ad.mul(ad.matmul(a, w), coef).sum().backward()
+    fd_a = fd_grad(lambda v: float(ad.mul(ad.matmul(Tensor(v), Tensor(w.value.copy())), coef)
+                                   .sum().value), a.value)
+    fd_w = fd_grad(lambda v: float(ad.mul(ad.matmul(Tensor(a.value.copy()), Tensor(v)), coef)
+                                   .sum().value), w.value)
     np.testing.assert_allclose(a.grad, fd_a, atol=1e-6)
     np.testing.assert_allclose(w.grad, fd_w, atol=1e-6)
-    np.testing.assert_allclose((a @ w).value, np.einsum("...k,kn->...n", a.value, w.value),
+    np.testing.assert_allclose(ad.matmul(a, w).value, np.einsum("...k,kn->...n", a.value, w.value),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -201,10 +203,10 @@ def test_layer_norm_gain_and_bias_gradients():
     g = Tensor(rng.normal(size=6), requires_grad=True)
     b = Tensor(rng.normal(size=6), requires_grad=True)
     coef = rng.normal(size=(2, 3, 6))
-    (ad.layer_norm(x, g, b) * coef).sum().backward()
+    ad.mul(ad.layer_norm(x, g, b), coef).sum().backward()
 
     def loss(xv, gv, bv):
-        return float((ad.layer_norm(Tensor(xv), Tensor(gv), Tensor(bv)) * coef).sum().value)
+        return float(ad.mul(ad.layer_norm(Tensor(xv), Tensor(gv), Tensor(bv)), coef).sum().value)
 
     np.testing.assert_allclose(x.grad, fd_grad(lambda v: loss(v, g.value, b.value), x.value),
                                atol=1e-5)
@@ -217,7 +219,7 @@ def test_layer_norm_gain_and_bias_gradients():
 def test_gelu_batched_gradient():
     rng = np.random.default_rng(8)
     coef = rng.normal(size=(2, 3, 8))
-    check_unary(lambda t: ad.gelu(t) * coef, rng.normal(size=(2, 3, 8)) * 2.0)
+    check_unary(lambda t: ad.mul(ad.gelu(t), coef), rng.normal(size=(2, 3, 8)) * 2.0)
 
 
 def test_unbroadcast_multi_axis():
@@ -229,9 +231,9 @@ def test_unbroadcast_multi_axis():
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
     coef = rng.normal(size=(2, 3, 4, 5))
-    ((a * b + b) * coef).sum().backward()
-    fd_b = fd_grad(lambda v: float(((Tensor(a.value.copy()) * Tensor(v) + Tensor(v)) * coef)
-                                   .sum().value), b.value)
+    ad.mul(ad.mul(a, b) + b, coef).sum().backward()
+    fd_b = fd_grad(lambda v: float(ad.mul(ad.mul(Tensor(a.value.copy()), Tensor(v)) + Tensor(v),
+                                          coef).sum().value), b.value)
     np.testing.assert_allclose(b.grad, fd_b, atol=1e-6)
 
 
@@ -239,9 +241,9 @@ def test_leaf_without_requires_grad_gets_no_gradient():
     rng = np.random.default_rng(10)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)))
-    const = w * 2.0
+    const = ad.mul(w, 2.0)
     assert not const.requires_grad and const._parents == () and const._backward is None
-    out = ad.layer_norm(a @ w, np.ones(2), np.zeros(2)).sum()
+    out = ad.layer_norm(ad.matmul(a, w), np.ones(2), np.zeros(2)).sum()
     assert out.requires_grad
     out.backward()
     assert a.grad is not None
@@ -255,7 +257,7 @@ def test_fan_out_gradient_is_not_aliased():
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     coef = rng.normal(size=(3, 4))
-    (((x + y) + x + x) * coef).sum().backward()
+    ad.mul((x + y) + x + x, coef).sum().backward()
     np.testing.assert_array_equal(y.grad, coef)
     np.testing.assert_allclose(x.grad, 3.0 * coef, atol=1e-12)
 
@@ -367,11 +369,11 @@ def test_backward_consumes_the_graph():
 def test_backward_into_a_consumed_node_raises():
     """A new graph built on a node of a consumed graph cannot reach past it."""
     x = Tensor(np.arange(3.0), requires_grad=True)
-    y = x * 2.0
+    y = ad.mul(x, 2.0)
     y.sum().backward()
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
     with pytest.raises(RuntimeError, match="already backpropagated"):
-        (y * 3.0).sum().backward()
+        ad.mul(y, 3.0).sum().backward()
 
 
 def test_three_gradients_sum_without_writing_any():
@@ -411,14 +413,14 @@ def test_getitem_gradient(idx):
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 3))
     coef = rng.normal(size=x[idx].shape)
-    check_inputs(lambda t: (t[idx] * coef).sum(), [x])
+    check_inputs(lambda t: ad.mul(t[idx], coef).sum(), [x])
 
 
 def test_linear_gradients_and_macs():
     rng = np.random.default_rng(14)
     x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
     coef = rng.normal(size=(2, 3, 5))
-    check_inputs(lambda x, w, b: (ad.linear(x, w, b) * coef).sum(), [x, w, b])
+    check_inputs(lambda x, w, b: ad.mul(ad.linear(x, w, b), coef).sum(), [x, w, b])
     with ad.count_macs() as c:
         y = ad.linear(Tensor(x), Tensor(w), Tensor(b)).value
     assert c[0] == 2 * 3 * 4 * 5
@@ -433,7 +435,7 @@ def test_matmul_is_linear_without_a_bias():
     for op in (ad.matmul, ad.linear):
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         y = op(ta, tb)
-        (y * coef).sum().backward()
+        ad.mul(y, coef).sum().backward()
         results.append([t.tobytes() for t in (y.value, ta.grad, tb.grad)])
     assert results[0] == results[1]
 
@@ -470,7 +472,7 @@ def test_mlp_gradients(const):
     rng = np.random.default_rng(19)
     values = _mlp_inputs(rng)
     coef = rng.normal(size=(2, 3, 4))
-    check_inputs(lambda *ts: (ad.mlp(*ts) * coef).sum(), values, const=(const,))
+    check_inputs(lambda *ts: ad.mul(ad.mlp(*ts), coef).sum(), values, const=(const,))
 
 
 def test_mlp_no_grad_forward_is_bit_exact_and_counts_both_layers():
@@ -499,7 +501,7 @@ def test_mlp_gradients_are_those_of_the_unfused_layers_bit_for_bit():
     grads = []
     for node in (ad.mlp, _mlp_chain):
         ts = [Tensor(v, requires_grad=True) for v in values]
-        (node(*ts) * coef).sum().backward()
+        ad.mul(node(*ts), coef).sum().backward()
         grads.append([t.grad for t in ts])
     for name, g_fused, g_chain in zip(MLP_INPUTS, *grads):
         np.testing.assert_array_equal(g_fused, g_chain, err_msg=name)
@@ -585,7 +587,7 @@ def test_mlp_large_inputs_without_warnings():
     values = [x, gain, bias, w1, b1, w2, b2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        check_inputs(lambda *ts: (ad.mlp(*ts) * coef).sum(), values, const=(1, 2))
+        check_inputs(lambda *ts: ad.mul(ad.mlp(*ts), coef).sum(), values, const=(1, 2))
         y = ad.mlp(*(Tensor(v) for v in values)).value
     assert np.all(np.isfinite(y))
 
@@ -613,7 +615,7 @@ def test_self_attention_gradients(rows):
 
     def loss(*ts):
         out, _ = ad.self_attention(*ts, heads, bias, rows)
-        return (out * coef).sum()
+        return ad.mul(out, coef).sum()
 
     check_inputs(loss, values)
     # reference: layer norm, then per-head softmax attention in plain numpy over all rows
@@ -694,7 +696,7 @@ def test_self_attention_is_layer_norm_then_attention_bit_for_bit(rows):
                 out, probs = _attention_after_norm(ad.layer_norm(*ts[:3]), *ts[3:], 2, bias, rows)
             assert out.requires_grad == grad
             if grad:
-                (out * coef).sum().backward()
+                ad.mul(out, coef).sum().backward()
             results.append([out.value, probs] + [t.grad for t in ts if grad])
     fused_const, fused_grad, ref_const, ref_grad = results
     for a, b in zip(fused_const + fused_grad, ref_const + ref_grad):
@@ -713,7 +715,7 @@ def test_contrastive_gradients_values_and_macs():
     coef = rng.normal(size=(K, 2))
 
     def loss(v, t0, t1, block, tau):
-        return (ad.contrastive(v, [t0, fixed, t1, block], tau) * coef).sum()
+        return ad.mul(ad.contrastive(v, [t0, fixed, t1, block], tau), coef).sum()
 
     check_inputs(loss, [v, t0, t1, block, np.array(0.7)])
     const = Tensor(fixed)
@@ -745,7 +747,7 @@ def test_contrastive_block_is_its_sets_in_turn(k, needs_grad):
         leaves = [Tensor(x, requires_grad=True) for x in (v, first, np.array(0.7))]
         with ad.count_macs() as c:
             out = ad.contrastive(leaves[0], [leaves[1], *sets, last], leaves[2])
-        (out * coef).sum().backward()
+        ad.mul(out, coef).sum().backward()
         return [out.value, c[0], *(t.grad for t in leaves)]
 
     whole = Tensor(block, requires_grad=needs_grad)
@@ -799,28 +801,49 @@ def test_frozen_image_tower_gets_no_backward(tmp_path):
         np.testing.assert_array_equal(g, full[name], err_msg=name)
 
 
+def _module_references(tree, module: str) -> set:
+    """The names of cornerclip's `module` that `tree` references: imported from
+    it by name, or read as attributes of a name the module is bound to."""
+    names, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module == "cornerclip" or node.level == 1 and node.module is None
+            if node.module in (module, f"cornerclip.{module}"):
+                names |= {a.name for a in node.names}
+            elif package:
+                bound |= {a.asname or a.name for a in node.names if a.name == module}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in bound}
+
+
 def test_every_public_name_has_a_caller():
-    """No primitive the model does not call: each public name of autodiff.py
-    is imported from it or read off it by another module of the package, or
-    is one that perfbench/tracer.py wraps by name."""
+    """No helper that nothing calls: each public module-level function or class
+    of the package is referenced by another module of the package, by tools/,
+    demos/ or perfbench/, by tests/test_acceptance.py, or by its own module
+    outside its own definition. A primitive of autodiff.py may instead be one
+    that perfbench/tracer.py wraps by name."""
     root = Path(__file__).resolve().parents[1]
     pkg = root / "src" / "cornerclip"
-    public = {n.name for n in ast.parse((pkg / "autodiff.py").read_text()).body
-              if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
-    called = set()
-    for path in pkg.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "cornerclip.autodiff"):
-                called |= {a.name for a in node.names}
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "autodiff"):
-                called.add(node.attr)
+    readers = [*pkg.glob("*.py"), *(path for d in ("tools", "demos", "perfbench")
+                                    for path in (root / d).glob("*.py")),
+               root / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text()) for path in readers}
     wrapped = set()
-    for node in ast.parse((root / "perfbench" / "tracer.py").read_text()).body:
+    for node in trees[root / "perfbench" / "tracer.py"].body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and getattr(node.targets[0], "id", None) in ("PRIMITIVES", "COMPOSITES")):
             wrapped |= set(ast.literal_eval(node.value))
-    assert wrapped and called
-    assert public - called - wrapped == set()
+    assert wrapped
+    uncalled = []
+    for path in sorted(pkg.glob("*.py")):
+        module, tree = path.stem, trees[path]
+        called = set().union(*(_module_references(t, module) for p, t in trees.items()
+                               if p != path))
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+                continue
+            own = {n.id for stmt in tree.body if stmt is not d for n in ast.walk(stmt)
+                   if isinstance(n, ast.Name)}
+            if d.name not in called | own and not (module == "autodiff" and d.name in wrapped):
+                uncalled.append(f"{module}.{d.name}")
+    assert uncalled == []

@@ -222,6 +222,29 @@ class TestTrainEvalCommands:
             assert code == 2 and (f"records {records[0].id} and {records[1].id} both carry "
                                   "label 0 but name it 'woven' and 'striped'") in err
 
+    def test_two_labels_with_one_name_are_refused_before_any_embedding(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        """Labels 40 and 42, which no other record carries, both named "red": eval,
+        with or without an export, and sweep refuse the manifest, naming both records,
+        before anything is embedded."""
+        records = corpus.generate_synthetic_corpus(1, 64, 4, 16)
+        manifest, sweep_dir = str(tmp_path / "m.jsonl"), tmp_path / "sweep"
+        corpus.save_manifest(records, manifest)
+        path = trained(capsys, manifest, tmp_path / "run", "--steps", "1")
+        records[:2] = [dataclasses.replace(r, label=label, attributes=["red"])
+                       for r, label in zip(records, (40, 42))]
+        corpus.save_manifest(records, manifest)
+        message = (f"error: records {records[0].id} and {records[1].id} carry labels 40 and "
+                   "42 but both name them 'red'")
+        monkeypatch.setattr(evaluation, "embed_texts", lambda *a, **kw: 1 / 0)
+        monkeypatch.setattr(evaluation, "embed_eval_set", lambda *a, **kw: 1 / 0)
+        for export in ((), ("--export-embeddings", str(tmp_path / "emb.npz"))):
+            code, _, err = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path, *export)
+            assert code == 2 and message in err
+        code, _, err = run(capsys, "sweep", "--axis", "m_corners", "--values", "2", "--seeds",
+                           "1", "--corpus", manifest, "--out", str(sweep_dir), *SMALL)
+        assert code == 2 and message in err and not sweep_dir.exists()
+
     def test_short_eval_ranks_each_distinct_caption_once(self, tmp_path, capsys):
         """Records share short captions: eval's short_r@k ranks the distinct ones,
         any-hit and image to text only, as short_retrieval_r1 does."""
@@ -235,10 +258,11 @@ class TestTrainEvalCommands:
         records = cli._records(corpus)
         params, _, meta = ckpt.load_parameters(path)
         text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
-        texts, _ = evaluation.short_text_groups(records, text_cfg, vocab)
+        short = evaluation.short_retrieval(records, params, text_cfg, image_cfg, vocab)
         assert sorted(k for k in report if k.startswith("short")) == ["short_r@1", "short_r@5"]
         assert report["n_images"] == report["n_texts"] == 16
-        assert report["n_short_texts"] == len(texts) < 16
+        assert report["n_short_texts"] == short.n_texts == len({r.short_text for r in records}) < 16
+        assert report["short_r@5"] == short.metrics["i2t_r@5"]
         assert report["short_r@1"] == evaluation.short_retrieval_r1(
             records, params, text_cfg, image_cfg, vocab)
 
@@ -499,6 +523,7 @@ class TestConfigPrecedence:
         ("--tau-init", "0", "tau_init must be in [0.01, 10.0], got 0.0"),
         ("--steps", "0", "steps must be >= 1, got 0"),
         ("--warmup-steps", "-1", "warmup_steps must be >= 0, got -1"),
+        ("--k-subcaptions", "0", "k_subcaptions must be >= 1, got 0"),
         ("--text-heads", "0", "heads must be >= 1, got 0"),
         ("--text-width", "0", "width must be >= 1, got 0"),
         ("--text-depth", "0", "depth must be >= 1, got 0"),

@@ -3,7 +3,6 @@
 import dataclasses
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +76,16 @@ class TestGroundTruth:
     def test_empty_pairing_rejected(self):
         with pytest.raises(ValueError, match="no paired texts"):
             RetrievalGroundTruth([[0], []], [0])
+
+    def test_without_text_to_image_a_text_pairs_with_many_images(self):
+        """text_to_image None: any number of images per text, a negative index
+        refused (no consistency check would catch it), and no t2i."""
+        gt = RetrievalGroundTruth([[0], [0, 1], [1]])     # text 0: images 0 and 1
+        assert ev.evaluate_retrieval(np.eye(3, 2), np.eye(2), gt).metrics == {
+            "i2t_r@1": 2 / 3, "i2t_r@5": 1.0}
+        with pytest.raises(ValueError, match=r"^image 1 has no paired texts \(or a negative "
+                                             r"index\): \[0, -1\]$"):
+            RetrievalGroundTruth([[0], [0, -1]])
 
 
 class TestRecallAtK:
@@ -299,6 +308,19 @@ class TestZeroShot:
         with pytest.raises(ValueError, match=message):     # no model: embedding would fail
             ev.evaluate(recs, {}, None, None, None)
 
+    def test_two_labels_with_one_name_are_refused_before_any_embedding(self):
+        """A class has one label: labels 3 and 5 both named "red" would have equal
+        prototypes, and the tie would send every image to the lower one, so the
+        records are refused, naming both, before evaluate embeds anything."""
+        recs = [ManifestRecord(id=f"r{i}", short_text="a cat.", image_feature=[1.0, 0.0],
+                               label=label, attributes=["red", "woven"])
+                for i, label in enumerate((3, 3, 5))]
+        message = r"^records r0 and r2 carry labels 3 and 5 but both name them 'red'$"
+        with pytest.raises(ValueError, match=message):
+            ev.classification_task(recs)
+        with pytest.raises(ValueError, match=message):     # no model: embedding would fail
+            ev.evaluate(recs, {}, None, None, None)
+
 
 def short_model(recs, **fields):
     """(text_cfg, image_cfg, vocab) of a small model of the records' words."""
@@ -308,23 +330,42 @@ def short_model(recs, **fields):
     return (*train.make_configs(vocab, cfg, 8), vocab)
 
 
+def caption_groups(recs):
+    """The distinct short captions by string in first-occurrence order, and per
+    record the index of its own: the grouping of captions that tokenize apart."""
+    texts = list(dict.fromkeys(r.short_caption for r in recs))
+    return texts, [[texts.index(r.short_caption)] for r in recs]
+
+
 class TestShortTextGroups:
+    """short_retrieval ranks each image against the distinct short captions: its
+    n_texts counts them, and its recall at every k is recall_at_k's over them."""
+
+    def check_groups(self, recs, n_groups):
+        text_cfg, image_cfg, vocab = short_model(recs)
+        params = train.build_model(text_cfg, image_cfg, 0)
+        texts, image_to_texts = caption_groups(recs)
+        img = image_encoder.embed_images(recs, params, image_cfg)
+        S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
+        ks = range(1, len(texts) + 1)
+        report = ev.short_retrieval(recs, params, text_cfg, image_cfg, vocab, ks=ks)
+        assert report.n_texts == len(texts) == n_groups
+        gt = RetrievalGroundTruth(image_to_texts)
+        assert report.metrics == {f"i2t_r@{k}": ev.recall_at_k(S, gt, k, "i2t") for k in ks}
+
     def test_duplicates_collapse(self):
         recs = generate_synthetic_corpus(0, 12, 2, 8, pool_size=3)
-        text_cfg, _, vocab = short_model(recs)
-        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
-        assert len(texts) == len(set(r.short_text for r in recs)) <= 3
-        for rec, paired in zip(recs, image_to_texts):
-            assert texts[paired[0]] == rec.short_text
+        n_groups = len(set(r.short_text for r in recs))
+        assert n_groups <= 3
+        self.check_groups(recs, n_groups)
 
     def test_long_only_records_get_their_own_groups(self):
+        """A record without a short text stands in its first long text, a group of its own."""
         recs = generate_synthetic_corpus(0, 16, 2, 8)
         for rec in recs[:2]:
             rec.short_text = ""
-        text_cfg, _, vocab = short_model(recs)
-        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
-        assert image_to_texts[0] != image_to_texts[1]
-        assert [texts[g[0]] for g in image_to_texts[:2]] == [r.long_texts[0] for r in recs[:2]]
+        assert recs[0].long_texts[0] != recs[1].long_texts[0]
+        self.check_groups(recs, 2 + len(set(r.short_text for r in recs[2:])))
 
 
 TRAINED_CFG = train.TrainConfig(batch_size=4, steps=2, warmup_steps=1, limit=16,
@@ -452,7 +493,7 @@ class TestShortRetrieval:
         recs = generate_synthetic_corpus(0, 64, 2, 8)
         text_cfg, image_cfg, vocab = short_model(recs)
         params = train.build_model(text_cfg, image_cfg, 0)
-        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
+        texts, image_to_texts = caption_groups(recs)
         _, img, _ = ev.embed_eval_set(recs, params, text_cfg, image_cfg, vocab, "short")
         S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
         # R@1 with one paired text per image: the row's first maximum is that text
@@ -473,10 +514,13 @@ class TestShortRetrieval:
         recs = generate_synthetic_corpus(0, 32, 2, 8, pool_size=3)
         text_cfg, image_cfg, vocab = short_model(recs, use_long_texts=False)
         params = train.build_model(text_cfg, image_cfg, 0)
-        texts, image_to_texts = ev.short_text_groups(recs, text_cfg, vocab)
+        texts, image_to_texts = caption_groups(recs)
         img = image_encoder.embed_images(recs, params, image_cfg)
         S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
-        gt = SimpleNamespace(image_to_texts=image_to_texts)     # many images per text
+        gt = RetrievalGroundTruth(image_to_texts)     # many images per text: no t2i
+        with pytest.raises(ValueError, match="^t2i needs the ground truth's text_to_image, "
+                                             "which is None$"):
+            ev.recall_at_k(S, gt, 1, "t2i")
         report = ev.short_retrieval(recs, params, text_cfg, image_cfg, vocab, ks=(1, 2))
         assert (report.task, report.n_images, report.n_texts) == ("short", 32, len(texts))
         assert len(texts) < 32
@@ -493,16 +537,15 @@ class TestShortRetrieval:
         params = train.build_model(text_cfg, image_cfg, 0)
         unknown = [dataclasses.replace(r, short_text=f"a photo of a {word}.")
                    for r, word in zip(recs[:2], ("zebra", "giraffe"))]
-        plain = [*unknown[:1] * 2, *recs[2:]]
+        plain = [unknown[0], dataclasses.replace(unknown[1], short_text=unknown[0].short_text),
+                 *recs[2:]]     # the same images as alike, one caption per group
         alike = [*unknown, *(dataclasses.replace(r, short_text=r.short_text.upper())
                              if i % 2 else r for i, r in enumerate(recs[2:]))]
-        want = ev.short_text_groups(plain, text_cfg, vocab)[1]
-        assert ev.short_text_groups(alike, text_cfg, vocab)[1] == want
         assert len(set(r.short_text for r in alike)) > len(set(r.short_text for r in plain))
-        reports = [ev.short_retrieval(rs, params, text_cfg, image_cfg, vocab)
+        reports = [ev.short_retrieval(rs, params, text_cfg, image_cfg, vocab, ks=range(1, 65))
                    for rs in (plain, alike)]
         assert reports[0] == reports[1]
-        assert reports[1].n_texts == len({g for [g] in want})
+        assert reports[1].n_texts == len(caption_groups(plain)[0])
 
     def test_non_finite_image_features_rejected(self):
         recs = generate_synthetic_corpus(0, 8, 2, 8)

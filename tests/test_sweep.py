@@ -46,7 +46,7 @@ class TestSpec:
         _, _, base = tiny_setup
         spec = SweepSpec(axis="k_subcaptions", values=[0, 2], base=base)
         c0 = sweep.cell_config(spec, 0, 7)
-        assert c0.k_subcaptions == 0 and not c0.use_long_texts and c0.seed == 7
+        assert c0.k_subcaptions == 1 and not c0.use_long_texts and c0.seed == 7
         c2 = sweep.cell_config(spec, 2, 7)
         assert c2.k_subcaptions == 2 and c2.use_long_texts
         assert base.k_subcaptions == 2  # base untouched

@@ -153,7 +153,7 @@ class TestAssembleBatch:
 
     def test_short_only_branch(self, corpus16):
         recs, vocab = corpus16
-        cfg = tiny_cfg(k_subcaptions=0)
+        cfg = tiny_cfg(use_long_texts=False)
         text_cfg, image_cfg, _ = setup_model(recs, vocab, cfg)
         b = train.assemble_batch(recs, vocab, text_cfg, cfg,
                                  train.step_rng(0, 1), image_cfg)
@@ -459,6 +459,7 @@ class TestConfigValidation:
         ("tau_init", 10.5, "in [0.01, 10.0]"),
         ("warmup_steps", -1, ">= 0"),
         ("checkpoint_every", -1, ">= 0"),
+        ("k_subcaptions", 0, ">= 1"),
         ("m", M_MAX + 1, f"<= {M_MAX} (the reserved corner ids)"),
     ])
     def test_bad_setting_names_field_and_value(self, field, value, rule):

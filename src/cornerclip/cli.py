@@ -185,12 +185,11 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_stats(args) -> int:
     records = corpus.load_manifest(args.corpus)
-    stats = corpus.corpus_stats(records)
-    text = "\n".join(f"{k}: {v}" for k, v in stats.to_dict().items())
-    _emit(args, stats.to_dict(), text)
+    stats = dataclasses.asdict(corpus.corpus_stats(records))
+    _emit(args, stats, "\n".join(f"{k}: {v}" for k, v in stats.items()))
     if args.out:
         with open(args.out, "w") as f:
-            json.dump(stats.to_dict(), f, sort_keys=True, indent=2)
+            json.dump(stats, f, sort_keys=True, indent=2)
     return 0
 
 
@@ -229,10 +228,6 @@ def _corpus_vocab(path):
 
 def _cmd_train(args) -> int:
     cfg = resolve_train_config(args)
-    if args.print_config:
-        _emit(args, dataclasses.asdict(cfg),
-              "\n".join(f"{k} = {v}" for k, v in dataclasses.asdict(cfg).items()))
-        return 0
     _setting(train_mod.refuse_used_out_dir, args.out_dir)
     records, vocab = _corpus_vocab(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
@@ -328,6 +323,10 @@ def dispatch(argv: list[str]) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        if getattr(args, "print_config", False):     # a flag of train and of sweep
+            values = dataclasses.asdict(resolve_train_config(args))
+            _emit(args, values, "\n".join(f"{k} = {v}" for k, v in values.items()))
+            return 0
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

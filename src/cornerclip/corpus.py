@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -95,31 +95,20 @@ class ManifestRecord:
         return self.long_texts[0] if self.long_texts else self.short_text
 
     def to_json(self) -> str:
-        d = {"id": self.id, "short_text": self.short_text, "long_texts": self.long_texts}
-        if self.image_path is not None:
-            d["image_path"] = self.image_path
-        if self.image_feature is not None:
-            d["image_feature"] = [float(x) for x in self.image_feature]
-        if self.label is not None:
-            d["label"] = self.label
-        if self.attributes is not None:
-            d["attributes"] = self.attributes
-        return json.dumps(d, sort_keys=True)
+        """One JSON line: every field that is not None, an array as a list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps({name: v.tolist() if isinstance(v, np.ndarray) else v
+                           for name, v in values.items() if v is not None}, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "ManifestRecord":
+        """The record of a `to_json` line; a field without a default that the
+        line lacks raises KeyError naming it."""
         d = json.loads(line)
         if not isinstance(d, dict):
             raise ValueError("not a JSON object")
-        return cls(
-            id=d["id"],
-            short_text=d.get("short_text", ""),
-            long_texts=d.get("long_texts", []),
-            image_path=d.get("image_path"),
-            image_feature=d.get("image_feature"),
-            label=d.get("label"),
-            attributes=d.get("attributes"),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)
+                      if f.name in d or f.default is f.default_factory is MISSING})
 
 
 def save_manifest(records: list[ManifestRecord], path) -> None:
@@ -159,18 +148,10 @@ class CorpusStats:
     avg_subcaptions_per_text: float
     avg_tokens_per_text: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def text_token_count(text: str) -> int:
-    """Word tokens plus one separator per sub-caption (the per-text token count)."""
-    subs = split_subcaptions(text)
-    return sum(len(word_tokenize(s)) for s in subs) + len(subs)
-
 
 def corpus_stats(records) -> CorpusStats:
-    """Counts and means over all texts (short and long) of a record stream."""
+    """Counts and means over all texts (short and long) of a record stream; a text's
+    tokens are its words plus one separator per sub-caption."""
     n_images = 0
     n_texts = 0
     sub_total = 0
@@ -179,9 +160,10 @@ def corpus_stats(records) -> CorpusStats:
         n_images += 1
         texts = ([rec.short_text] if rec.short_text else []) + list(rec.long_texts)
         for t in texts:
+            subs = split_subcaptions(t)
             n_texts += 1
-            sub_total += len(split_subcaptions(t))
-            tok_total += text_token_count(t)
+            sub_total += len(subs)
+            tok_total += sum(len(word_tokenize(s)) for s in subs) + len(subs)
     if n_texts == 0:
         return CorpusStats(n_images, 0, 0.0, 0.0)
     return CorpusStats(n_images, n_texts, sub_total / n_texts, tok_total / n_texts)

@@ -28,19 +28,28 @@ class RetrievalGroundTruth:
     text_to_image: list[int] | None = None   # per text, its image; None if it may have several
 
     def __post_init__(self):
-        for img, texts in enumerate(self.image_to_texts):
-            if not texts or min(texts) < 0:
-                raise ValueError(f"image {img} has no paired texts (or a negative index): {texts}")
-            if self.text_to_image is not None and any(self.text_to_image[t] != img
-                                                      for t in texts):
-                raise ValueError("ground truth is not bidirectionally consistent")
-        for t, img in enumerate(self.text_to_image or ()):
-            if t not in self.image_to_texts[img]:
-                raise ValueError("ground truth is not bidirectionally consistent")
+        image_of = self.text_to_image
+        _check_pairs(self.image_to_texts, None if image_of is None else len(image_of))
+        if image_of is not None and (
+                any(image_of[t] != img for img, texts in enumerate(self.image_to_texts)
+                    for t in texts)
+                or any(t not in self.image_to_texts[img] for t, img in enumerate(image_of))):
+            raise ValueError("ground truth is not bidirectionally consistent")
 
     @classmethod
     def one_to_one(cls, n: int) -> "RetrievalGroundTruth":
         return cls([[i] for i in range(n)], list(range(n)))
+
+
+def _check_pairs(image_to_texts: list[list[int]], n_texts: int | None) -> None:
+    """Refuse an image without paired texts, or with a text index below 0 or, given
+    n_texts, at or past it, naming the image."""
+    for img, texts in enumerate(image_to_texts):
+        if not texts or min(texts) < 0:
+            raise ValueError(f"image {img} has no paired texts (or a negative index): {texts}")
+        if n_texts is not None and max(texts) >= n_texts:
+            raise ValueError(f"image {img} pairs with text {max(texts)}, "
+                             f"but there are {n_texts} texts")
 
 
 @dataclass
@@ -89,6 +98,7 @@ def _ranks(row_block, shape, image_to_texts, text_to_image=None) -> dict:
                          f"but the scores are {shape[0]} x {shape[1]}")
     if not all(counts):
         raise ValueError("empty ground truth")
+    _check_pairs(image_to_texts, shape[1])
     step = max(1, _RANK_BLOCK // shape[1])
     image_of = np.asarray([] if text_to_image is None else text_to_image, np.int64)
     ranks, match = {"i2t": np.empty(shape[0], np.int64)}, np.empty(shape[1])
@@ -124,22 +134,20 @@ def recall_at_k(S: np.ndarray, gt: RetrievalGroundTruth, k: int, direction: str)
 
 def embed_eval_set(records: list[ManifestRecord], params: dict,
                    text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
-                   vocab: Vocabulary, text_kind: str = "long_full",
-                   image_feats: np.ndarray | None = None):
+                   vocab: Vocabulary, text_kind: str = "long_full"):
     """Unit-norm embedding arrays for a manifest.
 
     text_kind "short" embeds each record's `short_caption`; "long_full" its
     `long_caption`, the ENTIRE first long text (truncated to the limit) -
-    evaluation never samples sub-captions; given image_feats (a frozen run's),
-    images are not embedded again. Returns (ids, image array (n,p), text array (n,p)).
+    evaluation never samples sub-captions. Returns (ids, image array (n,p),
+    text array (n,p)).
     """
     if text_kind not in ("short", "long_full"):
         raise ValueError(f"unknown text_kind {text_kind!r}")
     texts = [rec.short_caption if text_kind == "short" else rec.long_caption
              for rec in records]
-    if image_feats is None:
-        image_feats = image_encoder.embed_images(records, params, image_cfg)
-    return [r.id for r in records], image_feats, embed_texts(texts, params, text_cfg, vocab)
+    return ([r.id for r in records], image_encoder.embed_images(records, params, image_cfg),
+            embed_texts(texts, params, text_cfg, vocab))
 
 
 def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
@@ -232,16 +240,11 @@ def record_classes(records: list[ManifestRecord]):
     return classification_task(records) if any(r.has_class for r in records) else None
 
 
-def short_retrieval(records: list[ManifestRecord], params: dict,
-                    text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
-                    vocab: Vocabulary, image_feats: np.ndarray | None = None,
-                    ks=(1, 5)) -> EvalReport:
-    """`evaluate_retrieval` of the images against the distinct short captions as token
-    sequences at the model's limit and m (captions apart in case alone would tie), any-hit
-    and with no t2i: several records share a caption. image_feats, if given, are the
-    records' `image_encoder.embed_images`."""
-    if image_feats is None:
-        image_feats = image_encoder.embed_images(records, params, image_cfg)
+def short_retrieval(records: list[ManifestRecord], image_feats: np.ndarray, params: dict,
+                    text_cfg: TextEncoderConfig, vocab: Vocabulary, ks=(1, 5)) -> EvalReport:
+    """`evaluate_retrieval` of the records' image features against the distinct short
+    captions as token sequences at the model's limit and m (captions apart in case alone
+    would tie), any-hit and with no t2i: several records share a caption."""
     seqs = [tokenize(rec.short_caption, text_cfg.limit, text_cfg.m, vocab) for rec in records]
     group = text_encoder.distinct_rows(*text_encoder.stack_trimmed(seqs))[2]
     texts = [records[i].short_caption for i in np.unique(group, return_index=True)[1]]
@@ -251,9 +254,10 @@ def short_retrieval(records: list[ManifestRecord], params: dict,
 
 def short_retrieval_r1(records: list[ManifestRecord], params: dict,
                        text_cfg: TextEncoderConfig, image_cfg: ImageEncoderConfig,
-                       vocab: Vocabulary, image_feats: np.ndarray | None = None) -> float:
-    """i2t R@1 of `short_retrieval`."""
-    return short_retrieval(records, params, text_cfg, image_cfg, vocab, image_feats,
+                       vocab: Vocabulary) -> float:
+    """i2t R@1 of `short_retrieval` over the records' embedded images."""
+    image_feats = image_encoder.embed_images(records, params, image_cfg)
+    return short_retrieval(records, image_feats, params, text_cfg, vocab,
                            ks=(1,)).metrics["i2t_r@1"]
 
 
@@ -264,16 +268,17 @@ def evaluate(records: list[ManifestRecord], params: dict, text_cfg: TextEncoderC
     """A model's report on a manifest: long_{i2t,t2i}_r@{1,5} over the records'
     long_full texts, short_r@{1,5} image to text over the distinct short captions,
     cls_acc@1 of the prompt prototypes when a record has a class, and the counts
-    n_images, n_texts, n_short_texts. Given image_feats (a frozen run's), or both
-    long_full arrays of `embed_eval_set`, those are not embedded again. Classes
-    that `record_classes` refuses are refused before anything is embedded."""
+    n_images, n_texts, n_short_texts. It embeds whichever long_full array of
+    `embed_eval_set` it is not given (a frozen run gives its image features).
+    Classes that `record_classes` refuses are refused before anything is embedded."""
     classes = record_classes(records)
+    if image_feats is None:
+        image_feats = image_encoder.embed_images(records, params, image_cfg)
     if text_feats is None:
-        _, image_feats, text_feats = embed_eval_set(records, params, text_cfg, image_cfg,
-                                                    vocab, "long_full", image_feats)
+        text_feats = embed_texts([r.long_caption for r in records], params, text_cfg, vocab)
     long = evaluate_retrieval(image_feats, text_feats,
                               RetrievalGroundTruth.one_to_one(len(records)))
-    short = short_retrieval(records, params, text_cfg, image_cfg, vocab, image_feats)
+    short = short_retrieval(records, image_feats, params, text_cfg, vocab)
     report = {"n_images": long.n_images, "n_texts": long.n_texts, "n_short_texts": short.n_texts,
               **{f"long_{k}": v for k, v in long.metrics.items()},
               **{k.replace("i2t", "short"): v for k, v in short.metrics.items()}}

@@ -258,7 +258,8 @@ class TestTrainEvalCommands:
         records = cli._records(corpus)
         params, _, meta = ckpt.load_parameters(path)
         text_cfg, image_cfg, vocab = train_mod.model_from_meta(meta)
-        short = evaluation.short_retrieval(records, params, text_cfg, image_cfg, vocab)
+        img = evaluation.embed_eval_set(records, params, text_cfg, image_cfg, vocab)[1]
+        short = evaluation.short_retrieval(records, img, params, text_cfg, vocab)
         assert sorted(k for k in report if k.startswith("short")) == ["short_r@1", "short_r@5"]
         assert report["n_images"] == report["n_texts"] == 16
         assert report["n_short_texts"] == short.n_texts == len({r.short_text for r in records}) < 16
@@ -476,6 +477,20 @@ class TestConfigPrecedence:
                            "--out-dir", "unused", "--print-config", "--json")
         assert code == 0
         assert json.loads(out)["steps"] == 600
+
+    def test_sweep_prints_its_base_config_without_running(self, manifest, tmp_path, capsys,
+                                                          monkeypatch):
+        """sweep --print-config prints what train --print-config prints for the same
+        flags and exits 0, reading no manifest and creating no --out directory."""
+        monkeypatch.setattr(corpus, "load_manifest", lambda *a: 1 / 0)
+        flags = ("--steps", "2", "--batch-size", "4", "--print-config")
+        out_dir = tmp_path / "sweep"
+        for fmt in ((), ("--json",)):
+            printed = run(capsys, "train", "--corpus", manifest, "--out-dir", "u", *flags, *fmt)
+            assert printed[0] == 0
+            assert run(capsys, "sweep", "--axis", "m_corners", "--values", "0", "--seeds", "1",
+                       "--corpus", manifest, "--out", str(out_dir), *flags, *fmt) == printed
+        assert json.loads(printed[1])["steps"] == 2 and not out_dir.exists()
 
     def test_file_overrides_defaults_flags_override_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg"

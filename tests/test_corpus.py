@@ -1,6 +1,7 @@
 """Manifest I/O, corpus statistics, and the synthetic generator."""
 
 import ast
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -49,6 +50,18 @@ class TestManifestRecord:
         assert back.attributes == ["red", "round"]
         np.testing.assert_array_equal(back.image_feature, rec.image_feature)
 
+    def test_every_field_round_trips(self):
+        """A record with every field set reads back equal, field by field."""
+        rec = make_record(image_path="images/r0.npy", label=3, attributes=["red", "round"])
+        assert all(getattr(rec, f.name) is not None for f in dataclasses.fields(rec))
+        line = rec.to_json()
+        assert sorted(json.loads(line)) == sorted(f.name for f in dataclasses.fields(rec))
+        back = ManifestRecord.from_json(line)
+        for f in dataclasses.fields(rec):
+            np.testing.assert_array_equal(getattr(back, f.name), getattr(rec, f.name))
+            assert type(getattr(back, f.name)) is type(getattr(rec, f.name)), f.name
+        assert back.to_json() == line
+
     def test_captions_fall_back_to_the_other_kind(self):
         both = make_record(long_texts=["a cat. a mat.", "a dog."])
         assert (both.short_caption, both.long_caption) == ("a cat.", "a cat. a mat.")
@@ -82,6 +95,14 @@ class TestManifestIO:
         assert len(back) == 2
         assert "skipped 2" in caplog.text
 
+    def test_a_line_without_id_is_skipped_naming_the_key(self, tmp_path, caplog):
+        path = tmp_path / "m.jsonl"
+        fields = json.loads(make_record().to_json())
+        del fields["id"]
+        path.write_text(make_record().to_json() + "\n" + json.dumps(fields) + "\n")
+        with caplog.at_level(logging.WARNING):
+            assert [r.id for r in load_manifest(path)] == ["r0"]
+        assert "skipping manifest line 2: 'id'" in caplog.text
 
     def test_lines_of_the_wrong_type_skipped_naming_the_field(self, tmp_path, caplog):
         path = tmp_path / "m.jsonl"

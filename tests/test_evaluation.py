@@ -88,6 +88,18 @@ class TestGroundTruth:
             RetrievalGroundTruth([[0], [0, -1]])
 
 
+    def test_a_text_index_past_the_texts_is_refused_naming_the_image(self):
+        """A paired text past text_to_image, or past the scores' texts when there is
+        no text_to_image, is refused naming its image and the index."""
+        message = r"^image 1 pairs with text 5, but there are 2 texts$"
+        with pytest.raises(ValueError, match=message):
+            RetrievalGroundTruth([[0], [5]], [0, 1])
+        gt = RetrievalGroundTruth([[0], [5]])
+        with pytest.raises(ValueError, match=message):
+            ev.recall_at_k(np.eye(2), gt, 1, "i2t")
+        with pytest.raises(ValueError, match=message):
+            ev.evaluate_retrieval(np.eye(2), np.eye(2), gt)
+
 class TestRecallAtK:
     def test_identity_matrix_perfect(self):
         gt = RetrievalGroundTruth.one_to_one(4)
@@ -348,7 +360,7 @@ class TestShortTextGroups:
         img = image_encoder.embed_images(recs, params, image_cfg)
         S = img @ ev.embed_texts(texts, params, text_cfg, vocab).T
         ks = range(1, len(texts) + 1)
-        report = ev.short_retrieval(recs, params, text_cfg, image_cfg, vocab, ks=ks)
+        report = ev.short_retrieval(recs, img, params, text_cfg, vocab, ks=ks)
         assert report.n_texts == len(texts) == n_groups
         gt = RetrievalGroundTruth(image_to_texts)
         assert report.metrics == {f"i2t_r@{k}": ev.recall_at_k(S, gt, k, "i2t") for k in ks}
@@ -461,7 +473,7 @@ class TestEvaluate:
         model = (res.params, res.text_cfg, res.image_cfg, vocab)
         _, img, txt = ev.embed_eval_set(recs, *model, "long_full")
         long = ev.evaluate_retrieval(img, txt, RetrievalGroundTruth.one_to_one(len(recs)))
-        short = ev.short_retrieval(recs, *model, img)
+        short = ev.short_retrieval(recs, img, res.params, res.text_cfg, vocab)
         names, labels = ev.classification_task(recs)
         acc = ev.zero_shot_classify(img, labels, ev.class_prototypes(
             names, ev.DEFAULT_TEMPLATES, res.params, res.text_cfg, vocab))
@@ -471,8 +483,17 @@ class TestEvaluate:
             "long_t2i_r@1": long.metrics["t2i_r@1"], "long_t2i_r@5": long.metrics["t2i_r@5"],
             "short_r@1": short.metrics["i2t_r@1"], "short_r@5": short.metrics["i2t_r@5"],
             "cls_acc@1": acc}
-        assert ev.evaluate(recs, *model, img) == ev.evaluate(recs, *model, img, txt) == \
-            ev.evaluate(recs, *model)
+
+    def test_either_array_may_be_given(self, trained):
+        """Given the long_full image features, the text features, both or neither,
+        evaluate embeds the rest itself and reports the same."""
+        recs, vocab, res = trained
+        model = (res.params, res.text_cfg, res.image_cfg, vocab)
+        _, img, txt = ev.embed_eval_set(recs, *model, "long_full")
+        report = ev.evaluate(recs, *model)
+        assert ev.evaluate(recs, *model, image_feats=img) == report
+        assert ev.evaluate(recs, *model, text_feats=txt) == report
+        assert ev.evaluate(recs, *model, img, txt) == report
 
     def test_records_without_labels_have_no_classification(self, trained):
         recs, vocab, res = trained
@@ -521,7 +542,7 @@ class TestShortRetrieval:
         with pytest.raises(ValueError, match="^t2i needs the ground truth's text_to_image, "
                                              "which is None$"):
             ev.recall_at_k(S, gt, 1, "t2i")
-        report = ev.short_retrieval(recs, params, text_cfg, image_cfg, vocab, ks=(1, 2))
+        report = ev.short_retrieval(recs, img, params, text_cfg, vocab, ks=(1, 2))
         assert (report.task, report.n_images, report.n_texts) == ("short", 32, len(texts))
         assert len(texts) < 32
         assert report.metrics == {f"i2t_r@{k}": oracle_recall(S, gt, k, "i2t") for k in (1, 2)}
@@ -542,7 +563,8 @@ class TestShortRetrieval:
         alike = [*unknown, *(dataclasses.replace(r, short_text=r.short_text.upper())
                              if i % 2 else r for i, r in enumerate(recs[2:]))]
         assert len(set(r.short_text for r in alike)) > len(set(r.short_text for r in plain))
-        reports = [ev.short_retrieval(rs, params, text_cfg, image_cfg, vocab, ks=range(1, 65))
+        img = image_encoder.embed_images(recs, params, image_cfg)      # both lists' images
+        reports = [ev.short_retrieval(rs, img, params, text_cfg, vocab, ks=range(1, 65))
                    for rs in (plain, alike)]
         assert reports[0] == reports[1]
         assert reports[1].n_texts == len(caption_groups(plain)[0])
@@ -556,7 +578,7 @@ class TestShortRetrieval:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="image features have non-finite entries"):
-                ev.short_retrieval_r1(recs, params, text_cfg, image_cfg, vocab, img)
+                ev.short_retrieval(recs, img, params, text_cfg, vocab)
 
 
 class TestFlops:

@@ -1,7 +1,7 @@
 """tools/output_digests.py runs to completion and prints one digest line per
 output of its seven training runs, the resumed run's equal to the
-uninterrupted run's, two for its sweep's tables and one for an eval report: a
-refactor's claim of byte-identical outputs rests on this tool."""
+uninterrupted run's, two for its sweep's tables, one for an eval report and one
+for a manifest: a refactor's claim of byte-identical outputs rests on this tool."""
 
 import re
 import subprocess
@@ -22,9 +22,9 @@ def test_output_digests_runs_and_resume_matches():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert len(lines) == 52 and all(re.fullmatch(r"\S+ [0-9a-f]{16}", x) for x in lines), lines
+    assert len(lines) == 53 and all(re.fullmatch(r"\S+ [0-9a-f]{16}", x) for x in lines), lines
     digests = dict(x.split() for x in lines)
     assert list(digests) == [f"{r}.{o}" for r in RUNS for o in OUTPUTS] + [
-        "sweep.rows", "sweep.plot_data_agg", "eval.report"]
+        "sweep.rows", "sweep.plot_data_agg", "eval.report", "manifest"]
     for o in OUTPUTS:
         assert digests[f"resume.{o}"] == digests[f"default.{o}"], o

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""sha256 prefixes of the outputs of six fixed training runs, a resume, a sweep and
-an eval report, or their numbers, to compare two trees exactly or to the last bits.
+"""sha256 prefixes of the outputs of six fixed training runs, a resume, a sweep, an
+eval report and a manifest, or their numbers, to compare two trees exactly or to
+the last bits.
 
     python3 tools/output_digests.py > digests.txt
     python3 tools/output_digests.py --dump DIR
@@ -30,7 +31,9 @@ to the meta alone shows as its meta lines alone. Runs:
   columns, the only ones that vary between runs;
 - eval: `cornerclip eval --json` on the default run's final checkpoint over
   its 256 records, run through `cli.dispatch`; its line digests the report
-  whole (long and short recall, cls_acc@1 and the counts).
+  whole (long and short recall, cls_acc@1 and the counts);
+- manifest: the bytes `save_manifest` writes for the 256 records plus one
+  record with every field set, whose image_path names a file that is never read.
 
 Where a change moves the last bits, digests differ everywhere; then
 `--dump DIR` on one tree writes each output that is numbers (the
@@ -51,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -94,7 +98,8 @@ def outputs(name, records, result, out_dir: Path):
     """(line, bytes digested, the numbers as a float array or None) per output of a run."""
     model = (result.params, result.text_cfg, result.image_cfg, result.vocab)
     _, img, txt = evaluation.embed_eval_set(records, *model, "long_full")
-    short = evaluation.embed_eval_set(records, *model, "short", image_feats=img)[2]
+    short = evaluation.embed_texts([r.short_caption for r in records], result.params,
+                                   result.text_cfg, result.vocab)
     report = evaluation.evaluate(records, *model, img, txt)
     scores = np.array([report[k] for k in ("long_i2t_r@1", "long_i2t_r@5", "long_t2i_r@1",
                                            "long_t2i_r@5", "cls_acc@1")])
@@ -213,6 +218,11 @@ def main(argv=None):
                                  "--checkpoint", str(work / "default" / "ckpt_final.bin")])
         values = np.array([v for _, v in sorted(json.loads(report).items())], dtype=np.float64)
         emit([("eval.report", report.encode(), values)], args.dump, args.against)
+        every_field = dataclasses.replace(records[0], id="every_field",
+                                          image_path="images/every_field.npy")
+        written = work / "every_field.jsonl"
+        corpus.save_manifest(records + [every_field], str(written))
+        emit([("manifest", written.read_bytes(), None)], args.dump, args.against)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -17,9 +17,11 @@ import json
 import logging
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
+from .settings import check_settings
 from .tokenizer import Vocabulary, split_subcaptions, word_tokenize
 
 log = logging.getLogger(__name__)
@@ -183,16 +185,14 @@ def generate_synthetic_corpus(
     (weight 1/(j+1) for position j). Attribute tuples are distinct across
     records whenever enough ordered tuples exist. Deterministic in `seed`.
     """
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n_attributes < 2:
-        raise ValueError("n_attributes must be >= 2")
     if pool_size is None:
         pool_size = 8 * n_attributes
-    if pool_size < n_attributes:
-        raise ValueError("pool_size must be >= n_attributes")
+    given = SimpleNamespace(feature_dim=feature_dim, n=n, n_attributes=n_attributes,
+                            pool_size=pool_size)
+    check_settings(given, [("feature_dim", feature_dim >= 1, ">= 1"), ("n", n >= 2, ">= 2"),
+                           ("n_attributes", n_attributes >= 2, ">= 2"),
+                           ("pool_size", pool_size >= n_attributes,
+                            f">= n_attributes ({n_attributes})")])
     rng = np.random.default_rng(seed)
 
     pool = list(ATTRIBUTE_WORDS)

@@ -30,9 +30,15 @@ class RetrievalGroundTruth:
     def __post_init__(self):
         image_of = self.text_to_image
         _check_pairs(self.image_to_texts, None if image_of is None else len(image_of))
-        if image_of is not None and (
-                any(image_of[t] != img for img, texts in enumerate(self.image_to_texts)
-                    for t in texts)
+        if image_of is None:
+            return
+        n_images = len(self.image_to_texts)
+        for t, img in enumerate(image_of):
+            if not 0 <= img < n_images:
+                raise ValueError(f"text {t} pairs with image {img}, "
+                                 f"but there are {n_images} images")
+        if (any(image_of[t] != img for img, texts in enumerate(self.image_to_texts)
+                for t in texts)
                 or any(t not in self.image_to_texts[img] for t, img in enumerate(image_of))):
             raise ValueError("ground truth is not bidirectionally consistent")
 

@@ -10,32 +10,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD, ROLE_SEP, ROLE_TEXT
+from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_PAD
 
 MASK_NEG = -1e9
 MODES = ("corner", "full")      # "full": every position reads every other (no corner rule)
 
 
-# _NEXT_OK[prev, cur]: role `cur` may directly follow role `prev`; rows and
-# columns in role order CLS, CORNER, TEXT, SEP, PAD
-_NEXT_OK = np.array([[0, 1, 1, 1, 1],
-                     [0, 1, 1, 1, 1],
-                     [0, 0, 1, 1, 1],
-                     [0, 0, 1, 1, 1],
-                     [0, 0, 0, 0, 1]], dtype=bool)
+# a role's place in CLS CORNER* (TEXT|SEP)* PAD*, by role: CLS, CORNER, TEXT, SEP, PAD
+_PLACE = np.array([0, 1, 2, 2, 3])
 
 
 def validate_role_layout(roles: np.ndarray) -> None:
     """Check the CLS CORNER* (TEXT|SEP)* PAD* layout of a (L,) role array or of
-    every row of a (B, L) batch; raise on violation."""
+    every row of a (B, L) batch: CLS at position 0 only, places never decreasing
+    along a row; raise on violation."""
     roles = np.asarray(roles)
     if roles.ndim not in (1, 2) or roles.size == 0:
         raise ValueError("roles must be a nonempty 1-D array or a (B, L) batch of them")
     if np.any(roles[..., 0] != ROLE_CLS):
         raise ValueError("position 0 must be CLS")
-    # CLS never follows anything, so this also keeps CLS out of positions 1..L-1
-    if (roles.min() < 0 or roles.max() >= len(_NEXT_OK)
-            or not np.all(_NEXT_OK[roles[..., :-1], roles[..., 1:]])):
+    # the range first, so no out-of-range role is read as another role's place
+    if roles.min() < 0 or roles.max() >= len(_PLACE):
+        raise ValueError("malformed role layout")
+    # past position 0 a place is at least the one before it, and at least 1: no second CLS
+    places = _PLACE[roles]
+    if np.any(places[..., 1:] < np.maximum(places[..., :-1], 1)):
         raise ValueError("malformed role layout")
 
 
@@ -52,19 +51,10 @@ def build_corner_mask(roles: np.ndarray) -> np.ndarray:
     return (~blocked).astype(np.int8)
 
 
-def apply_padding(mask: np.ndarray, roles: np.ndarray) -> np.ndarray:
-    """Zero every PAD-key column except its own diagonal entry."""
-    roles = np.asarray(roles)
-    L = roles.shape[-1]
-    if mask.shape != roles.shape + (L,):
-        raise ValueError("mask/roles length mismatch")
-    pad_key = (roles == ROLE_PAD)[..., None, :]
-    return np.where(pad_key, np.eye(L, dtype=mask.dtype), mask)
-
-
 def full_mask(roles: np.ndarray, mask_mode: str) -> np.ndarray:
     """The attention mask of `mask_mode` with padding applied: the corner rule,
-    or with "full" (the register-token ablation) all ones.
+    or with "full" (the register-token ablation) all ones; then every PAD key
+    is read by itself only.
 
     `roles` is one (L,) layout or a (B, L) batch; the mask is (L, L) or (B, L, L).
     """
@@ -73,7 +63,9 @@ def full_mask(roles: np.ndarray, mask_mode: str) -> np.ndarray:
     mask = build_corner_mask(roles)       # validates the layout in either mode
     if mask_mode == "full":
         mask = np.ones_like(mask)
-    return apply_padding(mask, roles)
+    roles = np.asarray(roles)
+    pad_key = (roles == ROLE_PAD)[..., None, :]
+    return np.where(pad_key, np.eye(roles.shape[-1], dtype=mask.dtype), mask)
 
 
 def mask_bias(mask: np.ndarray) -> np.ndarray:

@@ -102,10 +102,6 @@ class TokenSequence:
     roles: np.ndarray    # (limit,) int64
     true_length: int
 
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.roles = np.asarray(self.roles, dtype=np.int64)
-
 
 def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
     """Produce [CLS], COR_1..COR_m, words + [SEP] per sub-caption, pad to limit."""
@@ -119,12 +115,10 @@ def tokenize(text: str, limit: int, m: int, vocab: Vocabulary) -> TokenSequence:
             roles.append(ROLE_TEXT)
         ids.append(SEP_ID)
         roles.append(ROLE_SEP)
-    ids = ids[:limit]
-    roles = roles[:limit]
-    true_length = len(ids)
-    ids += [PAD_ID] * (limit - true_length)
-    roles += [ROLE_PAD] * (limit - true_length)
-    return TokenSequence(np.array(ids), np.array(roles), true_length)
+    true_length = min(len(ids), limit)
+    ids = np.array(ids[:limit] + [PAD_ID] * (limit - true_length), dtype=np.int64)
+    roles = np.array(roles[:limit] + [ROLE_PAD] * (limit - true_length), dtype=np.int64)
+    return TokenSequence(ids, roles, true_length)
 
 
 def detokenize(seq: TokenSequence, vocab: Vocabulary) -> list[str]:

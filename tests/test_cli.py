@@ -69,9 +69,9 @@ class TestBasicCommands:
     @pytest.mark.parametrize("flag,raw,message", [
         ("--feature-dim", "0", "feature_dim must be >= 1, got 0"),
         ("--feature-dim", "-3", "feature_dim must be >= 1, got -3"),
-        ("--n", "1", "n must be >= 2"),
-        ("--attributes", "1", "n_attributes must be >= 2"),
-        ("--pool-size", "2", "pool_size must be >= n_attributes"),
+        ("--n", "1", "n must be >= 2, got 1"),
+        ("--attributes", "1", "n_attributes must be >= 2, got 1"),
+        ("--pool-size", "2", "pool_size must be >= n_attributes (4), got 2"),
     ])
     def test_gen_corpus_setting_out_of_range_is_usage_error(self, tmp_path, capsys,
                                                             flag, raw, message):

@@ -1,6 +1,7 @@
 """Retrieval/classification metrics against brute-force oracles, plus FLOPs."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -87,7 +88,6 @@ class TestGroundTruth:
                                              r"index\): \[0, -1\]$"):
             RetrievalGroundTruth([[0], [0, -1]])
 
-
     def test_a_text_index_past_the_texts_is_refused_naming_the_image(self):
         """A paired text past text_to_image, or past the scores' texts when there is
         no text_to_image, is refused naming its image and the index."""
@@ -99,6 +99,18 @@ class TestGroundTruth:
             ev.recall_at_k(np.eye(2), gt, 1, "i2t")
         with pytest.raises(ValueError, match=message):
             ev.evaluate_retrieval(np.eye(2), np.eye(2), gt)
+
+    @pytest.mark.parametrize("image_to_texts, image_of, message", [
+        ([[0]], [0, 7], "text 1 pairs with image 7, but there are 1 images"),
+        ([[0], [1]], [0, -1], "text 1 pairs with image -1, but there are 2 images")],
+        ids=["past_the_end", "negative"])
+    def test_an_image_index_outside_the_images_is_refused_naming_the_text(
+            self, image_to_texts, image_of, message):
+        """text_to_image's entries lie in [0, n_images): one past the end or below 0
+        is refused naming the text and the image count, before the consistency check."""
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            RetrievalGroundTruth(image_to_texts, image_of)
+
 
 class TestRecallAtK:
     def test_identity_matrix_perfect(self):

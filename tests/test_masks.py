@@ -1,5 +1,6 @@
 """Corner mask tests, including the brute-force oracle equivalence."""
 
+import itertools
 import re
 
 import numpy as np
@@ -115,31 +116,33 @@ def test_corner_isolation_reachability():
 
 
 class TestApplyPadding:
+    """full_mask's padding: every PAD key is read by itself only."""
+
     def test_no_pad_identity(self):
         roles = np.array([ROLE_CLS, ROLE_CORNER, ROLE_TEXT, ROLE_SEP])
-        mask = masks.build_corner_mask(roles)
-        np.testing.assert_array_equal(masks.apply_padding(mask, roles), mask)
+        np.testing.assert_array_equal(masks.full_mask(roles, "corner"),
+                                      masks.build_corner_mask(roles))
 
     def test_pad_columns_zeroed_except_diagonal(self):
         roles = np.array([ROLE_CLS, ROLE_TEXT, ROLE_SEP, ROLE_PAD, ROLE_PAD])
-        out = masks.apply_padding(masks.build_corner_mask(roles), roles)
+        out = masks.full_mask(roles, "corner")
         assert out[:, 3].tolist() == [0, 0, 0, 1, 0]
         assert out[:, 4].tolist() == [0, 0, 0, 0, 1]
 
     def test_combined_equals_elementwise_and(self):
         roles = np.array([ROLE_CLS, ROLE_CORNER, ROLE_TEXT, ROLE_SEP, ROLE_PAD, ROLE_PAD])
-        corner = masks.build_corner_mask(roles)
-        pad_only = np.ones_like(corner)
+        pad_only = np.ones((6, 6), np.int8)
         pad = roles == ROLE_PAD
         pad_only[:, pad] = 0
         idx = np.where(pad)[0]
         pad_only[idx, idx] = 1
-        combined = masks.apply_padding(corner, roles)
-        np.testing.assert_array_equal(combined, corner & pad_only)
+        for mode, base in (("corner", masks.build_corner_mask(roles)),
+                           ("full", np.ones((6, 6), np.int8))):
+            np.testing.assert_array_equal(masks.full_mask(roles, mode), base & pad_only)
 
     def test_non_pad_query_rows_never_all_zero(self):
         roles = np.array([ROLE_CLS, ROLE_CORNER, ROLE_CORNER, ROLE_TEXT, ROLE_PAD])
-        out = masks.apply_padding(masks.build_corner_mask(roles), roles)
+        out = masks.full_mask(roles, "corner")
         for q in range(4):
             assert out[q].sum() >= 1
 
@@ -157,6 +160,25 @@ def test_format_mask_grid():
 
 LAYOUT_RE = re.compile(r"C K* [TS]* P*".replace(" ", ""))
 ROLE_LETTERS = {ROLE_CLS: "C", ROLE_CORNER: "K", ROLE_TEXT: "T", ROLE_SEP: "S", ROLE_PAD: "P"}
+
+
+def test_layout_check_is_the_grammar_on_every_short_row():
+    """validate_role_layout against LAYOUT_RE over every row of length 1-5 with
+    values -1..5, messages included: a value outside the roles matches no letter
+    and is refused, never read as some role's place."""
+    checked = 0
+    for L in range(1, 6):
+        for row in itertools.product(range(-1, 6), repeat=L):
+            checked += 1
+            if LAYOUT_RE.fullmatch("".join(ROLE_LETTERS.get(v, "?") for v in row)):
+                masks.validate_role_layout(np.array(row))
+                continue
+            expected = ("position 0 must be CLS" if row[0] != ROLE_CLS
+                        else "malformed role layout")
+            with pytest.raises(ValueError) as err:
+                masks.validate_role_layout(np.array(row))
+            assert str(err.value) == expected, row
+    assert checked == 19_607
 
 
 def oracle_full_mask(roles, mode):

@@ -1,4 +1,4 @@
-"""Both towers and the training loss against a plain-numpy reference.
+"""Both towers, the training loss and its gradients against a plain-numpy reference.
 
 The reference reads the parameter dict and nothing else of the package's
 model code: no autodiff, no fused nodes, no PAD trim, no row cut in the last
@@ -154,9 +154,10 @@ def long_features(params, batch, text_cfg):
         padded(batch.long_ids, limit, PAD_ID), padded(batch.long_roles, limit, ROLE_PAD))])
 
 
-def check_loss(params, batch, recs, vocab, v, text_cfg, image_cfg, cfg):
-    """compute_loss's short, long and total terms against the reference's over
-    the batch's unit image features v."""
+def reference_loss(params, batch, recs, vocab, unit_images, text_cfg):
+    """The reference's short and long terms of the batch's loss, the unit image
+    features read from the parameters by unit_images(params)."""
+    v = unit_images(params)
     shorts = [tokenize(recs[i].short_caption, text_cfg.limit, text_cfg.m, vocab)
               for i in batch.indices]
     t_short = np.stack([text_features(params, s.ids, s.roles, text_cfg)[0] for s in shorts])
@@ -164,9 +165,74 @@ def check_loss(params, batch, recs, vocab, v, text_cfg, image_cfg, cfg):
     tau = np.clip(np.exp(-params["obj.s"].value), 0.01, 10.0)
     short = info_nce(v, t_short, tau)
     long = sum(info_nce(v, t_long[:, j], tau) for j in range(1 + text_cfg.m))
+    return short, long
+
+
+def check_loss(params, batch, recs, vocab, unit_images, text_cfg, image_cfg, cfg):
+    """compute_loss's short, long and total terms against the reference's."""
+    short, long = reference_loss(params, batch, recs, vocab, unit_images, text_cfg)
     breakdown, _ = train.compute_loss(params, batch, text_cfg, image_cfg, cfg)
     assert_close(np.array([breakdown.short, breakdown.long, breakdown.total.value]),
                  np.array([short, long, short + long]))
+
+
+def check_gradients(params, batch, recs, vocab, unit_images, text_cfg, image_cfg, cfg):
+    """train.gradients at three seeded coordinates of every trainable parameter
+    against central differences of the reference's total loss."""
+    grads, _, _ = train.gradients(params, batch, text_cfg, image_cfg, cfg)
+    assert sorted(grads) == train.trainable_names(params, cfg)
+    rng = np.random.default_rng(11)
+    eps = 1e-5
+    for name, grad in grads.items():
+        flat = params[name].value.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            old = flat[idx]
+            totals = []
+            for x in (old + eps, old - eps):
+                flat[idx] = x
+                totals.append(sum(reference_loss(params, batch, recs, vocab, unit_images,
+                                                 text_cfg)))
+            flat[idx] = old
+            fd = (totals[0] - totals[1]) / (2 * eps)
+            assert abs(fd - grad.reshape(-1)[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx)
+
+
+def projected_features(recs, batch):
+    """unit_images for the precomputed image mode: the batch's features projected."""
+    feats = np.stack([recs[i].image_feature for i in batch.indices])
+
+    def unit_images(params):
+        image = feats @ params[image_encoder.NAMESPACE + "proj"].value
+        return image / np.linalg.norm(image, axis=1, keepdims=True)
+    return unit_images
+
+
+def pixel_features(recs, batch, image_cfg):
+    """unit_images for the vit image mode: the batch's pixels through the reference."""
+    pixels = np.stack([np.load(recs[i].image_path) for i in batch.indices])
+    return lambda params: np.stack([image_feature(params, image, image_cfg) for image in pixels])
+
+
+def text_model(recs, vocab, m, mask_mode):
+    """A small randomized text model in the precomputed image mode and its first batch."""
+    cfg = train.TrainConfig(batch_size=8, seed=3, m=m, mask_mode=mask_mode, limit=24,
+                            text_depth=2, text_width=16, text_heads=2, projection_dim=8)
+    text_cfg, image_cfg, params = randomized_model(recs, vocab, cfg)
+    batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(cfg.seed, 1),
+                                 image_cfg)
+    return cfg, text_cfg, image_cfg, params, batch
+
+
+def vit_model(recs, vocab, freeze_image):
+    """A small randomized model with the ViT, trained or frozen, and its first batch."""
+    cfg = train.TrainConfig(batch_size=8, seed=3, limit=24, text_depth=2, text_width=16,
+                            text_heads=2, projection_dim=8, image_mode="vit",
+                            freeze_image=freeze_image)
+    text_cfg, image_cfg, params = randomized_model(recs, vocab, cfg)
+    frozen = image_encoder.embed_images(recs, params, image_cfg) if freeze_image else None
+    batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(cfg.seed, 1),
+                                 image_cfg, image_features=frozen)
+    return cfg, text_cfg, image_cfg, params, batch
 
 
 @pytest.mark.parametrize("mask_mode", ["corner", "full"])
@@ -175,11 +241,7 @@ def test_text_tower_and_loss_match_the_reference(records, m, mask_mode):
     """encode_text_graph on a long-caption batch, with and without its corners,
     and compute_loss's terms in the precomputed image mode."""
     recs, vocab = records
-    cfg = train.TrainConfig(batch_size=8, seed=3, m=m, mask_mode=mask_mode, limit=24,
-                            text_depth=2, text_width=16, text_heads=2, projection_dim=8)
-    text_cfg, image_cfg, params = randomized_model(recs, vocab, cfg)
-    batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(cfg.seed, 1),
-                                 image_cfg)
+    cfg, text_cfg, image_cfg, params, batch = text_model(recs, vocab, m, mask_mode)
     t_long = long_features(params, batch, text_cfg)
     feats, _ = text_encoder.encode_text_graph(batch.long_ids, batch.long_roles, params,
                                               text_cfg)
@@ -187,11 +249,8 @@ def test_text_tower_and_loss_match_the_reference(records, m, mask_mode):
     globals_only, _ = text_encoder.encode_text_graph(batch.long_ids, batch.long_roles,
                                                      params, text_cfg, corners=False)
     assert_close(globals_only.value[:, 0], t_long[:, 0])
-
-    image = (np.stack([recs[i].image_feature for i in batch.indices])
-             @ params[image_encoder.NAMESPACE + "proj"].value)
-    v = image / np.linalg.norm(image, axis=1, keepdims=True)
-    check_loss(params, batch, recs, vocab, v, text_cfg, image_cfg, cfg)
+    check_loss(params, batch, recs, vocab, projected_features(recs, batch), text_cfg,
+               image_cfg, cfg)
 
 
 @pytest.mark.parametrize("freeze_image", [False, True])
@@ -199,14 +258,29 @@ def test_vit_and_its_loss_match_the_reference(pixel_records, freeze_image):
     """encode_image_graph on a batch of pixels, and compute_loss's terms in the
     vit image mode: through the tower, or from a frozen tower's features."""
     recs, vocab = pixel_records
-    cfg = train.TrainConfig(batch_size=8, seed=3, limit=24, text_depth=2, text_width=16,
-                            text_heads=2, projection_dim=8, image_mode="vit",
-                            freeze_image=freeze_image)
-    text_cfg, image_cfg, params = randomized_model(recs, vocab, cfg)
-    frozen = image_encoder.embed_images(recs, params, image_cfg) if freeze_image else None
-    batch = train.assemble_batch(recs, vocab, text_cfg, cfg, train.step_rng(cfg.seed, 1),
-                                 image_cfg, image_features=frozen)
+    cfg, text_cfg, image_cfg, params, batch = vit_model(recs, vocab, freeze_image)
+    unit_images = pixel_features(recs, batch, image_cfg)
     pixels = np.stack([np.load(recs[i].image_path) for i in batch.indices])
-    v = np.stack([image_feature(params, image, image_cfg) for image in pixels])
-    assert_close(image_encoder.encode_image_graph(pixels, params, image_cfg).value, v)
-    check_loss(params, batch, recs, vocab, v, text_cfg, image_cfg, cfg)
+    assert_close(image_encoder.encode_image_graph(pixels, params, image_cfg).value,
+                 unit_images(params))
+    check_loss(params, batch, recs, vocab, unit_images, text_cfg, image_cfg, cfg)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_gradients_match_central_differences_of_the_reference(records, m):
+    """train.gradients under the corner mask, with and without corners, against
+    the reference loss: every parameter of the text tower, the image projection
+    and the temperature."""
+    recs, vocab = records
+    cfg, text_cfg, image_cfg, params, batch = text_model(recs, vocab, m, "corner")
+    check_gradients(params, batch, recs, vocab, projected_features(recs, batch), text_cfg,
+                    image_cfg, cfg)
+
+
+def test_vit_gradients_match_central_differences_of_the_reference(pixel_records):
+    """train.gradients with the ViT trained, against the reference loss: every
+    parameter of both towers and the temperature."""
+    recs, vocab = pixel_records
+    cfg, text_cfg, image_cfg, params, batch = vit_model(recs, vocab, freeze_image=False)
+    check_gradients(params, batch, recs, vocab, pixel_features(recs, batch, image_cfg),
+                    text_cfg, image_cfg, cfg)

@@ -383,7 +383,8 @@ def contrastive(v, ts, tau) -> Tensor:
     GEMM of v against the sets t_k stacked: the (K, 2) summed cross-entropies
     [i2t, t2i] of the diagonal of z_k = v t_k^T / tau under its row softmax P_k
     and its column softmax Q_k. An upstream g (K, 2) gives z_k the gradient
-    g_k0 (P_k - I) + g_k1 (Q_k - I)."""
+    g_k0 (P_k - I) + g_k1 (Q_k - I). A non-finite similarity or temperature, the
+    mark of a diverged run, raises FloatingPointError naming which."""
     v, tau, *ts = (_as_tensor(x) for x in (v, tau, *ts))
     N, p = v.shape
     for t in ts:
@@ -394,8 +395,9 @@ def contrastive(v, ts, tau) -> Tensor:
     K = len(t2) // N
     s = v.value @ t2.T                              # (N, K N)
     _count_macs(s.size * p)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("similarity matrix has non-finite entries")
+    for what, x in (("similarity matrix", s), ("temperature", tau.value)):
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(f"non-finite {what}")
     inv_tau = 1.0 / tau.value
     z = s.reshape(N, K, N).transpose(1, 0, 2) * inv_tau
     zz = np.stack([z, z.transpose(0, 2, 1)], axis=1)    # (K, 2, N, N): rows, columns of z_k

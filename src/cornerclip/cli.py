@@ -2,8 +2,8 @@
 
 Precedence for train/sweep settings: built-in defaults < config file
 (flat key=value lines, default path from $CORNERCLIP_CONFIG) < flags.
-Exit codes: 0 success, 1 usage error (a bad flag, a used train --out-dir, or a
-train, sweep, gen-corpus or tokenize, mask or flops setting out of its range),
+Exit codes: 0 success, 1 usage error (a bad flag or config line, or any
+settings.SettingError: a setting out of its range or a used train --out-dir),
 2 runtime failure (a manifest with fewer records than batch_size too).
 """
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import corpus, evaluation, masks, sweep as sweep_mod, text_encoder, train as train_mod
+from .settings import SettingError
 from .tokenizer import ROLE_CLS, ROLE_CORNER, ROLE_TEXT, Vocabulary, detokenize, tokenize
 from .train import TrainConfig
 
@@ -28,21 +29,12 @@ CONFIG_ENV = "CORNERCLIP_CONFIG"
 
 
 class UsageError(Exception):
-    pass
+    """A bad flag or config line; no ValueError, which argparse's type= would rewrite."""
 
 
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _setting(make, *args, **kwargs):
-    """make(*args, **kwargs), with a setting out of its range (a ValueError
-    that make raises) turned into a usage error."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _emit(args, payload: dict, text: str | None = None):
@@ -95,7 +87,7 @@ def resolve_train_config(args) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    return _setting(TrainConfig, **values)
+    return TrainConfig(**values)
 
 
 def _add_train_flags(p: Parser):
@@ -175,8 +167,8 @@ def build_parser() -> Parser:
 
 
 def _cmd_gen_corpus(args) -> int:
-    records = _setting(corpus.generate_synthetic_corpus,
-                       args.seed, args.n, args.attributes, args.feature_dim, args.pool_size)
+    records = corpus.generate_synthetic_corpus(args.seed, args.n, args.attributes,
+                                               args.feature_dim, args.pool_size)
     corpus.save_manifest(records, args.out)
     _emit(args, {"written": len(records), "path": args.out},
           f"wrote {len(records)} records to {args.out}")
@@ -186,16 +178,16 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_stats(args) -> int:
     records = corpus.load_manifest(args.corpus)
     stats = dataclasses.asdict(corpus.corpus_stats(records))
-    _emit(args, stats, "\n".join(f"{k}: {v}" for k, v in stats.items()))
     if args.out:
         with open(args.out, "w") as f:
             json.dump(stats, f, sort_keys=True, indent=2)
+    _emit(args, stats, "\n".join(f"{k}: {v}" for k, v in stats.items()))
     return 0
 
 
 def _cmd_tokenize(args) -> int:
     vocab = _corpus_vocab(args.corpus)[1] if args.corpus else Vocabulary.build([args.text])
-    seq = _setting(tokenize, args.text, args.limit, args.corners, vocab)
+    seq = tokenize(args.text, args.limit, args.corners, vocab)
     tokens = detokenize(seq, vocab)
     payload = {"tokens": tokens, "ids": seq.ids.tolist(),
                "roles": seq.roles.tolist(), "true_length": seq.true_length}
@@ -204,7 +196,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    _setting(text_encoder.TextEncoderConfig, vocab_size=0, limit=args.length, m=args.corners)
+    text_encoder.TextEncoderConfig(vocab_size=0, limit=args.length, m=args.corners)
     roles = np.array([ROLE_CLS] + [ROLE_CORNER] * args.corners
                      + [ROLE_TEXT] * (args.length - args.corners - 1))
     mask = masks.full_mask(roles, args.mode)
@@ -228,7 +220,7 @@ def _corpus_vocab(path):
 
 def _cmd_train(args) -> int:
     cfg = resolve_train_config(args)
-    _setting(train_mod.refuse_used_out_dir, args.out_dir)
+    train_mod.refuse_used_out_dir(args.out_dir)
     records, vocab = _corpus_vocab(args.corpus)
     result = train_mod.run_training(records, vocab, cfg, out_dir=args.out_dir)
     last = result.metrics[-1]
@@ -255,10 +247,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    cfg = _setting(
-        text_encoder.TextEncoderConfig, vocab_size=2, limit=args.limit, m=args.corners,
-        depth=args.depth, width=args.dim, heads=args.heads, mlp_ratio=args.mlp_ratio,
-        projection_dim=args.proj_dim)
+    cfg = text_encoder.TextEncoderConfig(
+        vocab_size=2, limit=args.limit, m=args.corners, depth=args.depth, width=args.dim,
+        heads=args.heads, mlp_ratio=args.mlp_ratio, projection_dim=args.proj_dim)
     flops = evaluation.flops_estimate(cfg, args.limit)
     _emit(args, {"flops": flops}, str(flops))
     return 0
@@ -269,8 +260,8 @@ def _cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad --values: {exc}")
-    spec = _setting(sweep_mod.SweepSpec, axis=args.axis, values=values,
-                    base=resolve_train_config(args), seeds=list(range(args.seeds)))
+    spec = sweep_mod.SweepSpec(axis=args.axis, values=values, base=resolve_train_config(args),
+                               seeds=list(range(args.seeds)))
     records, vocab = _corpus_vocab(args.corpus)
     rows, failures = sweep_mod.run_sweep(spec, records, vocab, args.out_dir)
     failed = len(failures)
@@ -328,7 +319,7 @@ def dispatch(argv: list[str]) -> int:
             _emit(args, values, "\n".join(f"{k} = {v}" for k, v in values.items()))
             return 0
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

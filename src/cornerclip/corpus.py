@@ -187,10 +187,10 @@ def generate_synthetic_corpus(
     """
     if pool_size is None:
         pool_size = 8 * n_attributes
-    given = SimpleNamespace(feature_dim=feature_dim, n=n, n_attributes=n_attributes,
+    given = SimpleNamespace(seed=seed, feature_dim=feature_dim, n=n, n_attributes=n_attributes,
                             pool_size=pool_size)
-    check_settings(given, [("feature_dim", feature_dim >= 1, ">= 1"), ("n", n >= 2, ">= 2"),
-                           ("n_attributes", n_attributes >= 2, ">= 2"),
+    check_settings(given, [("seed", seed >= 0, ">= 0"), ("feature_dim", feature_dim >= 1, ">= 1"),
+                           ("n", n >= 2, ">= 2"), ("n_attributes", n_attributes >= 2, ">= 2"),
                            ("pool_size", pool_size >= n_attributes,
                             f">= n_attributes ({n_attributes})")])
     rng = np.random.default_rng(seed)

@@ -44,6 +44,11 @@ class ImageEncoderConfig:
             ("input_feature_dim", self.mode == "vit" or self.input_feature_dim >= 1, ">= 1")])
 
     @property
+    def input_shape(self) -> tuple:      # of one example of the tower's inputs
+        return ((self.input_feature_dim,) if self.mode == "precomputed"
+                else (self.image_size, self.image_size, self.channels))
+
+    @property
     def n_patches(self) -> int:
         return (self.image_size // self.patch_size) ** 2
 
@@ -76,8 +81,6 @@ def patchify(images: np.ndarray, config: ImageEncoderConfig) -> np.ndarray:
     """(B, H, W, C) pixels -> (B, n_patches, patch_dim), row-major patch order."""
     B, H, W, C = images.shape
     ps = config.patch_size
-    if H != config.image_size or W != config.image_size or C != config.channels:
-        raise ValueError(f"image shape {images.shape[1:]} does not match config")
     x = images.reshape(B, H // ps, ps, W // ps, ps, C)
     return x.transpose(0, 1, 3, 2, 4, 5).reshape(B, config.n_patches, config.patch_dim)
 
@@ -99,11 +102,15 @@ def check_records(records, config: ImageEncoderConfig) -> None:
 
 def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
     """Stacked tower inputs of manifest records: each record's precomputed
-    feature, or in vit mode the pixels of its .npy file."""
+    feature, or in vit mode the pixels of its .npy file, refused unless of input_shape."""
     check_records(records, config)
     if config.mode == "precomputed":
         return np.stack([rec.image_feature for rec in records])
-    return np.stack([np.load(rec.image_path) for rec in records])
+    pixels = [np.load(rec.image_path) for rec in records]
+    for rec, x in zip(records, pixels):
+        if x.shape != config.input_shape:
+            raise ValueError(f"record {rec.id}: pixel shape {x.shape}, expected {config.input_shape}")
+    return np.stack(pixels)
 
 
 def embed_images(records, params: dict, config: ImageEncoderConfig) -> np.ndarray:
@@ -118,16 +125,10 @@ def embed_images(records, params: dict, config: ImageEncoderConfig) -> np.ndarra
 def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig) -> Tensor:
     """Batched forward to unit-normalized global features, shape (B, p)."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    ndim, shape = ((2, "(batch, input_feature_dim)") if config.mode == "precomputed"
-                   else (4, "(batch, height, width, channels)"))
-    if inputs.ndim != ndim:
-        raise ValueError(f"{config.mode} mode takes inputs of shape {shape}, "
-                         f"got {inputs.shape}")
+    if inputs.shape[1:] != config.input_shape:
+        raise ValueError(f"{config.mode} mode takes inputs of shape (batch, "
+                         f"{', '.join(map(str, config.input_shape))}), got {inputs.shape}")
     if config.mode == "precomputed":
-        if inputs.shape[1] != config.input_feature_dim:
-            raise ValueError(
-                f"feature width {inputs.shape[1]} != input_feature_dim "
-                f"{config.input_feature_dim}")
         return l2_normalize(matmul(Tensor(inputs), params[NAMESPACE + "proj"]))
 
     patches = patchify(inputs, config)

@@ -5,9 +5,13 @@ rules here."""
 from __future__ import annotations
 
 
+class SettingError(ValueError):
+    """A setting out of its range: the command line's usage error, exit 1."""
+
+
 def check_settings(config, rules) -> None:
     """Refuse the first (name, ok, rule) triple of `rules` that does not hold, as
-    `name must be rule, got value`: the one form of every config's range rules."""
+    the SettingError `name must be rule, got value`: every config's range rules."""
     for name, ok, rule in rules:
         if not ok:
-            raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+            raise SettingError(f"{name} must be {rule}, got {getattr(config, name)!r}")

@@ -14,6 +14,7 @@ import os
 import reprlib
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import image_encoder, objective, text_encoder
 from .autodiff import Tensor
 from .corpus import ManifestRecord
 from .image_encoder import ImageEncoderConfig
-from .settings import check_settings
+from .settings import SettingError, check_settings
 from .text_encoder import TextEncoderConfig
 from .tokenizer import (TokenSequence, Vocabulary, sample_consecutive, split_subcaptions,
                         tokenize)
@@ -62,11 +63,11 @@ class TrainConfig:
             ("steps", self.steps >= 1, ">= 1"),
             ("lr", 0 < self.lr < np.inf, "finite and > 0"),
             ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
-            ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
             ("lr_schedule", self.lr_schedule in ("constant", "cosine"), "constant or cosine"),
             ("k_subcaptions", self.k_subcaptions >= 1, ">= 1"),
             ("tau_init", tau[0] <= self.tau_init <= tau[1], f"in [{tau[0]}, {tau[1]}]"),
-            ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")))
+            *((n, getattr(self, n) >= 0, ">= 0") for n in ("warmup_steps", "seed",
+                                                           "checkpoint_every"))))
         make_configs(Vocabulary(), self, 1)     # the shape fields obey the towers' rules
 
 
@@ -193,7 +194,8 @@ def trainable_names(params: dict, cfg: TrainConfig) -> list[str]:
 
 def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
               image_cfg: ImageEncoderConfig, cfg: TrainConfig):
-    """Exact gradients of the total loss for every trainable parameter.
+    """Exact gradients of the total loss for every trainable parameter, or the loss's
+    FloatingPointError, raised before backward on a non-finite similarity or temperature.
 
     This is the only place parameters are marked, and only until it returns:
     exactly the trainable ones require a gradient, so backward never enters a
@@ -208,9 +210,6 @@ def gradients(params: dict, batch: Batch, text_cfg: TextEncoderConfig,
         t.requires_grad = name in trainable
     try:
         breakdown, tau = compute_loss(params, batch, text_cfg, image_cfg, cfg)
-        for label, term in (("loss_short", breakdown.short), ("loss_long", breakdown.long)):
-            if term is not None and not np.isfinite(term):
-                raise FloatingPointError(f"non-finite loss term: {label}")
         breakdown.total.backward()
     finally:
         for t in params.values():
@@ -407,8 +406,8 @@ def refuse_used_out_dir(out_dir) -> None:
     cut, leaving its checkpoints for a resume to splice; the message names train's flag."""
     names = os.listdir(out_dir) if os.path.isdir(out_dir) else ()
     if any(n == METRICS_FILE or n.startswith("ckpt_") and n.endswith(".bin") for n in names):
-        raise ValueError(f"--out-dir {out_dir} already holds a run ({METRICS_FILE} or "
-                         "ckpt_*.bin); train into a new directory")
+        raise SettingError(f"--out-dir {out_dir} already holds a run ({METRICS_FILE} or "
+                           "ckpt_*.bin); train into a new directory")
 
 
 def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainConfig,
@@ -419,6 +418,8 @@ def run_training(records: list[ManifestRecord], vocab: Vocabulary, cfg: TrainCon
     With `resume_from`, continues from the checkpointed step and reproduces
     the uninterrupted run's remaining metrics exactly.
     """
+    check_settings(SimpleNamespace(stop_after=stop_after),
+                   [("stop_after", stop_after is None or stop_after >= 0, ">= 0")])
     if not records:
         raise ValueError("manifest has no usable records")
     _check_batch_fits(records, cfg)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import argparse
 import dataclasses
 import json
 
@@ -72,6 +73,7 @@ class TestBasicCommands:
         ("--n", "1", "n must be >= 2, got 1"),
         ("--attributes", "1", "n_attributes must be >= 2, got 1"),
         ("--pool-size", "2", "pool_size must be >= n_attributes (4), got 2"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ])
     def test_gen_corpus_setting_out_of_range_is_usage_error(self, tmp_path, capsys,
                                                             flag, raw, message):
@@ -80,6 +82,12 @@ class TestBasicCommands:
         assert code == 1
         assert f"usage error: {message}" in err
         assert not out.exists()
+
+    def test_stats_out_failure_prints_no_result(self, manifest, tmp_path, capsys):
+        code, out, err = run(capsys, "stats", "--corpus", manifest,
+                             "--out", str(tmp_path / "missing" / "s.json"))
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err
 
     def test_tokenize(self, capsys):
         code, out, _ = run(capsys, "tokenize", "--text", "a cat.",
@@ -144,6 +152,51 @@ def test_out_of_range_shape_setting_is_usage_error(capsys, argv, message):
     assert code == 1
     assert f"usage error: {message}" in err
     assert out == ""
+
+
+def int_flags(command):
+    """The flags of a subcommand that take an integer."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions if a.type is int]
+
+
+# each command's required flags, with values in range
+REQUIRED = {"gen-corpus": ["--out", "{tmp}/corpus.jsonl"], "tokenize": ["--text", "a b c"],
+            "mask": ["--len", "6", "--corners", "2"], "flops": ["--limit", "16"],
+            "sweep": ["--axis", "m_corners", "--values", "2", "--corpus", "{tmp}/missing.jsonl",
+                      "--out", "{tmp}/out"]}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in REQUIRED for f in int_flags(c)])
+def test_minus_one_for_an_integer_flag_is_usage_error(tmp_path, capsys, command, flag):
+    """Every integer flag refuses -1 as a setting out of its range, exit 1,
+    with nothing printed to stdout or written."""
+    argv = [a.format(tmp=tmp_path) for a in REQUIRED[command]]
+    code, out, err = run(capsys, command, *argv, flag, "-1")
+    assert code == 1 and out == ""
+    assert "usage error: " in err and " must be " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+NUMERIC_FIELDS = [f.name for f in dataclasses.fields(train_mod.TrainConfig)
+                  if f.type in ("int", "float")]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_minus_one_for_a_numeric_setting_is_usage_error(tmp_path, capsys, command, field):
+    """-1 for any numeric setting is refused by name before the manifest is read,
+    so a missing one does not matter, and before the output directory exists. A
+    shape field is named as its tower names it."""
+    out_dir = tmp_path / "out"
+    argv = {"train": ["--out-dir", str(out_dir)],
+            "sweep": ["--axis", "m_corners", "--values", "2", "--out", str(out_dir)]}[command]
+    code, out, err = run(capsys, command, "--corpus", str(tmp_path / "missing.jsonl"), *argv,
+                         "--" + field.replace("_", "-"), "-1")
+    assert code == 1 and out == ""
+    assert f"usage error: {train_mod.TEXT_SHAPE.get(field, field)} must be " in err
+    assert not out_dir.exists()
 
 
 class TestFlopsCommand:
@@ -534,6 +587,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("flag,raw,message", [
         ("--checkpoint-every", "-1", "checkpoint_every must be >= 0, got -1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--lr", "nan", "lr must be finite and > 0, got nan"),
         ("--tau-init", "0", "tau_init must be in [0.01, 10.0], got 0.0"),
         ("--steps", "0", "steps must be >= 1, got 0"),

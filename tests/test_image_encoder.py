@@ -5,6 +5,7 @@ import pytest
 
 from cornerclip import image_encoder as ie
 from cornerclip import train, transformer
+from cornerclip.corpus import ManifestRecord
 from cornerclip.image_encoder import ImageEncoderConfig
 from cornerclip.tokenizer import Vocabulary
 from cornerclip.train import TrainConfig
@@ -50,7 +51,8 @@ class TestPrecomputedMode:
     def test_width_mismatch(self):
         cfg = ImageEncoderConfig(input_feature_dim=8, projection_dim=4)
         p = ie.init_params(cfg, 0)
-        with pytest.raises(ValueError, match="input_feature_dim"):
+        with pytest.raises(ValueError, match=r"^precomputed mode takes inputs of shape "
+                                             r"\(batch, 8\), got \(1, 5\)$"):
             ie.encode_image_graph(np.zeros((1, 5)), p, cfg)
 
 
@@ -70,7 +72,8 @@ class TestVitMode:
     def test_shape_mismatch(self):
         cfg = self.cfg()
         p = ie.init_params(cfg, 1)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=r"^vit mode takes inputs of shape "
+                                             r"\(batch, 16, 16, 1\), got \(1, 8, 8, 1\)$"):
             ie.encode_image_graph(np.zeros((1, 8, 8, 1)), p, cfg)
 
     def test_patch_order_invariant_without_pos_emb(self):
@@ -113,6 +116,22 @@ def test_single_example_is_refused(mode, single):
                              depth=1, width=16, heads=2, projection_dim=8)
     with pytest.raises(ValueError, match=rf"{mode} mode takes inputs of shape \(batch, "):
         ie.encode_image_graph(np.zeros(single), ie.init_params(cfg, 0), cfg)
+
+
+def test_pixels_of_another_shape_name_the_record(tmp_path):
+    """A record whose pixel file has another shape than the tower's input is refused
+    by name when its pixels are read, not inside the stacking of a batch."""
+    cfg = ImageEncoderConfig(mode="vit", image_size=16, channels=1, depth=1, width=16,
+                             heads=2, projection_dim=8)
+    records = []
+    for rid, shape in (("a", (16, 16, 1)), ("b", (16, 16, 3))):
+        np.save(tmp_path / f"{rid}.npy", np.zeros(shape))
+        records.append(ManifestRecord(id=rid, short_text="a cat.",
+                                      image_path=str(tmp_path / f"{rid}.npy")))
+    assert ie.image_inputs(records[:1], cfg).shape == (1, 16, 16, 1)
+    with pytest.raises(ValueError, match=r"^record b: pixel shape \(16, 16, 3\), "
+                                         r"expected \(16, 16, 1\)$"):
+        ie.image_inputs(records, cfg)
 
 
 class TestPatchify:

@@ -85,7 +85,7 @@ class TestInfoNCE:
 
     def test_non_finite_rejected(self):
         S = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             ob.info_nce(S, 1.0, "i2t")
 
 

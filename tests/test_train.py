@@ -22,6 +22,7 @@ from cornerclip import autodiff, corpus
 from cornerclip import evaluation, image_encoder, objective, text_encoder, train, transformer
 from cornerclip.autodiff import Tensor
 from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus
+from cornerclip.settings import SettingError
 from cornerclip.tokenizer import M_MAX, Vocabulary, tokenize
 from cornerclip.train import AdamState, TrainConfig
 
@@ -96,6 +97,14 @@ class TestAssembleBatch:
         out_dir = tmp_path / "run"
         with pytest.raises(ValueError, match="manifest has 3 records < batch_size 4"):
             train.run_training(recs[:3], vocab, tiny_cfg(), out_dir=str(out_dir))
+        assert not out_dir.exists()
+
+    def test_negative_stop_after_rejected_before_any_file(self, corpus16, tmp_path):
+        """A run stopped before step 0 would write a final checkpoint of step -1."""
+        recs, vocab = corpus16
+        out_dir = tmp_path / "run"
+        with pytest.raises(SettingError, match=r"^stop_after must be >= 0, got -1$"):
+            train.run_training(recs, vocab, tiny_cfg(), out_dir=str(out_dir), stop_after=-1)
         assert not out_dir.exists()
 
     def test_first_record_without_feature_is_named(self, corpus16):
@@ -254,6 +263,23 @@ class TestGradients:
         opt = AdamState.create(params, list(grads))
         train.train_step(params, opt, batch, text_cfg, image_cfg, cfg, 1)
         np.testing.assert_array_equal(params["img.proj"].value, before)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("text.proj", np.nan, "non-finite similarity matrix"),
+        ("img.proj", np.inf, "non-finite similarity matrix"),
+        ("obj.s", np.nan, "non-finite temperature")])
+    def test_divergence_is_a_floating_point_error(self, corpus16, name, value, message):
+        """Whatever goes non-finite, a tower's features or the temperature, the step
+        fails as FloatingPointError, naming which."""
+        recs, vocab = corpus16
+        cfg = tiny_cfg()
+        text_cfg, image_cfg, params = setup_model(recs, vocab, cfg)
+        batch = train.assemble_batch(recs, vocab, text_cfg, cfg,
+                                     train.step_rng(0, 1), image_cfg)
+        params[name].value[...] = value
+        with pytest.raises(FloatingPointError, match=f"^{message}$"), \
+                np.errstate(invalid="ignore"):
+            train.gradients(params, batch, text_cfg, image_cfg, cfg)
 
 
     def test_traced_peak_of_one_step(self):

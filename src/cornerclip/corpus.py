@@ -120,16 +120,22 @@ def save_manifest(records: list[ManifestRecord], path) -> None:
 
 
 def load_manifest(path) -> list[ManifestRecord]:
-    """Load a JSONL manifest; a line that fails to parse or validate is skipped with a warning."""
+    """Load a JSONL manifest; a line that fails to parse or validate, or whose id an
+    earlier record took, is skipped with a warning."""
     records = []
     skipped = 0
+    lines = {}      # id -> the line of its record
     with open(path) as f:
         for i, line in enumerate(f):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(ManifestRecord.from_json(line))
+                rec = ManifestRecord.from_json(line)
+                if rec.id in lines:
+                    raise ValueError(f"id {rec.id!r} is already on line {lines[rec.id]}")
+                lines[rec.id] = i + 1
+                records.append(rec)
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 skipped += 1
                 log.warning("skipping manifest line %d: %s", i + 1, exc)

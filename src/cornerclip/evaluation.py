@@ -159,15 +159,14 @@ def embed_eval_set(records: list[ManifestRecord], params: dict,
 def embed_texts(texts: list[str], params: dict, text_cfg: TextEncoderConfig,
                 vocab: Vocabulary) -> np.ndarray:
     """Unit-norm global text features (n, p), PAD-trimmed texts in the passes of
-    `transformer.embed_chunks`, each batch tokenized as it is encoded."""
+    `transformer.embed_rows`, each batch tokenized as it is encoded."""
 
-    def features(batch):
-        seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in batch]
+    def features(rows):
+        seqs = [tokenize(t, text_cfg.limit, text_cfg.m, vocab) for t in texts[rows]]
         return text_encoder.encode_text_graph(*text_encoder.stack_trimmed(seqs), params,
                                               text_cfg, corners=False)[0].value[:, 0]
 
-    return np.concatenate([features(texts[rows])
-                           for rows in transformer.embed_chunks(len(texts))])
+    return transformer.embed_rows(len(texts), text_cfg.projection_dim, features)
 
 
 def _score_blocks(image_feats: np.ndarray, text_feats: np.ndarray):

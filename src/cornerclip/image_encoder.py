@@ -115,11 +115,11 @@ def image_inputs(records, config: ImageEncoderConfig) -> np.ndarray:
 
 def embed_images(records, params: dict, config: ImageEncoderConfig) -> np.ndarray:
     """Unit-norm image features (n, p) of manifest records, computed in record
-    order in the passes of `transformer.embed_chunks`, so they depend on nothing
+    order in the passes of `transformer.embed_rows`, so they depend on nothing
     but the records and the parameters."""
-    return np.concatenate([
-        encode_image_graph(image_inputs(records[rows], config), params, config).value
-        for rows in transformer.embed_chunks(len(records))])
+    return transformer.embed_rows(len(records), config.projection_dim, lambda rows: (
+        encode_image_graph(image_inputs(records[rows], config), params, config).value),
+        worker=config.mode == "vit")      # a precomputed pass is one small product
 
 
 def encode_image_graph(inputs: np.ndarray, params: dict, config: ImageEncoderConfig) -> Tensor:

@@ -372,10 +372,17 @@ def vocab_from_meta(meta: dict) -> Vocabulary:
 
 
 def model_from_meta(meta: dict):
-    """(text_cfg, image_cfg, vocab) of a checkpoint; refuses one older than their fields."""
+    """(text_cfg, image_cfg, vocab) of a checkpoint; refuses one older than their fields,
+    or with a stored config out of range, as a bad checkpoint naming the section."""
     towers = {"text_config": TextEncoderConfig, "image_config": ImageEncoderConfig}
     _refuse_stale(meta, {s: [f.name for f in dataclasses.fields(c)] for s, c in towers.items()})
-    return (*(c(**meta[s]) for s, c in towers.items()), vocab_from_meta(meta))
+    configs = []
+    for section, config in towers.items():
+        try:
+            configs.append(config(**meta[section]))
+        except SettingError as exc:
+            raise ckpt.CheckpointError(f"checkpoint {section}: {exc}") from None
+    return (*configs, vocab_from_meta(meta))
 
 
 def continue_stream(path, keep):

@@ -12,21 +12,32 @@ spec.loader.exec_module(bench_pairs)
 
 
 def test_summary_of_fixed_pairs():
-    """Quartiles per side, and wins by each metric's direction, ties for neither."""
+    """Quartiles per side, wins by each metric's direction, ties for neither, and
+    whether a gain holds: the head wins at least 90% of the pairs and its median
+    moves past the base's quartile spread in the better direction."""
     rss = [(60.0, 58.0), (61.0, 58.5), (62.0, 62.0), (63.0, 64.0), (64.0, 57.0)]
     rate = [(100.0, 110.0), (100.0, 90.0), (100.0, 100.0), (100.0, 120.0), (100.0, 101.0)]
-    pairs = [{"base": {"peak_rss_mb": r[0], "items_per_s": i[0]},
-              "head": {"peak_rss_mb": r[1], "items_per_s": i[1]}} for r, i in zip(rss, rate)]
-    out = bench_pairs.summarize(pairs, {"peak_rss_mb": "lower", "items_per_s": "higher"})
+    # every pair won, and the medians 1.2 and 0.85 lie 0.35 apart, past the base's 0.2
+    setup = [(1.0, 0.8), (1.1, 0.9), (1.2, 0.85), (1.3, 0.95), (1.4, 0.7)]
+    # every pair won, but the medians lie 5 apart, inside the base's spread of 20
+    faults = [(100, 95), (110, 105), (120, 115), (130, 125), (140, 135)]
+    better = {"peak_rss_mb": "lower", "items_per_s": "higher", "setup_s": "lower",
+              "minor_faults": "lower"}
+    pairs = [{side: dict(zip(better, (r[k], i[k], t[k], f[k]))) for k, side in enumerate(
+        ("base", "head"))} for r, i, t, f in zip(rss, rate, setup, faults)]
+    out = bench_pairs.summarize(pairs, better)
     assert out["peak_rss_mb"] == {
         "better": "lower",
         "base": {"q1": 61.0, "median": 62.0, "q3": 63.0},
         "head": {"q1": 58.0, "median": 58.5, "q3": 62.0},
-        "head_wins": 3, "base_wins": 1, "ties": 1}
+        "head_wins": 3, "base_wins": 1, "ties": 1, "gain_holds": False}
     s = out["items_per_s"]
     assert (s["head_wins"], s["base_wins"], s["ties"]) == (3, 1, 1)
     assert s["base"] == {"q1": 100.0, "median": 100.0, "q3": 100.0}
     assert s["head"]["median"] == 101.0 and s["head"]["q1"] == 100.0 and s["head"]["q3"] == 110.0
+    assert s["gain_holds"] is False
+    assert (out["setup_s"]["head_wins"], out["setup_s"]["gain_holds"]) == (5, True)
+    assert (out["minor_faults"]["head_wins"], out["minor_faults"]["gain_holds"]) == (5, False)
 
 
 def test_summary_of_one_pair():

@@ -247,6 +247,22 @@ class TestTrainEvalCommands:
                 "that the current format does not store there: the checkpoint predates the "
                 "current format" in err)
 
+    @pytest.mark.parametrize("section, field, value, rule", [
+        ("text_config", "heads", 0, ">= 1, got 0"),
+        ("image_config", "mode", "pixels", "one of ('vit', 'precomputed'), got 'pixels'")])
+    def test_eval_of_a_checkpoint_with_a_config_out_of_range(self, manifest, tmp_path, capsys,
+                                                             section, field, value, rule):
+        """A stored tower config out of range is a bad checkpoint, not a bad flag:
+        eval exits 2 naming the section, with no usage line."""
+        path = trained(capsys, manifest, tmp_path / "run", "--steps", "1")
+        params, (m, v, opt_step), step, meta = ckpt.load_checkpoint(path)
+        meta = {**meta, section: {**meta[section], field: value}}
+        ckpt.save_checkpoint(path, params, AdamState(m=m, v=v, step=opt_step), step, meta)
+        code, out, err = run(capsys, "eval", "--corpus", manifest, "--checkpoint", path)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: checkpoint {section}: {field} must be {rule}\n")
+        assert "usage" not in err
+
     def test_labels_without_names_have_no_class(self, tmp_path, capsys, monkeypatch):
         """generate_synthetic_corpus(1, 64, 4, 16) without attributes: its labels
         name no class, so eval reports no cls_acc@1, and the sweep, whose rows

@@ -89,7 +89,8 @@ class TestManifestIO:
         good = make_record().to_json()
         bad_json = "{not json"
         bad_record = json.dumps({"id": "x"})  # no text, no image
-        path.write_text("\n".join([good, bad_json, bad_record, "", good]) + "\n")
+        path.write_text("\n".join([good, bad_json, bad_record, "", make_record(1).to_json()])
+                        + "\n")
         with caplog.at_level(logging.WARNING):
             back = load_manifest(path)
         assert len(back) == 2
@@ -103,6 +104,22 @@ class TestManifestIO:
         with caplog.at_level(logging.WARNING):
             assert [r.id for r in load_manifest(path)] == ["r0"]
         assert "skipping manifest line 2: 'id'" in caplog.text
+
+    def test_a_repeated_id_is_skipped_naming_both_lines(self, tmp_path, caplog):
+        """An id names one record: a later line with an id an earlier record
+        already took is skipped, naming the id and both lines."""
+        path = tmp_path / "m.jsonl"
+        lines = [make_record(0).to_json(), make_record(1).to_json(), "",
+                 make_record(0, short_text="a dog.").to_json(), make_record(2).to_json(),
+                 make_record(1).to_json()]
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING):
+            back = load_manifest(path)
+        assert [(r.id, r.short_text) for r in back] == [("r0", "a cat."), ("r1", "a cat."),
+                                                        ("r2", "a cat.")]
+        assert "skipping manifest line 4: id 'r0' is already on line 1" in caplog.text
+        assert "skipping manifest line 6: id 'r1' is already on line 2" in caplog.text
+        assert "skipped 2" in caplog.text
 
     def test_lines_of_the_wrong_type_skipped_naming_the_field(self, tmp_path, caplog):
         path = tmp_path / "m.jsonl"

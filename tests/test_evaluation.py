@@ -1,7 +1,12 @@
 """Retrieval/classification metrics against brute-force oracles, plus FLOPs."""
 
 import dataclasses
+import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -19,6 +24,8 @@ from cornerclip.corpus import ManifestRecord, generate_synthetic_corpus, save_ma
 from cornerclip.evaluation import RetrievalGroundTruth
 from cornerclip.image_encoder import ImageEncoderConfig
 from cornerclip.tokenizer import Vocabulary
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def oracle_recall(S, gt, k, direction):
@@ -475,6 +482,122 @@ class TestEmbedAndReports:
             np.testing.assert_array_equal(back["text"], txt)
             np.testing.assert_array_equal(back["short"], ev.embed_texts(
                 [r.short_caption for r in recs], res.params, res.text_cfg, vocab))
+
+
+class TestForkedWorker:
+    """transformer.embed_rows with a forked worker: the bytes and the exceptions of
+    an in-process embedding, no child left behind, and the rule that forks one."""
+
+    @pytest.mark.parametrize("rows", [3, 16])
+    @pytest.mark.parametrize("n", [1, 2, 17, 33])
+    def test_forked_features_are_the_in_process_bytes(self, trained, worker, monkeypatch,
+                                                      n, rows):
+        recs, vocab, res = trained
+        texts = ([r.long_caption for r in recs] * 5)[:n]
+        monkeypatch.setattr(transformer, "EMBED_ROWS", rows)
+        worker.on = False
+        alone = ev.embed_texts(texts, res.params, res.text_cfg, vocab)
+        worker.on = True
+        shared = ev.embed_texts(texts, res.params, res.text_cfg, vocab)
+        assert shared.shape == (n, res.text_cfg.projection_dim)
+        assert shared.tobytes() == alone.tobytes()
+        assert worker.forks == (len(transformer.embed_chunks(n)) > 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_worker_runs_the_later_half(self, trained, worker, monkeypatch):
+        """This process runs the first half of the passes (the larger, if odd) and
+        the worker the rest, so a profile of this process counts the same calls
+        in every embedding of a size."""
+        recs, vocab, res = trained
+        texts = [r.long_caption for r in recs] * 4
+        monkeypatch.setattr(transformer, "EMBED_ROWS", 3)
+        worker.on = False
+        alone = ev.embed_texts(texts, res.params, res.text_cfg, vocab)
+        parent, encode, here = os.getpid(), te.encode_text_graph, []
+
+        def counted_here(*a, **kw):
+            if os.getpid() == parent:
+                here.append(len(a[0]))
+            return encode(*a, **kw)
+
+        monkeypatch.setattr(te, "encode_text_graph", counted_here)
+        worker.on = True
+        for _ in range(2):
+            assert ev.embed_texts(texts, res.params, res.text_cfg, vocab).tobytes() == \
+                alone.tobytes()
+        assert worker.forks == 2 and here == [3] * 6 * 2       # 32 rows: 6 of 11 passes
+
+    def test_a_killed_worker_has_its_passes_run_in_process(self, trained, worker,
+                                                           monkeypatch):
+        recs, vocab, res = trained
+        texts = [r.long_caption for r in recs] * 4
+        monkeypatch.setattr(transformer, "EMBED_ROWS", 3)
+        worker.on = False
+        alone = ev.embed_texts(texts, res.params, res.text_cfg, vocab)
+        parent, encode = os.getpid(), te.encode_text_graph
+
+        def dies_in_the_worker(*a, **kw):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return encode(*a, **kw)
+
+        monkeypatch.setattr(te, "encode_text_graph", dies_in_the_worker)
+        worker.on = True
+        assert ev.embed_texts(texts, res.params, res.text_cfg, vocab).tobytes() == \
+            alone.tobytes()
+        assert worker.forks == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_rule_in_a_process_of_one_thread(self):
+        """With BLAS pinned to one thread, the process has one OS thread, and a
+        worker is forked from WORKER_PASSES passes on, not below them, and not
+        while a second thread runs."""
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a worker needs two CPUs")
+        script = """if True:
+            import json, os, threading
+            from cornerclip import corpus, evaluation, train, transformer
+            recs = corpus.generate_synthetic_corpus(0, 8, 2, 8)
+            vocab = corpus.vocabulary(recs)
+            res = train.run_training(recs, vocab, train.TrainConfig(
+                batch_size=4, steps=1, limit=16, text_depth=1, text_width=16,
+                text_heads=2, projection_dim=8))
+            transformer.EMBED_ROWS = 3
+            texts = [r.long_caption for r in recs] * (3 * transformer.WORKER_PASSES // 8 + 1)
+            forks, fork = [], os.fork
+            os.fork = lambda: (forks.append(1), fork())[1]
+
+            def embed(passes, least=transformer.WORKER_PASSES):
+                forks.clear()
+                shared = evaluation.embed_texts(texts[:3 * passes], res.params,
+                                                res.text_cfg, vocab)
+                transformer.WORKER_PASSES = 10 ** 9
+                alone = evaluation.embed_texts(texts[:3 * passes], res.params,
+                                               res.text_cfg, vocab)
+                transformer.WORKER_PASSES = least
+                return [len(forks), shared.tobytes() == alone.tobytes()]
+
+            least = transformer.WORKER_PASSES
+            report = {"threads": len(os.listdir("/proc/self/task")),
+                      "below": embed(least - 1), "at": embed(least)}
+            release = threading.Event()
+            second = threading.Thread(target=release.wait)
+            second.start()
+            report["beside_a_thread"] = embed(least)
+            release.set()
+            second.join(timeout=10)
+            report["threads_after"] = len(os.listdir("/proc/self/task"))
+            print(json.dumps(report))
+        """
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == {"threads": 1, "below": [0, True], "at": [1, True],
+                                           "beside_a_thread": [0, True], "threads_after": 1}
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 """Image tower tests for both modes plus freezing through TrainConfig.freeze_image."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,64 @@ class TestFreezeFlag:
     def test_precomputed_projection_follows_switch(self):
         assert self.trainable_img("precomputed", False) == ["img.proj"]
         assert self.trainable_img("precomputed", True) == []
+
+
+class TestForkedWorker:
+    """The ViT's no-grad embedding with a forked worker (`transformer.embed_rows`):
+    the bytes and the exceptions of the in-process embedding, no child left."""
+
+    CFG = ImageEncoderConfig(mode="vit", image_size=16, channels=1, depth=1, width=16,
+                             heads=2, projection_dim=8)
+
+    def records(self, tmp_path, n, bad=()):
+        """n records of random 16x16x1 pixels, those at the indices `bad` of 16x16x3."""
+        rng = np.random.default_rng(n)
+        records = []
+        for i in range(n):
+            path = tmp_path / f"r{i}.npy"
+            np.save(path, rng.normal(size=(16, 16, 3 if i in bad else 1)))
+            records.append(ManifestRecord(id=f"r{i}", short_text="a cat.",
+                                          image_path=str(path)))
+        return records
+
+    @pytest.mark.parametrize("rows", [3, 16])
+    @pytest.mark.parametrize("n", [1, 2, 17, 33])
+    def test_forked_features_are_the_in_process_bytes(self, tmp_path, worker, monkeypatch,
+                                                      n, rows):
+        records, params = self.records(tmp_path, n), ie.init_params(self.CFG, 5)
+        monkeypatch.setattr(transformer, "EMBED_ROWS", rows)
+        worker.on = False
+        alone = ie.embed_images(records, params, self.CFG)
+        worker.on = True
+        shared = ie.embed_images(records, params, self.CFG)
+        assert shared.shape == (n, 8) and shared.tobytes() == alone.tobytes()
+        assert worker.forks == (len(transformer.embed_chunks(n)) > 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("bad, first", [((10,), 10), ((4, 10), 4), ((7, 10), 7)])
+    def test_an_error_is_the_in_process_one(self, tmp_path, worker, monkeypatch, bad, first):
+        """12 records in 4 passes of 3: the worker starts from the last pass, this
+        process from the first. A bad record in either share is refused with the
+        message of an in-process run, and of the first bad record in record order."""
+        records, params = self.records(tmp_path, 12, bad), ie.init_params(self.CFG, 5)
+        monkeypatch.setattr(transformer, "EMBED_ROWS", 3)
+        message = rf"^record r{first}: pixel shape \(16, 16, 3\), expected \(16, 16, 1\)$"
+        for on in (False, True):
+            worker.on = on
+            with pytest.raises(ValueError, match=message):
+                ie.embed_images(records, params, self.CFG)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert worker.forks == 1
+
+    def test_the_precomputed_tower_keeps_its_passes_here(self, worker, monkeypatch):
+        """A precomputed pass is one small matrix product, which never pays for a
+        fork: the worker stays off whatever worker_pays says."""
+        cfg = ImageEncoderConfig(input_feature_dim=5, projection_dim=8)
+        rng = np.random.default_rng(6)
+        records = [ManifestRecord(id=f"r{i}", short_text="a cat.",
+                                  image_feature=list(rng.normal(size=5))) for i in range(40)]
+        monkeypatch.setattr(transformer, "EMBED_ROWS", 3)
+        feats = ie.embed_images(records, ie.init_params(cfg, 6), cfg)
+        assert feats.shape == (40, 8) and worker.forks == 0

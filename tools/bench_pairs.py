@@ -18,8 +18,9 @@ faults are the growth of `getrusage(RUSAGE_CHILDREN).ru_minflt` across its run.
 The runs are appended as one entry to `BENCH_<SLUG>.json` at the repo root
 (created if missing): the environment line of the first child, the commit,
 tree path and `src/` digest of both sides, every pair's values, each side's
-median and quartiles per metric, and how many pairs each side won per metric,
-ties counting for neither. A child that is not `correct` stops the driver.
+median and quartiles per metric, how many pairs each side won per metric,
+ties counting for neither, and whether the head's gain holds (see `summarize`).
+A child that is not `correct` stops the runs.
 """
 
 import argparse
@@ -110,9 +111,11 @@ def quartiles(xs: list) -> dict:
 
 
 def summarize(pairs: list, better: dict = BETTER) -> dict:
-    """Per metric of `better`: each side's quartiles and how many pairs each side
-    won, a tie counting for neither. `pairs` holds {"base": {...}, "head": {...}}
-    metric values per pair."""
+    """Per metric of `better`: each side's quartiles, how many pairs each side
+    won, a tie counting for neither, and whether a gain of the head holds: it
+    wins at least 90% of the pairs, and its median moves past the base's
+    quartile spread in the better direction. `pairs` holds {"base": {...},
+    "head": {...}} metric values per pair."""
     out = {}
     for name, direction in better.items():
         base = [p["base"][name] for p in pairs]
@@ -120,9 +123,12 @@ def summarize(pairs: list, better: dict = BETTER) -> dict:
         sign = 1 if direction == "higher" else -1
         head_wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
         base_wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
-        out[name] = {"better": direction, "base": quartiles(base), "head": quartiles(head),
+        b, h = quartiles(base), quartiles(head)
+        out[name] = {"better": direction, "base": b, "head": h,
                      "head_wins": head_wins, "base_wins": base_wins,
-                     "ties": len(pairs) - head_wins - base_wins}
+                     "ties": len(pairs) - head_wins - base_wins,
+                     "gain_holds": (head_wins >= 0.9 * len(pairs)
+                                    and sign * (h["median"] - b["median"]) > b["q3"] - b["q1"])}
     return out
 
 
@@ -173,7 +179,8 @@ def main(argv=None) -> int:
         print(f"{name}: base {s['base']['median']:.6g} [{s['base']['q1']:.6g}, "
               f"{s['base']['q3']:.6g}]  head {s['head']['median']:.6g} [{s['head']['q1']:.6g}, "
               f"{s['head']['q3']:.6g}]  head wins {s['head_wins']}/{len(pairs)}, "
-              f"base wins {s['base_wins']}")
+              f"base wins {s['base_wins']}, "
+              f"gain {'holds' if s['gain_holds'] else 'does not hold'}")
     return 0
 
 
